@@ -1,0 +1,380 @@
+"""Influence functions and asymptotic standard errors.
+
+At the standardized point (fitted scatter equal to the identity, fitted
+location zero) the estimator admits the expansion
+
+    sqrt(n) (Sigma_hat - I)  ~  n^{-1/2} sum_i Z(x_i),
+
+with Z(x) the inverse Hessian applied to the score contribution of x.  All
+computations here happen in standardized coordinates and are mapped back to
+the original ones by congruence with the symmetric square root of the
+fitted scatter, which is exact by equivariance.  For symmetrized estimators
+of order k >= 2 the inner conditional expectation in Z is estimated by a
+plug-in average over (k-1)-subsets of the observed sample.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
+
+from .distribution import (
+    MatrixDistribution,
+    _sample_distinct_subsets,
+    build_kstat,
+    from_observations,
+)
+from .errors import DomainError, InvalidInputError, InvalidRegimeError
+from .location import LocationScatterEstimate, augmented_rho
+from .rho import CASE0, RhoFunction
+from .solver import HessianOperator, ScatterEstimate, hessian
+from .symmat import SymMatrix
+
+
+def half_vec_indices(q: int):
+    """Index pairs (i, j) with i <= j, the ordering used for acov matrices."""
+    return [(i, j) for i in range(q) for j in range(i, q)]
+
+
+@dataclass
+class InfluenceReport:
+    """Per-observation influence matrices with the derived covariance.
+
+    ``influence`` holds the standardized-coordinate influence matrices (the
+    corrected augmented ones for location-scatter).  ``acov`` is the
+    empirical covariance of the original-coordinate scatter influence under
+    half-vectorization (pairs i <= j in row-major order); entrywise standard
+    errors are sqrt(diag(acov)/n).
+    """
+
+    influence: np.ndarray = field(repr=False)
+    acov: np.ndarray = field(repr=False)
+    se_sigma: np.ndarray
+    se_mu: Optional[np.ndarray]
+    whitening: np.ndarray = field(repr=False)
+    center: Optional[np.ndarray]
+    k: int
+    centering_residual: float
+    plugin_inner: bool = False
+
+
+def influence_k1(
+    q_std: MatrixDistribution,
+    f: RhoFunction,
+    x_std,
+    hess: Optional[HessianOperator] = None,
+) -> SymMatrix:
+    """Influence matrix Z(x) = H^{-1}(rho'(|x|^2) x x^T - I) at the
+    standardized point (order k = 1).
+
+    ``q_std`` must be pre-whitened so the fitted scatter is the identity.
+    Case 0 excludes x = 0.
+    """
+    x = np.asarray(x_std, dtype=float).ravel()
+    if x.shape[0] != q_std.dim:
+        raise InvalidInputError(f"x has dimension {x.shape[0]}, expected {q_std.dim}")
+    s = float(x @ x)
+    if f.case_tag == CASE0 and s == 0.0:
+        raise DomainError("the scale-invariant loss has no influence function at x = 0")
+    h = hess if hess is not None else hessian(q_std, f)
+    arg = float(f.rho_prime(s)) * np.outer(x, x) - np.eye(q_std.dim)
+    return SymMatrix(h.solve(arg))
+
+
+def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, x: np.ndarray,
+                   inner_cap: int, seed: int, exclude: Optional[int]) -> np.ndarray:
+    """Plug-in average of rho'(tr S(x, X_J)) S(x, X_J) - I over (k-1)-subsets
+    J of the sample (excluding index ``exclude``), capped at inner_cap."""
+    n, q = x_std.shape
+    idx = np.arange(n)
+    if exclude is not None:
+        idx = idx[idx != exclude]
+    n_eff = idx.shape[0]
+    if n_eff < k - 1:
+        raise InvalidInputError(f"need at least {k - 1} other observations, have {n_eff}")
+    total = math.comb(n_eff, k - 1)
+    if total <= inner_cap:
+        subsets = np.array(list(itertools.combinations(range(n_eff), k - 1)), dtype=np.int64)
+    else:
+        subsets = _sample_distinct_subsets(n_eff, k - 1, inner_cap, seed)
+    pts = x_std[idx[subsets]]  # (m, k-1, q)
+    xs = np.broadcast_to(x, (pts.shape[0], 1, q))
+    allpts = np.concatenate([xs, pts], axis=1)  # (m, k, q)
+    centered = allpts - allpts.mean(axis=1, keepdims=True)
+    s = np.einsum("mki,mkj->mij", centered, centered) / (k - 1)
+    tr = np.einsum("mii->m", s)
+    nz = tr > 0.0
+    coeff = np.zeros(tr.shape[0])
+    coeff[nz] = np.asarray(f.rho_prime(tr[nz]))
+    avg = np.einsum("m,mij->ij", coeff, s) / s.shape[0]
+    return avg - np.eye(q)
+
+
+def influence_kge2(
+    x_std,
+    f: RhoFunction,
+    k: int,
+    x_point,
+    inner_cap: int = 5000,
+    seed: int = 0,
+    hess: Optional[HessianOperator] = None,
+    exclude: Optional[int] = None,
+    q_std: Optional[MatrixDistribution] = None,
+) -> SymMatrix:
+    """Influence matrix for the order-k symmetrized estimator.
+
+    Z(x) = k H^{-1}( E[rho'(tr S(x, X_2..X_k)) S(x, X_2..X_k)] - I ) with the
+    inner expectation estimated over (k-1)-subsets of the standardized
+    sample.  Passing ``exclude`` drops one sample index from the subsets
+    (used when x is that sample point, making the weighted influence
+    average telescope to the solver's gradient, which is zero).
+    """
+    x_std = np.asarray(x_std, dtype=float)
+    if k < 2:
+        raise InvalidInputError("influence_kge2 requires k >= 2; use influence_k1")
+    if x_std.shape[0] < k:
+        raise InvalidInputError(f"need at least k={k} observations, have {x_std.shape[0]}")
+    x = np.asarray(x_point, dtype=float).ravel()
+    if hess is None:
+        if q_std is None:
+            q_std = build_kstat(x_std, k, cap=max(inner_cap, 1), seed=seed)
+        hess = hessian(q_std, f)
+    avg = _inner_average(x_std, f, k, x, inner_cap, seed, exclude)
+    return SymMatrix(k * hess.solve(avg))
+
+
+@dataclass(frozen=True)
+class SphericalConstants:
+    """Closed-form influence constants for spherically symmetric data under
+    the t-type loss of order (nu, q); nu = 0 is the scale-invariant loss.
+
+    Z(x) = (nu + |x|^2)^{-1} (c0 A0(x) + c1 a(x) I) with
+    A0(x) = xx^T - q^{-1}|x|^2 I and a(x) = q^{-1}|x|^2 - 1; c2 is the
+    location coefficient of the joint problem (None when nu = 0, where no
+    location functional exists).  d0 and d1 diagonalize the Hessian for
+    rank-one orthogonally invariant distributions.
+    """
+
+    kappa: float
+    c0: float
+    c1: float
+    c2: Optional[float]
+    d0: float
+    d1: float
+
+
+def spherical_constants(radii_sq, nu: float, q: int, weights=None) -> SphericalConstants:
+    """Constants of the spherical closed-form influence function.
+
+    Parameters
+    ----------
+    radii_sq : array-like
+        Squared norms |x|^2 of the (standardized) radial distribution.
+    nu : float
+        Degrees of freedom of the t-type loss; 0 gives the scale-invariant
+        loss.
+    q : int
+        Dimension.
+    weights : array-like, optional
+        Probability weights of the radii; equal by default.
+    """
+    r = np.asarray(radii_sq, dtype=float).ravel()
+    if np.any(r < 0) or r.size == 0:
+        raise InvalidInputError("squared radii must be nonnegative and nonempty")
+    if nu < 0:
+        raise InvalidInputError("nu must be nonnegative")
+    if q < 1:
+        raise InvalidInputError("q must be >= 1")
+    if weights is None:
+        w = np.full(r.size, 1.0 / r.size)
+    else:
+        w = np.asarray(weights, dtype=float).ravel()
+        if w.shape != r.shape or np.any(w < 0):
+            raise InvalidInputError("weights must be nonnegative and match the radii")
+        w = w / w.sum()
+
+    if nu > 0:
+        kappa = float(w @ ((nu + q) * nu / (nu + r) ** 2))
+    else:
+        kappa = 0.0
+    if kappa >= 1.0:
+        raise InvalidRegimeError(f"kappa = {kappa:.6g} >= 1; constants undefined")
+
+    den0 = q + 2.0 * (1.0 - kappa) * nu / q
+    if den0 <= 0:
+        raise InvalidRegimeError("denominator of c0 is not positive")
+    c0 = (q + nu) * (q + 2.0) / den0
+    c1 = q / (1.0 - kappa) if nu > 0 else 0.0
+
+    den2 = q - 2.0 * (1.0 - kappa)
+    if nu > 0:
+        if den2 <= 0:
+            raise InvalidRegimeError("denominator of the location constant c2 is not positive")
+        c2 = q / den2
+    else:
+        c2 = q / den2 if den2 > 0 else None
+
+    # Hessian coefficients, rank-one specialization: rho''(r) r^2 with
+    # rho'' (s) = -(nu + q)/(nu + s)^2.
+    second_moment = float(w @ (-(nu + q) * r**2 / (nu + r) ** 2))
+    d0 = 1.0 + 2.0 * second_moment / (q * (q + 2.0))
+    d1 = 1.0 + second_moment / q
+
+    return SphericalConstants(kappa=kappa, c0=c0, c1=c1, c2=c2, d0=d0, d1=d1)
+
+
+def orth_hessian_coeffs(q_dist: MatrixDistribution, f: RhoFunction):
+    """Diagonal coefficients (d0, d1) of the Hessian for an orthogonally
+    invariant distribution at the standardized point: H A = d0 A0 + d1 A1
+    splitting A into trace-free and multiple-of-identity parts.
+
+    The caller asserts (or Haar-averages to enforce) orthogonal invariance.
+    """
+    q = q_dist.dim
+    if q < 2:
+        raise InvalidInputError("orthogonal-invariance coefficients need q >= 2")
+    nz = q_dist.traces > 0.0
+    w = q_dist.weights[nz]
+    tr = q_dist.traces[nz]
+    fro2 = np.einsum("mij,mij->m", q_dist.atoms[nz], q_dist.atoms[nz])
+    rs = np.asarray(f.rho_second(tr))
+    d0 = 1.0 + (2.0 / (q * (q + 2.0))) * float(w @ (rs * (fro2 + (tr**2 - fro2) / (q - 1.0))))
+    d1 = 1.0 + (1.0 / q) * float(w @ (rs * tr**2))
+    return d0, d1
+
+
+def _half_vec(mats: np.ndarray, pairs) -> np.ndarray:
+    return np.stack([mats[:, i, j] for i, j in pairs], axis=1)
+
+
+def acov_scatter(
+    x,
+    estimate: ScatterEstimate,
+    f: RhoFunction,
+    k: int = 1,
+    inner_cap: int = 5000,
+    atom_cap: int = 200_000,
+    seed: int = 0,
+) -> InfluenceReport:
+    """Influence matrices and asymptotic standard errors for a fitted scatter.
+
+    Whitens the data by the inverse symmetric square root of the fitted
+    scatter (making the standardized estimate the identity exactly, by
+    equivariance), computes the per-observation influence matrices there,
+    maps them back by congruence and reports the empirical covariance and
+    entrywise standard errors sqrt(diag(acov)/n).
+    """
+    if not estimate.converged:
+        raise InvalidInputError("influence analysis requires a converged estimate")
+    x = np.asarray(x, dtype=float)
+    n, q = x.shape
+    white = estimate.sigma.inv_sqrt()
+    root = estimate.sigma.sqrt()
+    x_std = x @ white
+
+    if k == 1:
+        q_std = from_observations(x_std)
+        h = hessian(q_std, f)
+        rho_p = np.asarray(f.rho_prime(np.einsum("ni,ni->n", x_std, x_std)))
+        raw = np.einsum("n,ni,nj->nij", rho_p, x_std, x_std) - np.eye(q)
+        z_std = np.stack([h.solve(raw[i]) for i in range(n)])
+        plugin = False
+    else:
+        q_std = build_kstat(x_std, k, cap=atom_cap, seed=seed)
+        h = hessian(q_std, f)
+        z_std = np.stack(
+            [
+                influence_kge2(
+                    x_std, f, k, x_std[i], inner_cap=inner_cap,
+                    seed=seed + 1 + i, hess=h, exclude=i,
+                ).mat
+                for i in range(n)
+            ]
+        )
+        plugin = True
+
+    centering = float(np.linalg.norm(z_std.mean(axis=0)))
+    z_orig = np.einsum("ij,njk,kl->nil", root, z_std, root)
+
+    pairs = half_vec_indices(q)
+    hv = _half_vec(z_orig, pairs)
+    hv_centered = hv - hv.mean(axis=0)
+    acov = hv_centered.T @ hv_centered / n
+    se_flat = np.sqrt(np.diag(acov) / n)
+    se_sigma = np.zeros((q, q))
+    for (i, j), s in zip(pairs, se_flat):
+        se_sigma[i, j] = se_sigma[j, i] = s
+
+    return InfluenceReport(
+        influence=z_std,
+        acov=acov,
+        se_sigma=se_sigma,
+        se_mu=None,
+        whitening=white,
+        center=None,
+        k=k,
+        centering_residual=centering,
+        plugin_inner=plugin,
+    )
+
+
+def location_influence(x, nu: float, estimate: LocationScatterEstimate) -> InfluenceReport:
+    """Influence matrices and standard errors for the joint (mu, Sigma) fit.
+
+    Standardizes affinely to (0, I), computes the augmented influence
+    matrices, applies the nu = 1 trace correction, and reads the location
+    and scatter blocks off the corrected matrices.
+    """
+    if not estimate.converged:
+        raise InvalidInputError("influence analysis requires a converged estimate")
+    x = np.asarray(x, dtype=float)
+    n, q = x.shape
+    white = estimate.sigma.inv_sqrt()
+    root = estimate.sigma.sqrt()
+    x_std = (x - estimate.mu) @ white
+
+    y = np.hstack([x_std, np.ones((n, 1))])
+    q_aug = from_observations(y)
+    f_aug = augmented_rho(nu, q)
+    h = hessian(q_aug, f_aug)
+
+    norms = np.einsum("ni,ni->n", y, y)
+    rho_p = np.asarray(f_aug.rho_prime(norms))
+    eye = np.eye(q + 1)
+    raw = np.einsum("n,ni,nj->nij", rho_p, y, y) - eye
+    z = np.stack([h.solve(raw[i]) for i in range(n)])
+    if nu == 1.0:
+        z = z - z[:, -1, -1][:, None, None] * eye
+
+    centering = float(np.linalg.norm(z.mean(axis=0)))
+
+    scatter_std = z[:, :q, :q]
+    loc_std = z[:, :q, q]
+    scatter_orig = np.einsum("ij,njk,kl->nil", root, scatter_std, root)
+    loc_orig = loc_std @ root
+
+    pairs = half_vec_indices(q)
+    hv = _half_vec(scatter_orig, pairs)
+    hv_centered = hv - hv.mean(axis=0)
+    acov = hv_centered.T @ hv_centered / n
+    se_flat = np.sqrt(np.diag(acov) / n)
+    se_sigma = np.zeros((q, q))
+    for (i, j), s in zip(pairs, se_flat):
+        se_sigma[i, j] = se_sigma[j, i] = s
+    loc_centered = loc_orig - loc_orig.mean(axis=0)
+    se_mu = np.sqrt(np.einsum("ni,ni->i", loc_centered, loc_centered) / n / n)
+
+    return InfluenceReport(
+        influence=z,
+        acov=acov,
+        se_sigma=se_sigma,
+        se_mu=se_mu,
+        whitening=white,
+        center=np.array(estimate.mu),
+        k=1,
+        centering_residual=centering,
+    )

@@ -1,0 +1,429 @@
+"""Command-line front end: CSV in, JSON estimates and diagnostics out.
+
+Subcommands
+-----------
+scatter     fit a scatter matrix (tyler | t | weibull | gaussian)
+locscatter  fit joint location and scatter for the t model (nu >= 1)
+procov      fit proportional covariance matrices from Wishart groups
+influence   scatter fit with influence-function standard errors
+check       existence report and fixed-point residual of a given sigma
+
+Exit codes: 0 converged, 2 not converged (existence violated, diverged or
+iteration limit), 3 input errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+import numpy as np
+
+from . import __version__
+from .asymptotics import acov_scatter, location_influence
+from .distribution import WishartGroup, build_kstat, check_existence, from_observations
+from .errors import MScatterError
+from .location import check_location_existence, estimate_location_scatter
+from .rho import gaussian, t_dist, tyler, weibull
+from .solver import (
+    STATUS_CONVERGED,
+    SolverConfig,
+    criterion,
+    fixed_point_solve,
+    psi_map,
+    solve_procov,
+)
+from .symmat import PsdAtom, SpdMatrix
+
+EXIT_OK = 0
+EXIT_NOT_CONVERGED = 2
+EXIT_INPUT = 3
+
+
+class InputError(MScatterError):
+    """CLI-level input problem; maps to exit code 3."""
+
+
+def read_csv(path):
+    """Read a numeric CSV: rows are observations, columns are variables.
+
+    A single header row is auto-detected (first row with any non-numeric
+    cell).  Ragged rows and non-numeric cells after the header are errors.
+
+    Returns (matrix, column_names) with names None when there is no header.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise InputError(f"{path} is empty")
+
+    def parse_row(line):
+        cells = [c.strip() for c in line.split(",")]
+        try:
+            return [float(c) for c in cells]
+        except ValueError:
+            return None
+
+    names = None
+    first = parse_row(lines[0])
+    body = lines
+    if first is None:
+        names = [c.strip() for c in lines[0].split(",")]
+        body = lines[1:]
+        if not body:
+            raise InputError(f"{path} has a header but no data rows")
+
+    rows = []
+    width = None
+    for offset, line in enumerate(body):
+        row = parse_row(line)
+        rownum = offset + (2 if names else 1)
+        if row is None:
+            raise InputError(f"{path}: non-numeric cell in row {rownum}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise InputError(
+                f"{path}: ragged row {rownum} has {len(row)} cells, expected {width}"
+            )
+        rows.append(row)
+    return np.asarray(rows, dtype=float), names
+
+
+def read_groups(path):
+    """Read Wishart groups from JSON: an array of {"dof": int, "scatter": [[..]]}.
+
+    Scatter matrices may carry eigenvalue dust down to -1e-8 relative; it is
+    clipped.  Anything more negative, a dof below one, or mixed dimensions
+    are errors.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, list) or not doc:
+        raise InputError(f"{path} must hold a non-empty JSON array of groups")
+
+    groups = []
+    dim = None
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict) or "dof" not in entry or "scatter" not in entry:
+            raise InputError(f"{path}: group {i} needs 'dof' and 'scatter' fields")
+        dof = entry["dof"]
+        if not isinstance(dof, int) or dof < 1:
+            raise InputError(f"{path}: group {i} has invalid dof {dof!r}")
+        s = np.asarray(entry["scatter"], dtype=float)
+        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+            raise InputError(f"{path}: group {i} scatter is not square")
+        if dim is None:
+            dim = s.shape[0]
+        elif s.shape[0] != dim:
+            raise InputError(f"{path}: group {i} has dimension {s.shape[0]}, expected {dim}")
+        s = (s + s.T) / 2.0
+        lam = np.linalg.eigvalsh(s)
+        if lam[0] < -1e-8 * max(lam[-1], 0.0, 1e-300):
+            raise InputError(
+                f"{path}: group {i} scatter is not positive semidefinite "
+                f"(min eigenvalue {lam[0]:.3e})"
+            )
+        lam_c, vec = np.linalg.eigh(s)
+        s = (vec * np.maximum(lam_c, 0.0)) @ vec.T
+        groups.append(WishartGroup(scatter=PsdAtom(s, _trusted=True), dof=dof))
+    return groups
+
+
+def _make_rho(args, q):
+    est = args.estimator
+    if est == "tyler":
+        if getattr(args, "nu", None) is not None:
+            raise InputError("--nu is not a tyler parameter")
+        return tyler(q)
+    if est == "t":
+        if getattr(args, "nu", None) is None or not args.nu > 0:
+            raise InputError("the t estimator requires --nu > 0")
+        return t_dist(args.nu, q)
+    if est == "weibull":
+        g = getattr(args, "gamma", None)
+        if g is None or not 0 < g < 1:
+            raise InputError("the weibull estimator requires --gamma in (0, 1)")
+        return weibull(g)
+    if est == "gaussian":
+        return gaussian()
+    raise InputError(f"unknown estimator {est!r}")
+
+
+def _solver_config(args):
+    return SolverConfig(
+        tol_fixed_point=args.tol,
+        tol_gradient=args.tol_gradient,
+        max_iter=args.max_iter,
+    )
+
+
+def _existence_json(report):
+    if report is None:
+        return None
+    return {
+        "verdict": report.verdict,
+        "method": report.method,
+        "witnesses": [
+            {
+                "dim": w.subspace_dim,
+                "mass": w.mass,
+                "threshold": w.threshold,
+                "basis": w.basis.tolist(),
+            }
+            for w in report.witnesses
+        ],
+    }
+
+
+def _estimate_json(est, q):
+    return {
+        "dim": q,
+        "status": est.status,
+        "iterations": est.iterations,
+        "criterion": est.criterion,
+        "gradient_norm": est.gradient_norm,
+        "fixed_point_residual": est.fixed_point_residual,
+        "sigma": est.sigma.mat.tolist(),
+        "existence": _existence_json(est.existence),
+    }
+
+
+def _build_q(x, args):
+    if args.k == 1:
+        return from_observations(x)
+    return build_kstat(x, args.k, cap=args.cap, seed=args.seed)
+
+
+def _sanitize(value):
+    """Replace non-finite floats with None so the emitted JSON stays strict."""
+    if isinstance(value, dict):
+        return {k: _sanitize(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_sanitize(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
+def _emit(doc, args):
+    if args.output == "json":
+        text = json.dumps(_sanitize(doc), indent=2, allow_nan=False)
+    else:
+        lines = []
+        if doc.get("mu") is not None:
+            lines.append(",".join(f"{v:.17g}" for v in doc["mu"]))
+        for row in doc["sigma"]:
+            lines.append(",".join(f"{v:.17g}" for v in row))
+        text = "\n".join(lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+def _cmd_scatter(args, with_se):
+    x, _ = read_csv(args.input)
+    q = x.shape[1]
+    f = _make_rho(args, q)
+    qdist = _build_q(x, args)
+    est = fixed_point_solve(qdist, f, _solver_config(args))
+    doc = _estimate_json(est, q)
+    doc["subcommand"] = "influence" if with_se else "scatter"
+    doc["estimator"] = args.estimator
+    doc["n"] = int(x.shape[0])
+    doc["k"] = args.k
+    if (with_se or args.se) and est.status == STATUS_CONVERGED:
+        rep = acov_scatter(x, est, f, k=args.k, inner_cap=args.cap, seed=args.seed)
+        doc["se"] = {"sigma": rep.se_sigma.tolist()}
+    _emit(doc, args)
+    return EXIT_OK if est.status == STATUS_CONVERGED else EXIT_NOT_CONVERGED
+
+
+def _cmd_locscatter(args):
+    x, _ = read_csv(args.input)
+    q = x.shape[1]
+    if args.nu is None or not args.nu >= 1:
+        raise InputError("locscatter requires --nu >= 1")
+    est = estimate_location_scatter(x, args.nu, _solver_config(args))
+    doc = {
+        "subcommand": "locscatter",
+        "dim": q,
+        "n": int(x.shape[0]),
+        "nu": args.nu,
+        "status": est.status,
+        "iterations": est.iterations,
+        "criterion": est.criterion,
+        "gradient_norm": est.inner.gradient_norm,
+        "fixed_point_residual": est.inner.fixed_point_residual,
+        "gamma": est.gamma.mat.tolist(),
+        "mu": est.mu.tolist() if est.mu is not None else None,
+        "sigma": est.sigma.mat.tolist() if est.sigma is not None else None,
+        "existence": _existence_json(est.inner.existence),
+    }
+    if args.se and est.status == STATUS_CONVERGED:
+        rep = location_influence(x, args.nu, est)
+        doc["se"] = {"sigma": rep.se_sigma.tolist(), "mu": rep.se_mu.tolist()}
+    _emit(doc, args)
+    return EXIT_OK if est.status == STATUS_CONVERGED else EXIT_NOT_CONVERGED
+
+
+def _cmd_procov(args):
+    groups = read_groups(args.groups)
+    fit = solve_procov(groups, _solver_config(args))
+    doc = _estimate_json(fit.estimate, fit.sigma.dim)
+    doc["subcommand"] = "procov"
+    doc["sigma"] = fit.sigma.mat.tolist()
+    doc["scales"] = fit.scales.tolist()
+    doc["stationarity_residual"] = fit.stationarity_residual
+    _emit(doc, args)
+    return EXIT_OK if fit.status == STATUS_CONVERGED else EXIT_NOT_CONVERGED
+
+
+def _cmd_check(args):
+    x, _ = read_csv(args.input)
+    q = x.shape[1]
+    f = _make_rho(args, q)
+    qdist = _build_q(x, args)
+    if args.locscatter:
+        if args.estimator != "t" or args.nu is None or not args.nu >= 1:
+            raise InputError("--locscatter checks need --estimator t with --nu >= 1")
+        report = check_location_existence(x, args.nu)
+    else:
+        report = check_existence(qdist, f)
+    doc = {
+        "subcommand": "check",
+        "dim": q,
+        "n": int(x.shape[0]),
+        "estimator": args.estimator,
+        "existence": _existence_json(report),
+    }
+    ok = report.verdict != "violated"
+    if args.sigma:
+        try:
+            with open(args.sigma, "r", encoding="utf-8") as fh:
+                prev = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InputError(f"cannot read sigma document {args.sigma}: {exc}") from exc
+        sig_rows = prev["sigma"] if isinstance(prev, dict) else prev
+        sigma = SpdMatrix(np.asarray(sig_rows, dtype=float))
+        psi = psi_map(sigma, qdist, f)
+        resid = float(
+            np.linalg.norm(psi.mat - sigma.mat) / np.linalg.norm(sigma.mat)
+        )
+        doc["fixed_point_residual"] = resid
+        doc["criterion"] = criterion(sigma, qdist, f)
+        ok = ok and resid <= args.tol
+    _emit(doc, args)
+    return EXIT_OK if ok else EXIT_NOT_CONVERGED
+
+
+def build_parser():
+    p = argparse.ArgumentParser(
+        prog="mscatter",
+        description="M-functionals of multivariate scatter and location",
+    )
+    p.add_argument("--version", action="version", version=f"mscatter {__version__}")
+    sub = p.add_subparsers(dest="subcommand", required=True)
+
+    def common(sp, estimator=True):
+        if estimator:
+            sp.add_argument("--estimator", default="tyler",
+                            choices=["tyler", "t", "weibull", "gaussian"])
+            sp.add_argument("--nu", type=float, default=None)
+            sp.add_argument("--gamma", type=float, default=None)
+        sp.add_argument("--k", type=int, default=1,
+                        help="symmetrization order (k >= 2 uses k-subset sample covariances)")
+        sp.add_argument("--cap", type=int, default=200_000,
+                        help="subset cap for k >= 2 and influence computations")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.add_argument("--tol-gradient", type=float, default=1e-9)
+        sp.add_argument("--max-iter", type=int, default=500)
+        sp.add_argument("--output", choices=["json", "csv"], default="json")
+        sp.add_argument("--out", default=None, help="write output here instead of stdout")
+
+    sp = sub.add_parser("scatter", help="fit a scatter matrix")
+    sp.add_argument("--input", required=True)
+    sp.add_argument("--se", action="store_true", help="report influence-function standard errors")
+    common(sp)
+
+    sp = sub.add_parser("influence", help="scatter fit with standard errors")
+    sp.add_argument("--input", required=True)
+    common(sp)
+
+    sp = sub.add_parser("locscatter", help="fit joint location and scatter (t model)")
+    sp.add_argument("--input", required=True)
+    sp.add_argument("--nu", type=float, required=True)
+    sp.add_argument("--se", action="store_true")
+    common(sp, estimator=False)
+
+    sp = sub.add_parser("procov", help="fit proportional covariance matrices")
+    sp.add_argument("--groups", required=True, help="JSON file of Wishart groups")
+    common(sp, estimator=False)
+
+    sp = sub.add_parser("check", help="existence report and fixed-point residual")
+    sp.add_argument("--input", required=True)
+    sp.add_argument("--sigma", default=None, help="JSON document holding a fitted sigma")
+    sp.add_argument("--locscatter", action="store_true",
+                    help="check the location-scatter condition instead (t estimator)")
+    common(sp)
+
+    return p
+
+
+def _limit_threads():
+    limit = os.environ.get("MSCATTER_THREADS")
+    if not limit:
+        return
+    try:
+        import threadpoolctl
+
+        threadpoolctl.threadpool_limits(int(limit))
+    except (ImportError, ValueError):
+        pass
+
+
+def run(argv=None) -> int:
+    """Parse arguments, run the requested command, return the exit code."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad flags; remap to the input-error code.
+        return EXIT_INPUT if exc.code not in (0, None) else 0
+    _limit_threads()
+    try:
+        if args.subcommand == "scatter":
+            return _cmd_scatter(args, with_se=False)
+        if args.subcommand == "influence":
+            return _cmd_scatter(args, with_se=True)
+        if args.subcommand == "locscatter":
+            return _cmd_locscatter(args)
+        if args.subcommand == "procov":
+            return _cmd_procov(args)
+        if args.subcommand == "check":
+            return _cmd_check(args)
+        raise InputError(f"unknown subcommand {args.subcommand!r}")
+    except MScatterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+
+
+def main():
+    sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,486 @@
+"""Criterion evaluation and the monotone fixed-point solver for scatter.
+
+The criterion is
+
+    L(S, Q) = sum_i w_i [rho(tr(S^-1 M_i)) - rho(tr M_i)] + log det S
+
+whose minimizers coincide with fixed points of the map
+
+    Psi(S, Q) = sum_i w_i rho'(tr(S^-1 M_i)) M_i .
+
+Iterating Psi strictly decreases the criterion until a fixed point is
+reached, which is what the solver exploits: every iterate's criterion value
+is logged and convergence is declared on the pair (relative fixed-point
+residual, gradient norm).  For the scale-invariant Case 0 loss each iterate
+is renormalized to determinant one.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Optional, Union
+
+import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
+
+from .distribution import (
+    ExistenceReport,
+    MatrixDistribution,
+    WishartGroup,
+    check_existence,
+    from_wishart_groups,
+)
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    InvalidInputError,
+    NotPositiveDefiniteError,
+    UnsupportedOperationError,
+)
+from .rho import CASE0, RhoFunction, validate
+from .symmat import SpdMatrix, SymMatrix, as_array
+
+STATUS_CONVERGED = "converged"
+STATUS_MAX_ITER = "max_iter"
+STATUS_DIVERGED = "diverged"
+STATUS_EXISTENCE = "existence_violated"
+
+
+@dataclass
+class SolverConfig:
+    """Tolerances and limits for the fixed-point iteration.
+
+    ``normalize_det`` defaults to automatic: forced on for Case 0 (the
+    criterion is scale invariant there) and off otherwise.  The divergence
+    limits convert a failing existence condition, which manifests as
+    unbounded iterates, into a detectable runtime signal.
+    """
+
+    tol_fixed_point: float = 1e-10
+    tol_gradient: float = 1e-9
+    max_iter: int = 500
+    start: Union[str, SpdMatrix] = "identity"  # "identity" | "mean_atom" | SpdMatrix
+    normalize_det: Optional[bool] = None
+    divergence_cond_limit: float = 1e12
+    divergence_lognorm_limit: float = 40.0
+    existence_budget: int = 1000
+
+    def __post_init__(self):
+        if self.tol_fixed_point <= 0 or self.tol_gradient <= 0:
+            raise InvalidInputError("tolerances must be positive")
+        if self.max_iter < 1:
+            raise InvalidInputError("max_iter must be at least 1")
+
+
+@dataclass
+class ScatterEstimate:
+    """Solver output: the fitted scatter matrix plus convergence diagnostics."""
+
+    sigma: SpdMatrix
+    iterations: int
+    criterion: float
+    gradient_norm: float
+    status: str
+    descent_log: np.ndarray
+    fixed_point_residual: float
+    existence: Optional[ExistenceReport] = None
+
+    @property
+    def converged(self) -> bool:
+        return self.status == STATUS_CONVERGED
+
+
+def _check_compat(q: MatrixDistribution, f: RhoFunction):
+    if f.dim is not None and f.dim != q.dim:
+        raise DimensionMismatchError(
+            f"loss is for dimension {f.dim}, distribution has dimension {q.dim}"
+        )
+    if f.case_tag == CASE0 and not q.case0_ready:
+        raise DomainError(
+            "Case 0 requires every atom to have positive trace (no mass at the zero matrix)"
+        )
+
+
+def _nonzero_parts(q: MatrixDistribution):
+    nz = q.traces > 0.0
+    atoms = q.atoms[nz]
+    return atoms, atoms.reshape(atoms.shape[0], -1), q.weights[nz], q.traces[nz]
+
+
+def criterion(s, q: MatrixDistribution, f: RhoFunction) -> float:
+    """Evaluate the criterion L(S, Q); exactly zero at S = I."""
+    _check_compat(q, f)
+    s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
+    if s.dim != q.dim:
+        raise DimensionMismatchError(f"S is {s.dim}-dimensional, Q is {q.dim}-dimensional")
+    _, flat, w, tr = _nonzero_parts(q)
+    t = flat @ s.inv().ravel()
+    return float(w @ (np.asarray(f.rho(t)) - np.asarray(f.rho(tr)))) + s.logdet
+
+
+def psi_map(s, q: MatrixDistribution, f: RhoFunction) -> SpdMatrix:
+    """Evaluate Psi(S, Q) = sum_i w_i rho'(tr(S^-1 M_i)) M_i.
+
+    Raises ``NotPositiveDefiniteError`` when the result is not positive
+    definite, which signals a failing existence condition.
+    """
+    _check_compat(q, f)
+    s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
+    atoms, flat, w, _ = _nonzero_parts(q)
+    t = flat @ s.inv().ravel()
+    coeff = w * np.asarray(f.rho_prime(t))
+    psi = np.einsum("m,mij->ij", coeff, atoms)
+    return SpdMatrix(psi)
+
+
+def gradient(s, q: MatrixDistribution, f: RhoFunction) -> SymMatrix:
+    """Whitened gradient B^-1 (S - Psi(S, Q)) B^-T with B the symmetric
+    square root of S; zero exactly at the fixed point."""
+    s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
+    psi = psi_map(s, q, f)
+    r = s.inv_sqrt()
+    return SymMatrix(r @ (s.mat - psi.mat) @ r)
+
+
+def _start_matrix(q: MatrixDistribution, cfg: SolverConfig) -> np.ndarray:
+    if isinstance(cfg.start, SpdMatrix):
+        if cfg.start.dim != q.dim:
+            raise DimensionMismatchError("start matrix has the wrong dimension")
+        return np.array(cfg.start.mat)
+    if cfg.start == "identity":
+        return np.eye(q.dim)
+    if cfg.start == "mean_atom":
+        m = q.mean_atom()
+        tr = np.trace(m)
+        if tr <= 0:
+            raise InvalidInputError("mean atom is zero; cannot start from it")
+        m = m * (q.dim / tr)
+        try:
+            SpdMatrix(m)
+        except NotPositiveDefiniteError as exc:
+            raise InvalidInputError(
+                "mean atom is singular; use the identity start instead"
+            ) from exc
+        return m
+    raise InvalidInputError(f"unknown start {cfg.start!r}")
+
+
+def fixed_point_solve(
+    q: MatrixDistribution,
+    f: RhoFunction,
+    cfg: Optional[SolverConfig] = None,
+) -> ScatterEstimate:
+    """Run the descending fixed-point iteration S_k = Psi(S_{k-1}, Q).
+
+    The loss must pass :func:`mscatter.rho.validate`; the existence
+    conditions are checked first and a violated report aborts with status
+    ``existence_violated``.  Iterates whose condition number or log-norm
+    exceed the configured limits terminate with status ``diverged``.
+    """
+    cfg = cfg or SolverConfig()
+    _check_compat(q, f)
+
+    report = validate(f)
+    if not report.passed:
+        raise InvalidInputError(
+            "loss function violates the standing assumptions: " + "; ".join(report.failures)
+        )
+
+    case0 = f.case_tag == CASE0
+    if cfg.normalize_det is not None and cfg.normalize_det != case0:
+        raise InvalidInputError(
+            "normalize_det is forced on for Case 0 and off otherwise; "
+            "leave it as None"
+        )
+
+    existence = check_existence(q, f, cfg.existence_budget)
+    dim = q.dim
+    s = _start_matrix(q, cfg)
+    if case0:
+        s = _det_normalize(s)
+
+    if existence.verdict == "violated":
+        sigma = SpdMatrix(s)
+        crit = criterion(sigma, q, f)
+        try:
+            gnorm = float(np.linalg.norm(gradient(sigma, q, f).mat))
+        except NotPositiveDefiniteError:
+            gnorm = math.nan
+        return ScatterEstimate(
+            sigma=sigma,
+            iterations=0,
+            criterion=crit,
+            gradient_norm=gnorm,
+            status=STATUS_EXISTENCE,
+            descent_log=np.array([crit]),
+            fixed_point_residual=math.inf,
+            existence=existence,
+        )
+
+    atoms, flat, w, tr = _nonzero_parts(q)
+    rho_tr = np.asarray(f.rho(tr))
+    eye = np.eye(dim)
+    log_values = []
+    status = STATUS_MAX_ITER
+    iterations = 0
+    crit = math.nan
+    gnorm = math.nan
+    fp_resid = math.inf
+
+    for _ in range(cfg.max_iter + 1):
+        try:
+            chol = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            status = STATUS_DIVERGED
+            break
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        sinv = cho_solve((chol, True), eye)
+        t = flat @ sinv.ravel()
+        crit = float(w @ (np.asarray(f.rho(t)) - rho_tr)) + logdet
+        log_values.append(crit)
+
+        coeff = w * np.asarray(f.rho_prime(t))
+        psi = np.einsum("m,mij->ij", coeff, atoms)
+        psi = (psi + psi.T) / 2.0
+
+        diff = psi - s
+        fp_resid = float(np.linalg.norm(diff) / np.linalg.norm(s))
+        y = solve_triangular(chol, diff, lower=True)
+        g = solve_triangular(chol, y.T, lower=True)
+        gnorm = float(np.linalg.norm(g))
+
+        if fp_resid <= cfg.tol_fixed_point and gnorm <= cfg.tol_gradient:
+            status = STATUS_CONVERGED
+            break
+        if iterations >= cfg.max_iter:
+            status = STATUS_MAX_ITER
+            break
+
+        lam = np.linalg.eigvalsh(psi)
+        if lam[0] <= 0.0:
+            status = STATUS_EXISTENCE
+            s = _nudge_pd(psi, lam)
+            iterations += 1
+            break
+        s_next = _det_normalize(psi, lam) if case0 else psi
+        iterations += 1
+
+        lam_next = lam / (np.exp(np.sum(np.log(lam)) / dim) if case0 else 1.0)
+        cond = lam_next[-1] / lam_next[0]
+        lognorm = float(np.linalg.norm(np.log(lam_next)))
+        s = s_next
+        if cond > cfg.divergence_cond_limit or lognorm > cfg.divergence_lognorm_limit:
+            status = STATUS_DIVERGED
+            break
+
+    sigma = SpdMatrix(_nudge_pd(s)) if status in (STATUS_DIVERGED, STATUS_EXISTENCE) else SpdMatrix(s)
+    return ScatterEstimate(
+        sigma=sigma,
+        iterations=iterations,
+        criterion=crit,
+        gradient_norm=gnorm,
+        status=status,
+        descent_log=np.asarray(log_values),
+        fixed_point_residual=fp_resid,
+        existence=existence,
+    )
+
+
+def _det_normalize(s: np.ndarray, lam=None) -> np.ndarray:
+    lam = np.linalg.eigvalsh(s) if lam is None else lam
+    scale = np.exp(np.sum(np.log(lam)) / s.shape[0])
+    return s / scale
+
+
+def _nudge_pd(s: np.ndarray, lam=None) -> np.ndarray:
+    """Push a nearly singular symmetric matrix strictly inside the SPD cone
+    so diagnostics objects can still be constructed."""
+    lam = np.linalg.eigvalsh(s) if lam is None else lam
+    if lam[0] > 0:
+        return s
+    bump = abs(lam[0]) + 1e-12 * max(lam[-1], 1.0)
+    return s + bump * np.eye(s.shape[0])
+
+
+# -- Hessian operator ------------------------------------------------------------
+
+
+def sym_basis(dim: int) -> np.ndarray:
+    """Orthonormal basis of symmetric matrices under <A, B> = tr(AB).
+
+    Diagonal units first, then (e_i e_j^T + e_j e_i^T)/sqrt(2) for i < j.
+    """
+    out = []
+    for i in range(dim):
+        e = np.zeros((dim, dim))
+        e[i, i] = 1.0
+        out.append(e)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            e = np.zeros((dim, dim))
+            e[i, j] = e[j, i] = 1.0 / math.sqrt(2.0)
+            out.append(e)
+    return np.stack(out)
+
+
+def trace_free_basis(dim: int) -> np.ndarray:
+    """Orthonormal basis of the trace-zero symmetric subspace.
+
+    Helmert contrasts on the diagonal plus the off-diagonal units.
+    """
+    out = []
+    for k in range(1, dim):
+        d = np.zeros(dim)
+        d[:k] = 1.0
+        d[k] = -k
+        d /= math.sqrt(k * (k + 1))
+        out.append(np.diag(d))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            e = np.zeros((dim, dim))
+            e[i, j] = e[j, i] = 1.0 / math.sqrt(2.0)
+            out.append(e)
+    return np.stack(out)
+
+
+@dataclass
+class HessianOperator:
+    """The second-derivative operator of the criterion at the standardized
+    point, materialized on an orthonormal basis of symmetric matrices.
+
+    For Case 0 the domain is the trace-zero subspace and ``apply`` projects
+    its argument there first.
+    """
+
+    dim: int
+    case_tag: str
+    basis: np.ndarray = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
+
+    def project(self, a) -> np.ndarray:
+        a = as_array(a)
+        a = (a + a.T) / 2.0
+        if self.case_tag == CASE0:
+            a = a - (np.trace(a) / self.dim) * np.eye(self.dim)
+        return a
+
+    def _coords(self, a: np.ndarray) -> np.ndarray:
+        return self.basis.reshape(self.basis.shape[0], -1) @ a.ravel()
+
+    def _reconstruct(self, coords: np.ndarray) -> np.ndarray:
+        return np.einsum("p,pij->ij", coords, self.basis)
+
+    def apply(self, a) -> np.ndarray:
+        """H A for a symmetric matrix A."""
+        return self._reconstruct(self.matrix @ self._coords(self.project(a)))
+
+    def solve(self, a) -> np.ndarray:
+        """H^{-1} A for a symmetric matrix A (in the operator's domain)."""
+        return self._reconstruct(np.linalg.solve(self.matrix, self._coords(self.project(a))))
+
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.matrix)
+
+
+def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
+    """Materialize the Hessian operator of L(., Q) at the identity.
+
+    Valid at the standardized point: the caller pre-whitens Q so that the
+    fitted scatter is the identity.  Requires a loss with a second
+    derivative (Case 0, Case 1', or a Case 1 family that provides one).
+    """
+    _check_compat(q, f)
+    if not f.has_second:
+        raise UnsupportedOperationError(
+            f"{f.kind} loss has no second derivative; Hessian is unavailable"
+        )
+    atoms, flat, w, tr = _nonzero_parts(q)
+    rp = np.asarray(f.rho_prime(tr))
+    rs = np.asarray(f.rho_second(tr))
+
+    basis = trace_free_basis(q.dim) if f.case_tag == CASE0 else sym_basis(q.dim)
+    p = basis.shape[0]
+    bmat = basis.reshape(p, -1)
+
+    # <E_a, H E_b> = tr(E_a E_b P)/sym + sum_i w_i rho''_i tr(E_a M_i) tr(E_b M_i)
+    # with P = sum_i w_i rho'_i M_i.
+    pmat = np.einsum("m,mij->ij", w * rp, atoms)
+    ep = np.einsum("bij,jk->bik", basis, pmat)
+    g1 = np.einsum("aij,bji->ab", basis, ep)
+    term1 = (g1 + g1.T) / 2.0
+
+    tmat = bmat @ flat.T  # (p, m): tr(E_a M_i)
+    term2 = (tmat * (w * rs)) @ tmat.T
+
+    return HessianOperator(dim=q.dim, case_tag=f.case_tag, basis=basis, matrix=term1 + term2)
+
+
+def directional_scan(b, a, q: MatrixDistribution, f: RhoFunction, t_grid) -> np.ndarray:
+    """Criterion values along t -> L(B exp(tA) B^T, Q); convex in t."""
+    b = np.asarray(as_array(b), dtype=float)
+    a = as_array(a)
+    a = (a + a.T) / 2.0
+    t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(np.diff(t_grid) < 0):
+        raise InvalidInputError("t_grid must be sorted ascending")
+    lam, u = np.linalg.eigh(a)
+    out = np.empty(t_grid.shape)
+    for i, t in enumerate(t_grid):
+        e = (u * np.exp(t * lam)) @ u.T
+        out[i] = criterion(b @ e @ b.T, q, f)
+    return out
+
+
+# -- proportional covariance matrices --------------------------------------------
+
+
+@dataclass
+class ProCovEstimate:
+    """Joint estimate for the proportional-covariance model: a determinant-one
+    common scatter and one positive scale per group."""
+
+    sigma: SpdMatrix
+    scales: np.ndarray
+    objective: float
+    stationarity_residual: float
+    estimate: ScatterEstimate
+
+    @property
+    def status(self) -> str:
+        return self.estimate.status
+
+
+def solve_procov(groups, cfg: Optional[SolverConfig] = None) -> ProCovEstimate:
+    """Fit proportional covariance matrices from Wishart groups.
+
+    The profile criterion over the common scatter is exactly the Case 0
+    criterion on the mixture of group matrices weighted by degrees of
+    freedom, so the fit runs the scale-invariant fixed point and then reads
+    the scales off the fitted scatter.
+    """
+    groups = [g if isinstance(g, WishartGroup) else WishartGroup(*g) for g in groups]
+    q = from_wishart_groups(groups)
+    from .rho import tyler
+
+    f = tyler(q.dim)
+    est = fixed_point_solve(q, f, cfg)
+    sigma = est.sigma
+
+    dofs = np.array([g.dof for g in groups], dtype=float)
+    m_plus = dofs.sum()
+    traces = np.array([np.trace(sigma.solve(g.scatter.mat)) for g in groups])
+    scales = traces / (q.dim * dofs)
+
+    # Stationarity: m_+^{-1} sum_i c_i^{-1} S_i should be proportional to sigma.
+    recon = sum(g.scatter.mat / s for s, g in zip(scales, groups)) / m_plus
+    alpha = float(np.sum(recon * sigma.mat) / np.sum(sigma.mat * sigma.mat))
+    resid = float(np.linalg.norm(recon - alpha * sigma.mat) / np.linalg.norm(sigma.mat))
+
+    return ProCovEstimate(
+        sigma=sigma,
+        scales=scales,
+        objective=est.criterion,
+        stationarity_residual=resid,
+        estimate=est,
+    )

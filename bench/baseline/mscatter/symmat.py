@@ -1,0 +1,255 @@
+"""Dense symmetric-matrix kernel.
+
+Everything downstream (loss criteria, fixed-point iterations, Hessian
+operators) is built on the small universe of types defined here: symmetric
+matrices, positive semidefinite atoms, positive definite scatter matrices and
+their spectral decompositions, together with the exponential/logarithm pair
+between the symmetric and the symmetric positive definite cone.
+
+All values are immutable after construction and all operations are pure, so
+instances can be shared freely across threads.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from .errors import (
+    DimensionMismatchError,
+    InvalidInputError,
+    NotPositiveDefiniteError,
+    RangeError,
+)
+
+# Relative tolerance below which negative eigenvalue dust on a nominally PSD
+# matrix is clipped to zero.
+PSD_DUST_RTOL = 1e-10
+
+# exp(x) overflows double precision just above 709.
+_EXP_OVERFLOW = 709.0
+
+
+def as_array(x) -> np.ndarray:
+    """Return the underlying ndarray of a matrix wrapper, or the input itself."""
+    return np.asarray(getattr(x, "mat", x), dtype=float)
+
+
+def _check_square(a: np.ndarray, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise InvalidInputError(f"{name} must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{name} has non-finite entries")
+    return a
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+class SymMatrix:
+    """A real symmetric matrix; construction symmetrizes via (A + A^T)/2."""
+
+    __slots__ = ("mat",)
+
+    def __init__(self, entries):
+        a = _check_square(as_array(entries), "entries")
+        self.mat = _freeze((a + a.T) / 2.0)
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
+
+    def __repr__(self):
+        return f"SymMatrix(dim={self.dim})"
+
+
+@dataclass(frozen=True)
+class SpectralDecomp:
+    """Eigenvalues sorted descending and the matching orthonormal eigenvectors
+    (as columns)."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        u, lam = self.eigenvectors, self.eigenvalues
+        return (u * lam) @ u.T
+
+
+def spectral(a) -> SpectralDecomp:
+    """Spectral decomposition of a symmetric matrix.
+
+    Parameters
+    ----------
+    a : SymMatrix or (q, q) array-like
+        Matrix to decompose; symmetrized first.
+
+    Returns
+    -------
+    SpectralDecomp
+        Eigenvalues in descending order, eigenvector columns aligned.
+    """
+    m = _check_square(as_array(a), "a")
+    m = (m + m.T) / 2.0
+    lam, u = np.linalg.eigh(m)
+    order = np.argsort(lam)[::-1]
+    return SpectralDecomp(_freeze(lam[order]), _freeze(u[:, order]))
+
+
+class PsdAtom:
+    """A positive semidefinite matrix atom with its trace cached.
+
+    Small negative eigenvalue dust (relative size up to ``PSD_DUST_RTOL``) is
+    clipped to zero; anything more negative is rejected.
+    """
+
+    __slots__ = ("mat", "trace")
+
+    def __init__(self, entries, _trusted: bool = False):
+        a = _check_square(as_array(entries), "entries")
+        a = (a + a.T) / 2.0
+        if not _trusted:
+            a = clip_psd_dust(a)
+        self.mat = _freeze(a)
+        self.trace = float(np.trace(a))
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
+
+    def __repr__(self):
+        return f"PsdAtom(dim={self.dim}, trace={self.trace:.6g})"
+
+
+def clip_psd_dust(a: np.ndarray) -> np.ndarray:
+    """Clip tiny negative eigenvalues of a symmetric matrix to zero.
+
+    Raises ``NotPositiveDefiniteError`` if an eigenvalue is more negative than
+    ``PSD_DUST_RTOL`` relative to the largest one.
+    """
+    lam = np.linalg.eigvalsh(a)
+    lo, hi = lam[0], lam[-1]
+    if lo >= 0.0:
+        return a
+    scale = max(hi, 0.0)
+    if lo < -PSD_DUST_RTOL * max(scale, 1e-300):
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive semidefinite: min eigenvalue {lo:.3e} "
+            f"vs max {hi:.3e}"
+        )
+    lam_full, u = np.linalg.eigh(a)
+    lam_full = np.maximum(lam_full, 0.0)
+    return (u * lam_full) @ u.T
+
+
+class SpdMatrix:
+    """A symmetric positive definite matrix with a cached Cholesky factor.
+
+    Construction fails with ``NotPositiveDefiniteError`` unless the smallest
+    eigenvalue is strictly positive.
+    """
+
+    __slots__ = ("mat", "_chol", "_logdet")
+
+    def __init__(self, entries):
+        a = _check_square(as_array(entries), "entries")
+        a = (a + a.T) / 2.0
+        try:
+            c, low = cho_factor(a, lower=True)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
+            raise NotPositiveDefiniteError(str(exc)) from exc
+        except Exception as exc:
+            raise NotPositiveDefiniteError(
+                f"matrix is not positive definite: {exc}"
+            ) from exc
+        self.mat = _freeze(a)
+        self._chol = (c, low)
+        self._logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+        if not np.isfinite(self._logdet):
+            raise NotPositiveDefiniteError("log-determinant is not finite")
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
+
+    @property
+    def logdet(self) -> float:
+        return self._logdet
+
+    def solve(self, b) -> np.ndarray:
+        """Solve S x = b through the cached Cholesky factor."""
+        return cho_solve(self._chol, np.asarray(b, dtype=float))
+
+    def inv(self) -> np.ndarray:
+        """Inverse computed by Cholesky solves against the identity."""
+        return self.solve(np.eye(self.dim))
+
+    def sqrt(self) -> np.ndarray:
+        """Symmetric square root S^{1/2}."""
+        dec = spectral(self.mat)
+        return (dec.eigenvectors * np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
+
+    def inv_sqrt(self) -> np.ndarray:
+        """Symmetric inverse square root S^{-1/2}."""
+        dec = spectral(self.mat)
+        return (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
+
+    def __repr__(self):
+        return f"SpdMatrix(dim={self.dim}, logdet={self.logdet:.6g})"
+
+
+def sym_exp(a) -> SpdMatrix:
+    """Matrix exponential mapping symmetric matrices onto the SPD cone.
+
+    Satisfies det(sym_exp(A)) = exp(tr A) and inverts ``sym_log``.
+    """
+    dec = spectral(a)
+    if dec.eigenvalues[0] > _EXP_OVERFLOW:
+        raise RangeError(
+            f"exp of eigenvalue {dec.eigenvalues[0]:.3g} overflows double precision"
+        )
+    u = dec.eigenvectors
+    return SpdMatrix((u * np.exp(dec.eigenvalues)) @ u.T)
+
+
+def sym_log(s) -> SymMatrix:
+    """Matrix logarithm of an SPD matrix, the inverse of ``sym_exp``."""
+    m = as_array(s)
+    if not isinstance(s, SpdMatrix):
+        s = SpdMatrix(m)  # enforces positive definiteness
+    dec = spectral(s.mat)
+    u = dec.eigenvectors
+    return SymMatrix((u * np.log(dec.eigenvalues)) @ u.T)
+
+
+def solve_trace(s, m) -> float:
+    """tr(S^{-1} M) for SPD S and PSD (or symmetric) M, via Cholesky solve."""
+    if not isinstance(s, SpdMatrix):
+        s = SpdMatrix(s)
+    mm = as_array(m)
+    if mm.shape[0] != s.dim:
+        raise DimensionMismatchError(
+            f"dimension mismatch: S is {s.dim}x{s.dim}, M is {mm.shape}"
+        )
+    return float(np.trace(s.solve(mm)))
+
+
+def inner(a, b) -> float:
+    """Trace inner product <A, B> = tr(A B) of two symmetric matrices."""
+    aa, bb = as_array(a), as_array(b)
+    if aa.shape != bb.shape:
+        raise DimensionMismatchError(
+            f"dimension mismatch: {aa.shape} vs {bb.shape}"
+        )
+    return float(np.sum(aa * bb))
+
+
+def frobenius(a) -> float:
+    """Frobenius norm."""
+    return float(np.linalg.norm(as_array(a)))
