@@ -35,11 +35,6 @@ from .solver import HessianOperator, ScatterEstimate, hessian
 from .symmat import SymMatrix
 
 
-def half_vec_indices(q: int):
-    """Index pairs (i, j) with i <= j, the ordering used for acov matrices."""
-    return [(i, j) for i in range(q) for j in range(i, q)]
-
-
 @dataclass
 class InfluenceReport:
     """Per-observation influence matrices with the derived covariance.
@@ -77,12 +72,16 @@ def influence_k1(
     x = np.asarray(x_std, dtype=float).ravel()
     if x.shape[0] != q_std.dim:
         raise InvalidInputError(f"x has dimension {x.shape[0]}, expected {q_std.dim}")
-    s = float(x @ x)
-    if f.case_tag == CASE0 and s == 0.0:
+    if f.case_tag == CASE0 and float(x @ x) == 0.0:
         raise DomainError("the scale-invariant loss has no influence function at x = 0")
     h = hess if hess is not None else hessian(q_std, f)
-    arg = float(f.rho_prime(s)) * np.outer(x, x) - np.eye(q_std.dim)
-    return SymMatrix(h.solve(arg))
+    return SymMatrix(h.solve(_scores_k1(x[None, :], f)[0]))
+
+
+def _scores_k1(x_std: np.ndarray, f: RhoFunction) -> np.ndarray:
+    """rho'(|x|^2) x x^T - I for each row x of x_std, as an (n, q, q) stack."""
+    rho_p = np.asarray(f.rho_prime(np.einsum("ni,ni->n", x_std, x_std)))
+    return np.einsum("n,ni,nj->nij", rho_p, x_std, x_std) - np.eye(x_std.shape[1])
 
 
 def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, x: np.ndarray,
@@ -247,8 +246,18 @@ def orth_hessian_coeffs(q_dist: MatrixDistribution, f: RhoFunction):
     return d0, d1
 
 
-def _half_vec(mats: np.ndarray, pairs) -> np.ndarray:
-    return np.stack([mats[:, i, j] for i, j in pairs], axis=1)
+def _scatter_se(z_orig: np.ndarray):
+    """Empirical covariance of the half-vectorized influence matrices (pairs
+    i <= j in row-major order) and the entrywise standard errors
+    sqrt(diag(acov)/n) as a symmetric matrix."""
+    n, q, _ = z_orig.shape
+    i, j = np.triu_indices(q)
+    hv = z_orig[:, i, j]
+    hv = hv - hv.mean(axis=0)
+    acov = hv.T @ hv / n
+    se_sigma = np.zeros((q, q))
+    se_sigma[i, j] = se_sigma[j, i] = np.sqrt(np.diag(acov) / n)
+    return acov, se_sigma
 
 
 def acov_scatter(
@@ -271,43 +280,24 @@ def acov_scatter(
     if not estimate.converged:
         raise InvalidInputError("influence analysis requires a converged estimate")
     x = np.asarray(x, dtype=float)
-    n, q = x.shape
     white = estimate.sigma.inv_sqrt()
     root = estimate.sigma.sqrt()
     x_std = x @ white
 
     if k == 1:
-        q_std = from_observations(x_std)
-        h = hessian(q_std, f)
-        rho_p = np.asarray(f.rho_prime(np.einsum("ni,ni->n", x_std, x_std)))
-        raw = np.einsum("n,ni,nj->nij", rho_p, x_std, x_std) - np.eye(q)
-        z_std = np.stack([h.solve(raw[i]) for i in range(n)])
-        plugin = False
+        h = hessian(from_observations(x_std), f)
+        z_std = h.solve(_scores_k1(x_std, f))
     else:
-        q_std = build_kstat(x_std, k, cap=atom_cap, seed=seed)
-        h = hessian(q_std, f)
-        z_std = np.stack(
-            [
-                influence_kge2(
-                    x_std, f, k, x_std[i], inner_cap=inner_cap,
-                    seed=seed + 1 + i, hess=h, exclude=i,
-                ).mat
-                for i in range(n)
-            ]
-        )
-        plugin = True
+        h = hessian(build_kstat(x_std, k, cap=atom_cap, seed=seed), f)
+        avgs = np.stack([
+            _inner_average(x_std, f, k, xi, inner_cap, seed + 1 + i, i)
+            for i, xi in enumerate(x_std)
+        ])
+        z_std = k * h.solve(avgs)
 
     centering = float(np.linalg.norm(z_std.mean(axis=0)))
     z_orig = np.einsum("ij,njk,kl->nil", root, z_std, root)
-
-    pairs = half_vec_indices(q)
-    hv = _half_vec(z_orig, pairs)
-    hv_centered = hv - hv.mean(axis=0)
-    acov = hv_centered.T @ hv_centered / n
-    se_flat = np.sqrt(np.diag(acov) / n)
-    se_sigma = np.zeros((q, q))
-    for (i, j), s in zip(pairs, se_flat):
-        se_sigma[i, j] = se_sigma[j, i] = s
+    acov, se_sigma = _scatter_se(z_orig)
 
     return InfluenceReport(
         influence=z_std,
@@ -318,7 +308,7 @@ def acov_scatter(
         center=None,
         k=k,
         centering_residual=centering,
-        plugin_inner=plugin,
+        plugin_inner=k >= 2,
     )
 
 
@@ -342,13 +332,9 @@ def location_influence(x, nu: float, estimate: LocationScatterEstimate) -> Influ
     f_aug = augmented_rho(nu, q)
     h = hessian(q_aug, f_aug)
 
-    norms = np.einsum("ni,ni->n", y, y)
-    rho_p = np.asarray(f_aug.rho_prime(norms))
-    eye = np.eye(q + 1)
-    raw = np.einsum("n,ni,nj->nij", rho_p, y, y) - eye
-    z = np.stack([h.solve(raw[i]) for i in range(n)])
+    z = h.solve(_scores_k1(y, f_aug))
     if nu == 1.0:
-        z = z - z[:, -1, -1][:, None, None] * eye
+        z = z - z[:, -1, -1][:, None, None] * np.eye(q + 1)
 
     centering = float(np.linalg.norm(z.mean(axis=0)))
 
@@ -357,14 +343,7 @@ def location_influence(x, nu: float, estimate: LocationScatterEstimate) -> Influ
     scatter_orig = np.einsum("ij,njk,kl->nil", root, scatter_std, root)
     loc_orig = loc_std @ root
 
-    pairs = half_vec_indices(q)
-    hv = _half_vec(scatter_orig, pairs)
-    hv_centered = hv - hv.mean(axis=0)
-    acov = hv_centered.T @ hv_centered / n
-    se_flat = np.sqrt(np.diag(acov) / n)
-    se_sigma = np.zeros((q, q))
-    for (i, j), s in zip(pairs, se_flat):
-        se_sigma[i, j] = se_sigma[j, i] = s
+    acov, se_sigma = _scatter_se(scatter_orig)
     loc_centered = loc_orig - loc_orig.mean(axis=0)
     se_mu = np.sqrt(np.einsum("ni,ni->i", loc_centered, loc_centered) / n / n)
 

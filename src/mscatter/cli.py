@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import acov_scatter, location_influence
 from .distribution import WishartGroup, build_kstat, check_existence, from_observations
-from .errors import MScatterError
+from .errors import MScatterError, NotPositiveDefiniteError
 from .location import check_location_existence, estimate_location_scatter
 from .rho import gaussian, t_dist, tyler, weibull
 from .solver import (
@@ -98,9 +98,9 @@ def read_csv(path):
 def read_groups(path):
     """Read Wishart groups from JSON: an array of {"dof": int, "scatter": [[..]]}.
 
-    Scatter matrices may carry eigenvalue dust down to -1e-8 relative; it is
-    clipped.  Anything more negative, a dof below one, or mixed dimensions
-    are errors.
+    Scatter matrices may carry eigenvalue dust down to ``PSD_DUST_RTOL``
+    (1e-10) relative to the largest eigenvalue; it is clipped.  Anything more
+    negative, a dof below one, or mixed dimensions are errors.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -127,16 +127,11 @@ def read_groups(path):
             dim = s.shape[0]
         elif s.shape[0] != dim:
             raise InputError(f"{path}: group {i} has dimension {s.shape[0]}, expected {dim}")
-        s = (s + s.T) / 2.0
-        lam = np.linalg.eigvalsh(s)
-        if lam[0] < -1e-8 * max(lam[-1], 0.0, 1e-300):
-            raise InputError(
-                f"{path}: group {i} scatter is not positive semidefinite "
-                f"(min eigenvalue {lam[0]:.3e})"
-            )
-        lam_c, vec = np.linalg.eigh(s)
-        s = (vec * np.maximum(lam_c, 0.0)) @ vec.T
-        groups.append(WishartGroup(scatter=PsdAtom(s, _trusted=True), dof=dof))
+        try:
+            scatter = PsdAtom(s)
+        except NotPositiveDefiniteError as exc:
+            raise InputError(f"{path}: group {i} scatter: {exc}") from exc
+        groups.append(WishartGroup(scatter=scatter, dof=dof))
     return groups
 
 
@@ -384,15 +379,26 @@ def build_parser():
 
 
 def _limit_threads():
+    """Apply ``MSCATTER_THREADS`` to the BLAS thread pools through
+    threadpoolctl; warn on stderr when that cannot take effect."""
     limit = os.environ.get("MSCATTER_THREADS")
     if not limit:
         return
     try:
+        threads = int(limit)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        print(f"warning: MSCATTER_THREADS={limit!r} is not a positive integer; ignored",
+              file=sys.stderr)
+        return
+    try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(limit))
-    except (ImportError, ValueError):
-        pass
+    except ImportError:
+        print("warning: MSCATTER_THREADS is set but threadpoolctl is not installed; ignored",
+              file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(threads)
 
 
 def run(argv=None) -> int:

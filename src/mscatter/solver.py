@@ -306,78 +306,68 @@ def _nudge_pd(s: np.ndarray, lam=None) -> np.ndarray:
 # -- Hessian operator ------------------------------------------------------------
 
 
-def sym_basis(dim: int) -> np.ndarray:
-    """Orthonormal basis of symmetric matrices under <A, B> = tr(AB).
-
-    Diagonal units first, then (e_i e_j^T + e_j e_i^T)/sqrt(2) for i < j.
-    """
-    out = []
-    for i in range(dim):
-        e = np.zeros((dim, dim))
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim))
-            e[i, j] = e[j, i] = 1.0 / math.sqrt(2.0)
-            out.append(e)
-    return np.stack(out)
-
-
-def trace_free_basis(dim: int) -> np.ndarray:
-    """Orthonormal basis of the trace-zero symmetric subspace.
-
-    Helmert contrasts on the diagonal plus the off-diagonal units.
-    """
-    out = []
-    for k in range(1, dim):
-        d = np.zeros(dim)
-        d[:k] = 1.0
-        d[k] = -k
-        d /= math.sqrt(k * (k + 1))
-        out.append(np.diag(d))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim))
-            e[i, j] = e[j, i] = 1.0 / math.sqrt(2.0)
-            out.append(e)
-    return np.stack(out)
+def _diagonal_map(dim: int, case_tag: str) -> np.ndarray:
+    """Rows giving the diagonal coordinates from a matrix diagonal: the
+    identity, or for Case 0 the (dim-1, dim) orthonormal Helmert contrasts
+    that span the trace-zero diagonals."""
+    if case_tag != CASE0:
+        return np.eye(dim)
+    k = np.arange(1, dim)[:, None]
+    col = np.arange(dim)[None, :]
+    return ((col < k) - k * (col == k)) / np.sqrt(k * (k + 1.0))
 
 
 @dataclass
 class HessianOperator:
     """The second-derivative operator of the criterion at the standardized
-    point, materialized on an orthonormal basis of symmetric matrices.
+    point, materialized in half-vectorized coordinates of symmetric matrices.
 
-    For Case 0 the domain is the trace-zero subspace and ``apply`` projects
-    its argument there first.
+    The coordinates are orthonormal under <A, B> = tr(AB): the diagonal
+    entries first, then sqrt(2) A_ij for i < j in row-major order.  For Case 0
+    the domain is the trace-zero subspace, the diagonal is replaced by its
+    dim-1 Helmert contrasts, and ``apply`` projects its argument there first.
+    ``project``, ``apply`` and ``solve`` take one matrix or an (n, q, q) stack.
     """
 
     dim: int
     case_tag: str
-    basis: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
 
     def project(self, a) -> np.ndarray:
         a = as_array(a)
-        a = (a + a.T) / 2.0
+        a = (a + np.swapaxes(a, -1, -2)) / 2.0
         if self.case_tag == CASE0:
-            a = a - (np.trace(a) / self.dim) * np.eye(self.dim)
+            trace = np.trace(a, axis1=-2, axis2=-1)[..., None, None]
+            a = a - (trace / self.dim) * np.eye(self.dim)
         return a
 
     def _coords(self, a: np.ndarray) -> np.ndarray:
-        return self.basis.reshape(self.basis.shape[0], -1) @ a.ravel()
+        i, j = np.triu_indices(self.dim, 1)
+        diag = np.diagonal(a, axis1=-2, axis2=-1) @ _diagonal_map(self.dim, self.case_tag).T
+        return np.concatenate([diag, math.sqrt(2.0) * a[..., i, j]], axis=-1)
 
     def _reconstruct(self, coords: np.ndarray) -> np.ndarray:
-        return np.einsum("p,pij->ij", coords, self.basis)
+        dmap = _diagonal_map(self.dim, self.case_tag)
+        i, j = np.triu_indices(self.dim, 1)
+        off = coords[..., dmap.shape[0]:] / math.sqrt(2.0)
+        out = np.zeros(coords.shape[:-1] + (self.dim, self.dim))
+        out[..., i, j] = off
+        out[..., j, i] = off
+        d = np.arange(self.dim)
+        out[..., d, d] = coords[..., : dmap.shape[0]] @ dmap
+        return out
 
     def apply(self, a) -> np.ndarray:
         """H A for a symmetric matrix A."""
-        return self._reconstruct(self.matrix @ self._coords(self.project(a)))
+        return self._reconstruct(self._coords(self.project(a)) @ self.matrix.T)
 
     def solve(self, a) -> np.ndarray:
-        """H^{-1} A for a symmetric matrix A (in the operator's domain)."""
-        return self._reconstruct(np.linalg.solve(self.matrix, self._coords(self.project(a))))
+        """H^{-1} A for a symmetric matrix A (in the operator's domain).
+
+        A stack is solved as one system with all right-hand sides."""
+        coords = self._coords(self.project(a))
+        flat = coords.reshape(-1, coords.shape[-1])
+        return self._reconstruct(np.linalg.solve(self.matrix, flat.T).T.reshape(coords.shape))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -395,25 +385,37 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
         raise UnsupportedOperationError(
             f"{f.kind} loss has no second derivative; Hessian is unavailable"
         )
-    atoms, flat, w, tr = _nonzero_parts(q)
+    atoms, _, w, tr = _nonzero_parts(q)
     rp = np.asarray(f.rho_prime(tr))
     rs = np.asarray(f.rho_second(tr))
-
-    basis = trace_free_basis(q.dim) if f.case_tag == CASE0 else sym_basis(q.dim)
-    p = basis.shape[0]
-    bmat = basis.reshape(p, -1)
+    dim = q.dim
 
     # <E_a, H E_b> = tr(E_a E_b P)/sym + sum_i w_i rho''_i tr(E_a M_i) tr(E_b M_i)
-    # with P = sum_i w_i rho'_i M_i.
+    # with P = sum_i w_i rho'_i M_i.  On the coordinate matrices
+    # E_(i,j) = s_ij (e_i e_j^T + e_j e_i^T), s = 1/2 on the diagonal and
+    # 1/sqrt(2) off it, the first term at a = (i, j), b = (k, l) is
+    # s_a s_b (d_jk P_il + d_jl P_ik + d_ik P_jl + d_il P_jk), d the Kronecker delta.
     pmat = np.einsum("m,mij->ij", w * rp, atoms)
-    ep = np.einsum("bij,jk->bik", basis, pmat)
-    g1 = np.einsum("aij,bji->ab", basis, ep)
-    term1 = (g1 + g1.T) / 2.0
+    pmat = (pmat + pmat.T) / 2.0
+    iu, ju = np.triu_indices(dim, 1)
+    i = np.concatenate([np.arange(dim), iu])[:, None]
+    j = np.concatenate([np.arange(dim), ju])[:, None]
+    k, l = i.T, j.T
+    s = np.where(i == j, 0.5, 1.0 / math.sqrt(2.0))
+    term1 = s * s.T * (
+        (j == k) * pmat[i, l] + (j == l) * pmat[i, k]
+        + (i == k) * pmat[j, l] + (i == l) * pmat[j, k]
+    )
+    # Change the diagonal block of rows and columns to the operator's
+    # diagonal coordinates (a no-op outside Case 0).
+    dmap = _diagonal_map(dim, f.case_tag)
+    term1 = np.vstack([dmap @ term1[:dim], term1[dim:]])
+    term1 = np.hstack([term1[:, :dim] @ dmap.T, term1[:, dim:]])
 
-    tmat = bmat @ flat.T  # (p, m): tr(E_a M_i)
-    term2 = (tmat * (w * rs)) @ tmat.T
-
-    return HessianOperator(dim=q.dim, case_tag=f.case_tag, basis=basis, matrix=term1 + term2)
+    h = HessianOperator(dim=dim, case_tag=f.case_tag, matrix=term1)
+    coords = h._coords(atoms)  # (m, p): tr(E_a M_i)
+    h.matrix += (coords.T * (w * rs)) @ coords
+    return h
 
 
 def directional_scan(b, a, q: MatrixDistribution, f: RhoFunction, t_grid) -> np.ndarray:

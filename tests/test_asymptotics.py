@@ -46,6 +46,17 @@ def planar_design(radii=None, antipodal=False):
     return pts
 
 
+def assert_se_in_acov_order(rep, n):
+    """n se_sigma[i, j]^2 is the acov diagonal entry of pair (i, j), the pairs
+    i <= j taken in row-major order."""
+    q = rep.se_sigma.shape[0]
+    pairs = [(i, j) for i in range(q) for j in range(i, q)]
+    assert rep.acov.shape == (len(pairs), len(pairs))
+    for pos, (i, j) in enumerate(pairs):
+        assert n * rep.se_sigma[i, j] ** 2 == pytest.approx(rep.acov[pos, pos], rel=1e-12)
+        assert rep.se_sigma[j, i] == rep.se_sigma[i, j]
+
+
 def trace_free_part(x):
     q = len(x)
     return np.outer(x, x) - (x @ x) / q * np.eye(q)
@@ -307,6 +318,33 @@ class TestAcovScatter:
         with pytest.raises(InvalidInputError):
             acov_scatter(x, est, tyler(2))
 
+    def test_se_layout_matches_acov_order(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((40, 3)) * [1.0, 2.0, 0.5]
+        f = t_dist(2.0, 3)
+        est = fixed_point_solve(from_observations(x), f, TIGHT)
+        rep = acov_scatter(x, est, f)
+        assert_se_in_acov_order(rep, len(x))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_batched_solve_matches_single_point_influence(self, k):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((15, 3))
+        f = tyler(3)
+        q = from_observations(x) if k == 1 else build_kstat(x, 2, cap=1000)
+        est = fixed_point_solve(q, f, TIGHT)
+        rep = acov_scatter(x, est, f, k=k, inner_cap=5, seed=3)
+        x_std = x @ rep.whitening
+        q_std = from_observations(x_std) if k == 1 else build_kstat(x_std, 2, cap=200_000, seed=3)
+        h = hessian(q_std, f)
+        for i in range(len(x)):
+            if k == 1:
+                z = influence_k1(q_std, f, x_std[i], hess=h)
+            else:
+                z = influence_kge2(x_std, f, 2, x_std[i], inner_cap=5, seed=4 + i,
+                                   hess=h, exclude=i)
+            assert np.max(np.abs(rep.influence[i] - z.mat)) <= 1e-12 * np.max(np.abs(z.mat))
+
 
 class TestLocationInfluence:
     def test_spherical_closed_form(self):
@@ -353,6 +391,13 @@ class TestLocationInfluence:
             assert np.max(np.abs(zp[:2, :2] - zm[:2, :2])) <= 1e-9
             assert abs(zp[2, 2] - zm[2, 2]) <= 1e-9
             assert np.max(np.abs(zp[:2, 2] + zm[:2, 2])) <= 1e-9
+
+    def test_se_layout_matches_acov_order(self):
+        x = mvt(np.array([1.0, -2.0, 0.5]), SpdMatrix(np.diag([2.0, 1.0, 0.5])), 3.0, 60,
+                SeededStream(23))
+        est = estimate_location_scatter(x, 3.0, TIGHT)
+        rep = location_influence(x, 3.0, est)
+        assert_se_in_acov_order(rep, len(x))
 
     def test_centering_and_se_shapes(self):
         x = mvt(np.array([1.0, -2.0]), SpdMatrix(np.diag([2.0, 1.0])), 3.0, 100,

@@ -76,6 +76,15 @@ class TestReadGroups:
         with pytest.raises(InputError, match="positive semidefinite"):
             read_groups(str(p))
 
+    def test_eigenvalue_dust_clipped_or_rejected(self, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps([{"dof": 2, "scatter": [[1.0, 0.0], [0.0, -1e-12]]}]))
+        (group,) = read_groups(str(p))
+        assert np.linalg.eigvalsh(group.scatter.mat)[0] >= 0.0
+        p.write_text(json.dumps([{"dof": 2, "scatter": [[1.0, 0.0], [0.0, -1e-6]]}]))
+        assert run(["procov", "--groups", str(p)]) == 3
+        assert "positive semidefinite" in capsys.readouterr().err
+
     def test_rejects_bad_dof_and_mixed_dims(self, tmp_path):
         p = tmp_path / "g.json"
         p.write_text(json.dumps([{"dof": 0, "scatter": [[1.0]]}]))
@@ -209,6 +218,25 @@ class TestEntryPoint:
 
     def test_bad_flags_exit_code(self):
         assert run(["scatter"]) == 3  # missing --input
+
+
+class TestThreadLimit:
+    @pytest.mark.parametrize("value, reason", [
+        ("2", "threadpoolctl is not installed"),
+        ("0", "not a positive integer"),
+        ("two", "not a positive integer"),
+    ])
+    def test_ineffective_setting_warns(self, three_point_csv, capsys, monkeypatch, value, reason):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        monkeypatch.delenv("MSCATTER_THREADS", raising=False)
+        assert run(["scatter", "--input", three_point_csv]) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("MSCATTER_THREADS", value)
+        assert run(["scatter", "--input", three_point_csv]) == 0
+        out = capsys.readouterr()
+        assert out.out == plain.out
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning:") and reason in lines[0]
 
 
 class TestInfluenceCommand:

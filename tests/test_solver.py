@@ -30,6 +30,8 @@ from mscatter import (
     weibull,
     wishart,
 )
+from mscatter import build_kstat
+from mscatter.rho import CASE0
 from mscatter.samplers import SeededStream
 
 
@@ -506,3 +508,75 @@ class TestPsiMapExistenceSignal:
         q = from_observations(np.array([[1.0, 0.0], [2.0, 0.0]]))
         with pytest.raises(NotPositiveDefiniteError):
             psi_map(np.eye(2), q, tyler(2))
+
+
+def basis_tensor(dim, case0):
+    """Dense (p, q, q) orthonormal basis of the Hessian's coordinates: diagonal
+    units (Helmert contrasts for Case 0), then (e_i e_j^T + e_j e_i^T)/sqrt(2)
+    for i < j in row-major order."""
+    out = []
+    if case0:
+        for k in range(1, dim):
+            d = np.zeros(dim)
+            d[:k] = 1.0
+            d[k] = -k
+            out.append(np.diag(d / math.sqrt(k * (k + 1))))
+    else:
+        for i in range(dim):
+            e = np.zeros((dim, dim))
+            e[i, i] = 1.0
+            out.append(e)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            e = np.zeros((dim, dim))
+            e[i, j] = e[j, i] = 1.0 / math.sqrt(2.0)
+            out.append(e)
+    return np.stack(out)
+
+
+def basis_tensor_hessian(q, f):
+    """Reference Hessian matrix built by contracting the basis tensor:
+    <E_a, H E_b> = tr(E_a E_b P)/sym + sum_i w_i rho''_i tr(E_a M_i) tr(E_b M_i)."""
+    nz = q.traces > 0.0
+    atoms, w, tr = q.atoms[nz], q.weights[nz], q.traces[nz]
+    basis = basis_tensor(q.dim, f.case_tag == CASE0)
+    pmat = np.einsum("m,mij->ij", w * np.asarray(f.rho_prime(tr)), atoms)
+    g1 = np.einsum("aij,bjk,ki->ab", basis, basis, pmat)
+    tmat = np.einsum("aij,mij->am", basis, atoms)
+    return (g1 + g1.T) / 2.0 + (tmat * (w * np.asarray(f.rho_second(tr)))) @ tmat.T
+
+
+def atom_design(kind, dim, rng):
+    x = rng.standard_normal((12, dim)) * np.linspace(0.5, 2.0, dim)
+    if kind == "rank_one":
+        return from_observations(x)
+    if kind == "k_subset":
+        return build_kstat(x, 3, cap=100, seed=1)
+    groups = [WishartGroup(PsdAtom(y.T @ y), dof=4 + g)
+              for g, y in enumerate(rng.standard_normal((5, dim + 2, dim)))]
+    return from_wishart_groups(groups)
+
+
+class TestHessianCoordinates:
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("kind", ["rank_one", "k_subset", "wishart"])
+    @pytest.mark.parametrize("loss", ["tyler", "t", "gaussian"])
+    def test_matches_basis_tensor_construction(self, dim, kind, loss):
+        rng = np.random.default_rng(40 + dim)
+        q = atom_design(kind, dim, rng)
+        f = {"tyler": tyler(dim), "t": t_dist(2.5, dim), "gaussian": gaussian()}[loss]
+        h = hessian(q, f)
+        ref = basis_tensor_hessian(q, f)
+        assert h.matrix.shape == ref.shape
+        assert np.max(np.abs(h.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("f", [tyler(4), t_dist(3.0, 4)], ids=["tyler", "t"])
+    def test_stacks_match_per_matrix_calls(self, f):
+        rng = np.random.default_rng(41)
+        h = hessian(from_observations(rng.standard_normal((30, 4))), f)
+        stack = rng.standard_normal((6, 4, 4))
+        for method in (h.project, h.apply, h.solve):
+            batched = method(stack)
+            looped = np.stack([method(a) for a in stack])
+            assert batched.shape == stack.shape
+            assert np.max(np.abs(batched - looped)) <= 1e-12 * np.max(np.abs(looped))
