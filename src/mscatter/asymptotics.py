@@ -25,13 +25,14 @@ import numpy as np
 from .distribution import (
     MatrixDistribution,
     _sample_distinct_subsets,
+    _subset_covariances,
     build_kstat,
     from_observations,
 )
 from .errors import DomainError, InvalidInputError, InvalidRegimeError
 from .location import LocationScatterEstimate, augmented_rho
 from .rho import CASE0, RhoFunction
-from .solver import HessianOperator, ScatterEstimate, hessian
+from .solver import HessianOperator, ScatterEstimate, _evaluate, hessian
 from .symmat import SymMatrix
 
 
@@ -102,15 +103,9 @@ def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, x: np.ndarray,
         subsets = _sample_distinct_subsets(n_eff, k - 1, inner_cap, seed)
     pts = x_std[idx[subsets]]  # (m, k-1, q)
     xs = np.broadcast_to(x, (pts.shape[0], 1, q))
-    allpts = np.concatenate([xs, pts], axis=1)  # (m, k, q)
-    centered = allpts - allpts.mean(axis=1, keepdims=True)
-    s = np.einsum("mki,mkj->mij", centered, centered) / (k - 1)
-    tr = np.einsum("mii->m", s)
-    nz = tr > 0.0
-    coeff = np.zeros(tr.shape[0])
-    coeff[nz] = np.asarray(f.rho_prime(tr[nz]))
-    avg = np.einsum("m,mij->ij", coeff, s) / s.shape[0]
-    return avg - np.eye(q)
+    # The average is Psi(I, .) over the subset covariances S(x, X_J).
+    covs = _subset_covariances(np.concatenate([xs, pts], axis=1))
+    return _evaluate(np.eye(q), covs, f)[1] - np.eye(q)
 
 
 def influence_kge2(
@@ -296,7 +291,7 @@ def acov_scatter(
         z_std = k * h.solve(avgs)
 
     centering = float(np.linalg.norm(z_std.mean(axis=0)))
-    z_orig = np.einsum("ij,njk,kl->nil", root, z_std, root)
+    z_orig = root @ z_std @ root
     acov, se_sigma = _scatter_se(z_orig)
 
     return InfluenceReport(
@@ -340,7 +335,7 @@ def location_influence(x, nu: float, estimate: LocationScatterEstimate) -> Influ
 
     scatter_std = z[:, :q, :q]
     loc_std = z[:, :q, q]
-    scatter_orig = np.einsum("ij,njk,kl->nil", root, scatter_std, root)
+    scatter_orig = root @ scatter_std @ root
     loc_orig = loc_std @ root
 
     acov, se_sigma = _scatter_se(scatter_orig)

@@ -311,8 +311,11 @@ def _cmd_check(args):
                 prev = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read sigma document {args.sigma}: {exc}") from exc
-        sig_rows = prev["sigma"] if isinstance(prev, dict) else prev
-        sigma = SpdMatrix(np.asarray(sig_rows, dtype=float))
+        try:
+            sig_rows = np.asarray(prev["sigma"] if isinstance(prev, dict) else prev, dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"sigma document {args.sigma} holds no numeric 'sigma' matrix") from exc
+        sigma = SpdMatrix(sig_rows)
         psi = psi_map(sigma, qdist, f)
         resid = float(
             np.linalg.norm(psi.mat - sigma.mat) / np.linalg.norm(sigma.mat)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError
 from .rho import CASE0, RhoFunction
-from .symmat import PsdAtom, as_array, clip_psd_dust
+from .symmat import PsdAtom, as_array, clip_psd_dust, helmert
 
 # Eigenvalues below this relative size do not count toward an atom's column
 # space when enumerating candidate subspaces.
@@ -57,12 +57,15 @@ class WishartGroup:
 class MatrixDistribution:
     """A weighted finite collection of PSD atoms sharing one dimension.
 
-    Atoms are stored stacked as an (m, q, q) array for vectorized criterion
-    and fixed-point evaluations; ``atom(i)`` recovers a single ``PsdAtom``.
-    Weights are positive and sum to one.
+    Observations, k-subsets and their congruence transforms keep an (m, r, q)
+    stack of factor rows with M_i = Y_i^T Y_i; Wishart groups and atoms given
+    to this constructor keep the dense (m, q, q) stack.  ``traces_under`` and
+    ``weighted_sum`` evaluate either form, ``atoms`` is the read-only dense
+    stack (built from the factors on first use) and ``atom(i)`` recovers a
+    single ``PsdAtom``.  Weights are positive and sum to one.
     """
 
-    __slots__ = ("dim", "atoms", "weights", "traces", "case0_ready", "source")
+    __slots__ = ("dim", "weights", "traces", "case0_ready", "source", "_factors", "_atoms")
 
     def __init__(self, atoms, weights=None, *, clip: bool = True, source: Optional[SourceInfo] = None):
         if isinstance(atoms, (list, tuple)):
@@ -81,8 +84,19 @@ class MatrixDistribution:
         arr = (arr + arr.transpose(0, 2, 1)) / 2.0
         if clip:
             arr = np.stack([clip_psd_dust(a) for a in arr])
+        self._factors, self._atoms = None, arr
+        self._finish(np.einsum("mii->m", arr), weights, source)
 
-        m = arr.shape[0]
+    @classmethod
+    def _from_factors(cls, factors, weights=None, source: Optional[SourceInfo] = None):
+        """Distribution of the atoms Y_i^T Y_i of an (m, r, q) factor stack."""
+        self = cls.__new__(cls)
+        self._factors, self._atoms = np.array(factors, dtype=float), None
+        self._finish(np.einsum("mri,mri->m", self._factors, self._factors), weights, source)
+        return self
+
+    def _finish(self, traces, weights, source):
+        m = traces.shape[0]
         if weights is None:
             w = np.full(m, 1.0 / m)
         else:
@@ -92,27 +106,46 @@ class MatrixDistribution:
             if np.any(w <= 0) or not np.all(np.isfinite(w)):
                 raise InvalidInputError("weights must be positive and finite")
             w = w / w.sum()
-
-        arr.flags.writeable = False
-        w.flags.writeable = False
-        self.atoms = arr
-        self.weights = w
-        self.dim = arr.shape[1]
-        self.traces = np.einsum("mii->m", arr)
-        self.traces.flags.writeable = False
-        self.case0_ready = bool(np.all(self.traces > 0.0))
+        for a in (w, traces, self._factors, self._atoms):
+            if a is not None:
+                a.flags.writeable = False
+        self.weights, self.traces = w, traces
+        self.dim = (self._atoms if self._factors is None else self._factors).shape[-1]
+        self.case0_ready = bool(np.all(traces > 0.0))
         self.source = source or SourceInfo(kind="generic")
 
     @property
+    def atoms(self) -> np.ndarray:
+        """The read-only (m, q, q) stack of atoms."""
+        if self._atoms is None:
+            self._atoms = np.einsum("mri,mrj->mij", self._factors, self._factors)
+            self._atoms.flags.writeable = False
+        return self._atoms
+
+    @property
     def n_atoms(self) -> int:
-        return self.atoms.shape[0]
+        return self.weights.shape[0]
+
+    def traces_under(self, a: np.ndarray) -> np.ndarray:
+        """t_i = tr(A M_i) for every atom and a symmetric (q, q) matrix A."""
+        if self._factors is None:
+            return self._atoms.reshape(self.n_atoms, -1) @ a.ravel()
+        y = self._factors.reshape(-1, self.dim)
+        return np.einsum("ni,ni->n", y @ a, y).reshape(self.n_atoms, -1).sum(axis=1)
+
+    def weighted_sum(self, c) -> np.ndarray:
+        """sum_i c_i M_i for one coefficient per atom."""
+        if self._factors is None:
+            return (c @ self._atoms.reshape(self.n_atoms, -1)).reshape(self.dim, self.dim)
+        y = self._factors.reshape(-1, self.dim)
+        return y.T @ (np.repeat(c, self._factors.shape[1])[:, None] * y)
 
     def atom(self, i: int) -> PsdAtom:
         return PsdAtom(self.atoms[i], _trusted=True)
 
     def mean_atom(self) -> np.ndarray:
         """Weighted mean of the atoms."""
-        return np.einsum("m,mij->ij", self.weights, self.atoms)
+        return self.weighted_sum(self.weights)
 
     def __repr__(self):
         return (
@@ -146,9 +179,8 @@ def from_observations(x, center=None) -> MatrixDistribution:
                 f"center has shape {center.shape}, expected ({x.shape[1]},)"
             )
         x = x - center
-    atoms = np.einsum("ni,nj->nij", x, x)
-    return MatrixDistribution(
-        atoms, clip=False, source=SourceInfo(kind="observations", n=x.shape[0], k=1)
+    return MatrixDistribution._from_factors(
+        x[:, None, :], source=SourceInfo(kind="observations", n=x.shape[0], k=1)
     )
 
 
@@ -161,17 +193,17 @@ def sample_covariance(points) -> PsdAtom:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise InvalidInputError("sample covariance needs at least two points")
-    centered = pts - pts.mean(axis=0)
-    s = centered.T @ centered / (pts.shape[0] - 1)
-    return PsdAtom(s)
+    return PsdAtom(_subset_covariances(pts[None]).atoms[0])
 
 
-def _subset_atoms(x: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Stacked sample covariances of the rows of x indexed by each subset."""
-    k = subsets.shape[1]
-    pts = x[subsets]  # (m, k, q)
-    centered = pts - pts.mean(axis=1, keepdims=True)
-    return np.einsum("mki,mkj->mij", centered, centered) / (k - 1)
+def _subset_covariances(pts: np.ndarray, source: Optional[SourceInfo] = None) -> MatrixDistribution:
+    """Equal-weight sample covariances of the (k, q) point sets of an (m, k, q)
+    stack, each stored as its k-1 Helmert contrasts scaled by 1/sqrt(k-1).
+    The contrasts act on differences from the first point, so coincident
+    points give exactly zero factor rows."""
+    k = pts.shape[1]
+    factors = helmert(k)[:, 1:] @ (pts[:, 1:] - pts[:, :1]) / math.sqrt(k - 1)
+    return MatrixDistribution._from_factors(factors, source=source)
 
 
 def _sample_distinct_subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
@@ -218,10 +250,7 @@ def build_kstat(x, k: int, cap: int = 200_000, seed: int = 0) -> MatrixDistribut
         subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
     else:
         subsets = _sample_distinct_subsets(n, k, cap, seed)
-    atoms = _subset_atoms(x, subsets)
-    return MatrixDistribution(
-        atoms, clip=False, source=SourceInfo(kind="kstat", n=n, k=k)
-    )
+    return _subset_covariances(x[subsets], SourceInfo(kind="kstat", n=n, k=k))
 
 
 def from_wishart_groups(groups) -> MatrixDistribution:
@@ -261,8 +290,9 @@ def transform(q: MatrixDistribution, b, direction: str = "forward") -> MatrixDis
         t = np.linalg.inv(b)
     else:
         raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    atoms = np.einsum("ij,mjk,lk->mil", t, q.atoms, t)
-    return MatrixDistribution(atoms, q.weights, clip=False, source=q.source)
+    if q._factors is not None:
+        return MatrixDistribution._from_factors(q._factors @ t.T, q.weights, q.source)
+    return MatrixDistribution(t @ q.atoms @ t.T, q.weights, clip=False, source=q.source)
 
 
 # -- existence diagnostics ------------------------------------------------------
@@ -297,61 +327,46 @@ class ExistenceReport:
 def _atom_groups(q: MatrixDistribution):
     """Distinct atom column spaces with aggregated masses.
 
-    Returns (bases, masses, zero_mass, full_rank_present) where ``bases`` is a
-    list of (q, d) orthonormal bases with 1 <= d < q.  Atoms of full column
-    rank cannot lie inside any proper subspace and are dropped (their mass
-    never counts); zero atoms lie inside every subspace.
+    Returns (bases, masses, zero_mass) where ``bases`` is a list of (q, d)
+    orthonormal bases with 1 <= d < q: the deduplicated lines first, then
+    the higher-rank spaces in order of first appearance.  Atoms of full
+    column rank cannot lie inside any proper subspace and are dropped (their
+    mass never counts); zero atoms lie inside every subspace.  The spectra
+    come from one batched SVD of the factors or ``eigh`` of the dense stack.
     """
-    dim = q.dim
-    lam, vec = np.linalg.eigh(q.atoms)  # ascending eigenvalues
-    lam_max = np.maximum(lam[:, -1], 0.0)
-    zero_mass = 0.0
-    full_present = False
-    rank_one_dirs = []
-    rank_one_w = []
-    general = {}  # projector key -> [basis, mass]
+    dim, w = q.dim, q.weights
+    if q._factors is None:
+        lam, vec = np.linalg.eigh(q.atoms)
+    else:
+        _, sv, vt = np.linalg.svd(q._factors, full_matrices=False)
+        lam, vec = sv**2, np.swapaxes(vt, 1, 2)
+    keep = lam > _RANK_RTOL * np.maximum(lam.max(axis=1), 1e-300)[:, None]
+    rank = keep.sum(axis=1)
+    bases, masses = [], []
 
-    for i in range(q.n_atoms):
-        tolerance = _RANK_RTOL * max(lam_max[i], 1e-300)
-        keep = lam[i] > tolerance
-        r = int(keep.sum())
-        if r == 0:
-            zero_mass += q.weights[i]
-            continue
-        if r == dim:
-            full_present = True
-            continue
-        basis = vec[i][:, keep]
-        if r == 1:
-            u = basis[:, 0]
-            j = int(np.argmax(np.abs(u)))
-            if u[j] < 0:
-                u = -u
-            rank_one_dirs.append(u)
-            rank_one_w.append(q.weights[i])
-        else:
-            proj = basis @ basis.T
-            key = np.round(proj, 9).tobytes()
-            if key in general:
-                general[key][1] += q.weights[i]
-            else:
-                general[key] = [basis, q.weights[i]]
+    lines = np.nonzero((rank == 1) & (rank < dim))[0]
+    if lines.size:
+        # Sign each direction against a fixed generic vector (no tie-prone
+        # largest entry); lines whose directions agree to the 9 digits that
+        # also key the higher-rank spaces merge, keeping the first direction.
+        u = vec[lines, :, keep[lines].argmax(axis=1)]
+        u *= np.where(u @ np.sin(np.arange(1.0, dim + 1.0)) < 0, -1.0, 1.0)[:, None]
+        _, first, inverse = np.unique(np.round(u, 9), axis=0, return_index=True,
+                                      return_inverse=True)
+        bases += list(u[first][:, :, None])
+        masses += np.bincount(inverse.ravel(), w[lines], first.size).tolist()
 
-    bases = []
-    masses = []
-    if rank_one_dirs:
-        dirs = np.round(np.array(rank_one_dirs), 12)
-        uniq, inverse = np.unique(dirs, axis=0, return_inverse=True)
-        w = np.zeros(uniq.shape[0])
-        np.add.at(w, inverse, np.array(rank_one_w))
-        norms = np.linalg.norm(uniq, axis=1)
-        for row, wt, nrm in zip(uniq, w, norms):
-            bases.append((row / nrm)[:, None])
-            masses.append(float(wt))
-    for basis, wt in general.values():
-        bases.append(basis)
-        masses.append(float(wt))
-    return bases, masses, float(zero_mass), full_present
+    spaces = np.nonzero((rank >= 2) & (rank < dim))[0]
+    if spaces.size:
+        kept = vec[spaces] * keep[spaces][:, None, :]
+        keys = np.round(kept @ np.swapaxes(kept, 1, 2), 9).reshape(spaces.size, -1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        mass = np.bincount(inverse.ravel(), w[spaces])
+        for g in np.argsort(first):
+            i = spaces[first[g]]
+            bases.append(vec[i][:, keep[i]])
+            masses.append(float(mass[g]))
+    return bases, masses, float(w[rank == 0].sum())
 
 
 def _contains(big: np.ndarray, small: np.ndarray) -> bool:
@@ -359,9 +374,8 @@ def _contains(big: np.ndarray, small: np.ndarray) -> bool:
     return bool(np.linalg.norm(resid) <= _CONTAIN_TOL * math.sqrt(small.shape[1]))
 
 
-def _union_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    stacked = np.hstack([a, b])
-    u, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+def _union_basis(*blocks: np.ndarray) -> np.ndarray:
+    u, sv, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
     r = int(np.sum(sv > 1e-10 * sv[0]))
     return u[:, :r]
 
@@ -395,7 +409,7 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
     case = f.case_tag
     witnesses = []
 
-    bases, masses, zero_mass, _ = _atom_groups(q)
+    bases, masses, zero_mass = _atom_groups(q)
 
     # Zero space first: under Case 0 any mass at the zero matrix is fatal,
     # under Case 1 it faces the dim(V) = 0 threshold.
@@ -417,9 +431,7 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
     if case != CASE0 and math.isinf(psi_inf):
         if witnesses:
             return ExistenceReport("violated", tuple(witnesses), "exact_enumeration")
-        span = np.zeros((dim, 0))
-        for b in bases:
-            span = _union_basis(span, b) if span.shape[1] else b
+        span = _union_basis(*bases) if bases else np.zeros((dim, 0))
         total_contained = zero_mass + sum(masses)
         if span.shape[1] < dim and total_contained >= 1.0 - 1e-12:
             w = ExistenceWitness(span, total_contained, 1.0)

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .rho import CASE0, RhoFunction, validate
-from .symmat import SpdMatrix, SymMatrix, as_array
+from .symmat import SpdMatrix, SymMatrix, as_array, helmert
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -102,21 +102,33 @@ def _check_compat(q: MatrixDistribution, f: RhoFunction):
         )
 
 
-def _nonzero_parts(q: MatrixDistribution):
+def _spd(s, q: MatrixDistribution) -> np.ndarray:
+    """The entries of S after checking it is positive definite and matches Q."""
+    s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
+    if s.dim != q.dim:
+        raise DimensionMismatchError(f"S is {s.dim}-dimensional, Q is {q.dim}-dimensional")
+    return s.mat
+
+
+def _evaluate(s: np.ndarray, q: MatrixDistribution, f: RhoFunction):
+    """(L(S, Q), Psi(S, Q), lower Cholesky factor of S) in one pass over the
+    atoms; atoms at the zero matrix contribute to neither.  Raises
+    ``LinAlgError`` when S is not positive definite."""
+    chol = np.linalg.cholesky(s)
     nz = q.traces > 0.0
-    atoms = q.atoms[nz]
-    return atoms, atoms.reshape(atoms.shape[0], -1), q.weights[nz], q.traces[nz]
+    t = q.traces_under(cho_solve((chol, True), np.eye(q.dim)))[nz]
+    w = q.weights[nz]
+    crit = float(w @ (np.asarray(f.rho(t)) - np.asarray(f.rho(q.traces[nz]))))
+    coeff = np.zeros(q.n_atoms)
+    coeff[nz] = w * np.asarray(f.rho_prime(t))
+    psi = q.weighted_sum(coeff)
+    return crit + 2.0 * float(np.sum(np.log(np.diag(chol)))), (psi + psi.T) / 2.0, chol
 
 
 def criterion(s, q: MatrixDistribution, f: RhoFunction) -> float:
     """Evaluate the criterion L(S, Q); exactly zero at S = I."""
     _check_compat(q, f)
-    s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
-    if s.dim != q.dim:
-        raise DimensionMismatchError(f"S is {s.dim}-dimensional, Q is {q.dim}-dimensional")
-    _, flat, w, tr = _nonzero_parts(q)
-    t = flat @ s.inv().ravel()
-    return float(w @ (np.asarray(f.rho(t)) - np.asarray(f.rho(tr)))) + s.logdet
+    return _evaluate(_spd(s, q), q, f)[0]
 
 
 def psi_map(s, q: MatrixDistribution, f: RhoFunction) -> SpdMatrix:
@@ -126,12 +138,7 @@ def psi_map(s, q: MatrixDistribution, f: RhoFunction) -> SpdMatrix:
     definite, which signals a failing existence condition.
     """
     _check_compat(q, f)
-    s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
-    atoms, flat, w, _ = _nonzero_parts(q)
-    t = flat @ s.inv().ravel()
-    coeff = w * np.asarray(f.rho_prime(t))
-    psi = np.einsum("m,mij->ij", coeff, atoms)
-    return SpdMatrix(psi)
+    return SpdMatrix(_evaluate(_spd(s, q), q, f)[1])
 
 
 def gradient(s, q: MatrixDistribution, f: RhoFunction) -> SymMatrix:
@@ -218,9 +225,6 @@ def fixed_point_solve(
             existence=existence,
         )
 
-    atoms, flat, w, tr = _nonzero_parts(q)
-    rho_tr = np.asarray(f.rho(tr))
-    eye = np.eye(dim)
     log_values = []
     status = STATUS_MAX_ITER
     iterations = 0
@@ -230,19 +234,11 @@ def fixed_point_solve(
 
     for _ in range(cfg.max_iter + 1):
         try:
-            chol = np.linalg.cholesky(s)
+            crit, psi, chol = _evaluate(s, q, f)
         except np.linalg.LinAlgError:
             status = STATUS_DIVERGED
             break
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        sinv = cho_solve((chol, True), eye)
-        t = flat @ sinv.ravel()
-        crit = float(w @ (np.asarray(f.rho(t)) - rho_tr)) + logdet
         log_values.append(crit)
-
-        coeff = w * np.asarray(f.rho_prime(t))
-        psi = np.einsum("m,mij->ij", coeff, atoms)
-        psi = (psi + psi.T) / 2.0
 
         diff = psi - s
         fp_resid = float(np.linalg.norm(diff) / np.linalg.norm(s))
@@ -310,11 +306,7 @@ def _diagonal_map(dim: int, case_tag: str) -> np.ndarray:
     """Rows giving the diagonal coordinates from a matrix diagonal: the
     identity, or for Case 0 the (dim-1, dim) orthonormal Helmert contrasts
     that span the trace-zero diagonals."""
-    if case_tag != CASE0:
-        return np.eye(dim)
-    k = np.arange(1, dim)[:, None]
-    col = np.arange(dim)[None, :]
-    return ((col < k) - k * (col == k)) / np.sqrt(k * (k + 1.0))
+    return helmert(dim) if case_tag == CASE0 else np.eye(dim)
 
 
 @dataclass
@@ -385,18 +377,17 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
         raise UnsupportedOperationError(
             f"{f.kind} loss has no second derivative; Hessian is unavailable"
         )
-    atoms, _, w, tr = _nonzero_parts(q)
-    rp = np.asarray(f.rho_prime(tr))
-    rs = np.asarray(f.rho_second(tr))
     dim = q.dim
+    nz = q.traces > 0.0
+    second = np.zeros(q.n_atoms)
+    second[nz] = q.weights[nz] * np.asarray(f.rho_second(q.traces[nz]))
 
     # <E_a, H E_b> = tr(E_a E_b P)/sym + sum_i w_i rho''_i tr(E_a M_i) tr(E_b M_i)
     # with P = sum_i w_i rho'_i M_i.  On the coordinate matrices
     # E_(i,j) = s_ij (e_i e_j^T + e_j e_i^T), s = 1/2 on the diagonal and
     # 1/sqrt(2) off it, the first term at a = (i, j), b = (k, l) is
     # s_a s_b (d_jk P_il + d_jl P_ik + d_ik P_jl + d_il P_jk), d the Kronecker delta.
-    pmat = np.einsum("m,mij->ij", w * rp, atoms)
-    pmat = (pmat + pmat.T) / 2.0
+    pmat = _evaluate(np.eye(dim), q, f)[1]
     iu, ju = np.triu_indices(dim, 1)
     i = np.concatenate([np.arange(dim), iu])[:, None]
     j = np.concatenate([np.arange(dim), ju])[:, None]
@@ -413,8 +404,8 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
     term1 = np.hstack([term1[:, :dim] @ dmap.T, term1[:, dim:]])
 
     h = HessianOperator(dim=dim, case_tag=f.case_tag, matrix=term1)
-    coords = h._coords(atoms)  # (m, p): tr(E_a M_i)
-    h.matrix += (coords.T * (w * rs)) @ coords
+    coords = h._coords(q.atoms)  # (m, p): tr(E_a M_i)
+    h.matrix += (coords.T * second) @ coords
     return h
 
 

@@ -127,6 +127,14 @@ class PsdAtom:
         return f"PsdAtom(dim={self.dim}, trace={self.trace:.6g})"
 
 
+def helmert(k: int) -> np.ndarray:
+    """The (k-1, k) orthonormal Helmert contrasts: row j (1-based) has ones in
+    its first j entries and -j in entry j + 1, scaled to unit length."""
+    j = np.arange(1, k)[:, None]
+    col = np.arange(k)[None, :]
+    return ((col < j) - j * (col == j)) / np.sqrt(j * (j + 1.0))
+
+
 def clip_psd_dust(a: np.ndarray) -> np.ndarray:
     """Clip tiny negative eigenvalues of a symmetric matrix to zero.
 

@@ -204,6 +204,22 @@ class TestCheckCommand:
                     "--sigma", str(bad), "--tol", "1e-8"])
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"sigma": np.eye(3).tolist()},
+        {"scatter": np.eye(2).tolist()},
+        {"sigma": [[1.0, 0.0], [0.0]]},
+    ], ids=["wrong_dimension", "missing_key", "ragged"])
+    def test_malformed_sigma_exits_three(self, three_point_csv, tmp_path, capsys,
+                                         monkeypatch, doc):
+        monkeypatch.delenv("MSCATTER_THREADS", raising=False)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check", "--estimator", "tyler", "--input", three_point_csv,
+                    "--sigma", str(bad)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestEntryPoint:
     def test_module_invocation(self, three_point_csv):
