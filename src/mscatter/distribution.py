@@ -83,7 +83,7 @@ class MatrixDistribution:
             raise InvalidInputError("atoms contain non-finite entries")
         arr = (arr + arr.transpose(0, 2, 1)) / 2.0
         if clip:
-            arr = np.stack([clip_psd_dust(a) for a in arr])
+            arr = clip_psd_dust(arr)
         self._factors, self._atoms = None, arr
         self._finish(np.einsum("mii->m", arr), weights, source)
 
@@ -369,15 +369,13 @@ def _atom_groups(q: MatrixDistribution):
     return bases, masses, float(w[rank == 0].sum())
 
 
-def _contains(big: np.ndarray, small: np.ndarray) -> bool:
-    resid = small - big @ (big.T @ small)
-    return bool(np.linalg.norm(resid) <= _CONTAIN_TOL * math.sqrt(small.shape[1]))
-
-
-def _union_basis(*blocks: np.ndarray) -> np.ndarray:
-    u, sv, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
-    r = int(np.sum(sv > 1e-10 * sv[0]))
-    return u[:, :r]
+def _union_basis(u: np.ndarray, blocks: np.ndarray):
+    """Orthonormal bases of span(U) + span(B) for each (q, r) block B of a
+    stack, zero columns padding the lower ranks: (m, q, q') left singular
+    vectors and the rank of each union."""
+    stacked = np.concatenate([np.broadcast_to(u, (len(blocks),) + u.shape), blocks], axis=2)
+    w, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+    return w, np.sum(sv > 1e-10 * sv[:, :1], axis=1)
 
 
 def _threshold(case_tag: str, psi_inf: float, dim_v: int, q: int) -> float:
@@ -425,47 +423,28 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
             witnesses.append(ExistenceWitness(np.zeros((dim, 0)), zero_mass, thr0))
 
     # Unbounded psi: the only way to reach threshold 1 is to carry all mass,
-    # so the single candidate is the span of every atom column space.  Atoms
-    # of full column rank were dropped from the groups, so their mass is
-    # missing from the sum and correctly prevents a violation.
+    # so the single candidate is the span of every atom column space, read
+    # off the mean atom down to 1e-12 of its largest eigenvalue (the Gaussian
+    # fit is the mean atom, and the solver stops as diverged past condition
+    # 1e12).  Atoms of full column rank were dropped from the groups, so their
+    # mass is missing from the sum and prevents a violation.
     if case != CASE0 and math.isinf(psi_inf):
         if witnesses:
             return ExistenceReport("violated", tuple(witnesses), "exact_enumeration")
-        span = _union_basis(*bases) if bases else np.zeros((dim, 0))
+        lam, vec = np.linalg.eigh(q.mean_atom())
+        span = vec[:, lam > 1e-12 * lam[-1]]
         total_contained = zero_mass + sum(masses)
         if span.shape[1] < dim and total_contained >= 1.0 - 1e-12:
             w = ExistenceWitness(span, total_contained, 1.0)
             return ExistenceReport("violated", (w,), "exact_enumeration")
         return ExistenceReport("satisfied", (), "exact_enumeration")
 
-    examined = 0
-    exceeded = False
-
-    if bases:
-        all_rank_one = all(b.shape[1] == 1 for b in bases)
-        if all_rank_one:
-            # Lines were deduplicated, so each line's mass is its own group's;
-            # the depth-1 sweep is a vectorized compare.
-            thr1 = _threshold(case, psi_inf, 1, dim)
-            marr = zero_mass + np.asarray(masses)
-            for idx in np.nonzero(marr >= thr1 - 1e-12)[0]:
-                witnesses.append(ExistenceWitness(bases[idx], float(marr[idx]), thr1))
-            examined = len(bases)
-            exceeded = examined > budget
-            if dim > 2 and not exceeded:
-                exceeded = not _bfs_unions(
-                    bases, masses, zero_mass, case, psi_inf, dim,
-                    budget, examined, witnesses, seed_pairs=True,
-                )
-        else:
-            exceeded = not _bfs_unions(
-                bases, masses, zero_mass, case, psi_inf, dim,
-                budget, 0, witnesses, seed_pairs=False,
-            )
-
+    exhausted = not bases or _enumerate(
+        bases, np.asarray(masses), zero_mass, case, psi_inf, dim, budget, witnesses
+    )
     if witnesses:
         return ExistenceReport("violated", tuple(witnesses), "exact_enumeration")
-    if not exceeded:
+    if exhausted:
         return ExistenceReport("satisfied", (), "exact_enumeration")
 
     src = q.source
@@ -482,76 +461,60 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
     return ExistenceReport("undecided", (), "budget_exceeded")
 
 
-def _append_direction(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(U) + span(v) for a unit vector v not inside
-    span(U); one re-orthogonalization pass keeps the basis tight."""
-    w = v - u @ (u.T @ v)
-    w /= np.linalg.norm(w)
-    w -= u @ (u.T @ w)
-    w /= np.linalg.norm(w)
-    return np.hstack([u, w[:, None]])
+def _enumerate(bases, masses, zero_mass, case, psi_inf, dim, budget, witnesses) -> bool:
+    """Breadth-first search over the spans of unions of groups.
 
-
-def _bfs_unions(bases, masses, zero_mass, case, psi_inf, dim, budget,
-                examined, witnesses, seed_pairs):
-    """Breadth-first closure of subspace unions; returns False on budget blowout.
-
-    When ``seed_pairs`` is true the singleton subspaces were already checked
-    and the queue starts from pairwise unions.  Rank-one groups use a
-    vectorized containment sweep and Gram-Schmidt appends; groups of higher
-    rank fall back to SVD unions.
+    Appends every critical candidate to ``witnesses``; returns False when the
+    budget runs out.  A candidate is the span of the groups it contains, so
+    the boolean mask of those groups keys it exactly.  Each new distinct
+    candidate is charged when it is built, and depth one (the groups
+    themselves) is swept whole before the charge is compared with the budget.
+    When every group is a line and dim > 2, every pair of lines spans a
+    proper plane, so the search stops at once if the lines and their pairs
+    exceed the budget.
     """
-    n_groups = len(bases)
-    masses_arr = np.asarray(masses)
-    rank_one = all(b.shape[1] == 1 for b in bases)
-    dirs = np.concatenate(bases, axis=1).T if rank_one else None  # (G, q)
-    visited = set()
-    queue = deque()
+    n = len(bases)
+    ranks = np.array([b.shape[1] for b in bases])
+    if ranks.max() == 1 and (dim == 2 or n + math.comb(n, 2) > budget):
+        # A line contains no other group, so depth one needs no containment
+        # test; in the plane it is the whole search.
+        mass, thr = zero_mass + masses, _threshold(case, psi_inf, 1, dim)
+        for g in np.flatnonzero(mass >= thr - 1e-12):
+            witnesses.append(ExistenceWitness(bases[g], float(mass[g]), thr))
+        return dim == 2 and n <= budget
 
-    def key_of(basis):
-        return np.round(basis @ basis.T, 9).tobytes()
+    cols, owner = np.hstack(bases), np.repeat(np.arange(n), ranks)
+    padded = np.zeros((n, dim, ranks.max()))
+    for g, b in enumerate(bases):
+        padded[g, :, : b.shape[1]] = b
 
-    def push(u):
-        if u.shape[1] >= dim:
-            return
-        k = key_of(u)
-        if k not in visited:
-            visited.add(k)
-            queue.append(u)
+    def inside(u):
+        """Mask of the groups whose column space lies inside span(U): one
+        product against the basis columns of all groups, reduced per group."""
+        resid = cols - u @ (u.T @ cols)
+        return np.bincount(owner, np.einsum("ij,ij->j", resid, resid), n) <= _CONTAIN_TOL**2 * ranks
 
-    def union(u, g):
-        if rank_one:
-            return _append_direction(u, dirs[g])
-        return _union_basis(u, bases[g])
-
-    if seed_pairs:
-        n_pairs = n_groups * (n_groups - 1) // 2
-        if examined + n_pairs > budget:
-            return False
-        for i in range(n_groups):
-            for j in range(i + 1, n_groups):
-                push(union(bases[i], j))
-    else:
-        for b in bases:
-            push(b)
-
-    count = examined
+    # The search starts from the zero subspace, whose unions are the groups.
+    queue, visited, charged = deque([np.zeros((dim, 0))]), set(), 0
     while queue:
-        count += 1
-        if count > budget:
-            return False
         u = queue.popleft()
-        d = u.shape[1]
-        if rank_one:
-            resid = dirs - (dirs @ u) @ u.T
-            inside = np.linalg.norm(resid, axis=1) <= _CONTAIN_TOL
-        else:
-            inside = np.array([_contains(u, bases[g]) for g in range(n_groups)])
-        mass = zero_mass + float(masses_arr[inside].sum())
-        thr = _threshold(case, psi_inf, d, dim)
-        if mass >= thr - 1e-12:
-            witnesses.append(ExistenceWitness(u, float(mass), thr))
-        if d + 1 < dim or not rank_one:
-            for g in np.nonzero(~inside)[0]:
-                push(union(u, g))
+        if charged > budget:  # reached only once depth one is swept whole
+            return False
+        if u.shape[1] == dim - 1:  # every union with it is the whole space
+            continue
+        w, rank = _union_basis(u, padded[~inside(u)])
+        for v in (w[i, :, :r] for i, r in enumerate(rank) if r < dim):
+            mask = inside(v)
+            key = np.packbits(mask).tobytes()
+            if key in visited:
+                continue
+            visited.add(key)
+            charged += 1
+            if charged > budget and u.shape[1]:  # past depth one
+                return False
+            mass = zero_mass + float(masses[mask].sum())
+            thr = _threshold(case, psi_inf, v.shape[1], dim)
+            if mass >= thr - 1e-12:
+                witnesses.append(ExistenceWitness(v, mass, thr))
+            queue.append(v)
     return True

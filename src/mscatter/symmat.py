@@ -136,24 +136,29 @@ def helmert(k: int) -> np.ndarray:
 
 
 def clip_psd_dust(a: np.ndarray) -> np.ndarray:
-    """Clip tiny negative eigenvalues of a symmetric matrix to zero.
+    """Clip tiny negative eigenvalues of a symmetric matrix, or of each matrix
+    of an (m, q, q) stack, to zero.
 
     Raises ``NotPositiveDefiniteError`` if an eigenvalue is more negative than
-    ``PSD_DUST_RTOL`` relative to the largest one.
+    ``PSD_DUST_RTOL`` relative to the largest one of its matrix.  Only the
+    matrices with negative dust are decomposed a second time.
     """
     lam = np.linalg.eigvalsh(a)
-    lo, hi = lam[0], lam[-1]
-    if lo >= 0.0:
-        return a
-    scale = max(hi, 0.0)
-    if lo < -PSD_DUST_RTOL * max(scale, 1e-300):
+    lo, hi = lam[..., 0], lam[..., -1]
+    bad = lo < -PSD_DUST_RTOL * np.maximum(hi, 1e-300)
+    if np.any(bad):
+        i = np.argmax(bad)
         raise NotPositiveDefiniteError(
-            f"matrix is not positive semidefinite: min eigenvalue {lo:.3e} "
-            f"vs max {hi:.3e}"
+            f"matrix is not positive semidefinite: min eigenvalue {np.ravel(lo)[i]:.3e} "
+            f"vs max {np.ravel(hi)[i]:.3e}"
         )
-    lam_full, u = np.linalg.eigh(a)
-    lam_full = np.maximum(lam_full, 0.0)
-    return (u * lam_full) @ u.T
+    dust = lo < 0.0
+    if not np.any(dust):
+        return a
+    lam_full, u = np.linalg.eigh(a[dust])
+    out = a.copy()
+    out[dust] = (u * np.maximum(lam_full, 0.0)[..., None, :]) @ np.swapaxes(u, -1, -2)
+    return out
 
 
 class SpdMatrix:

@@ -116,6 +116,19 @@ class TestScatterCommand:
         assert doc["existence"]["verdict"] == "violated"
         assert doc["existence"]["witnesses"]
 
+    def test_gaussian_on_rounded_plane_exits_two(self, tmp_path, capsys):
+        # Rows of a plane rounded to 8 digits: the fit cannot be resolved,
+        # and the existence check says so instead of the Cholesky failing.
+        rng = np.random.default_rng(0)
+        x = np.round(rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3)), 8)
+        path = tmp_path / "plane.csv"
+        np.savetxt(path, x, delimiter=",", fmt="%.17g")
+        code = run(["scatter", "--estimator", "gaussian", "--input", str(path)])
+        doc = read_json(capsys)
+        assert code == 2
+        assert doc["status"] == "existence_violated"
+        assert doc["existence"]["verdict"] == "violated"
+
     def test_se_block(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         p = tmp_path / "x.csv"

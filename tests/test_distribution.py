@@ -9,8 +9,10 @@ from mscatter import (
     MatrixDistribution,
     PsdAtom,
     WishartGroup,
+    augment,
     build_kstat,
     check_existence,
+    fixed_point_solve,
     from_observations,
     from_wishart_groups,
     gaussian,
@@ -18,6 +20,7 @@ from mscatter import (
     t_dist,
     transform,
     tyler,
+    weibull,
 )
 
 
@@ -301,6 +304,59 @@ class TestExistence:
         rep = check_existence(from_observations(x), tyler(3), budget=1000)
         assert rep.verdict == "satisfied"
         assert rep.method == "exact_enumeration"
+
+
+def planar_rows(seed):
+    """Four points of a random plane in R^3, rounded to 8 digits: the third
+    singular value of the rows is about 1e-9 of the first."""
+    rng = np.random.default_rng(seed)
+    return np.round(rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3)), 8)
+
+
+def both_storages(q):
+    return [q, MatrixDistribution(q.atoms, q.weights, source=q.source)]
+
+
+class TestUnboundedPsiSpan:
+    """Gaussian and Weibull fits need the atoms to span R^q as far as the
+    solver resolves it; rows of a plane rounded to 8 digits do not."""
+
+    @pytest.mark.parametrize("loss", [gaussian, lambda: weibull(0.5)], ids=["gaussian", "weibull"])
+    def test_rounded_plane_is_violated(self, loss):
+        for seed in range(200):
+            for q in both_storages(from_observations(planar_rows(seed))):
+                rep = check_existence(q, loss())
+                assert (rep.verdict, rep.method) == ("violated", "exact_enumeration")
+                assert [(w.subspace_dim, round(w.mass, 12)) for w in rep.witnesses] == [(2, 1.0)]
+                assert fixed_point_solve(q, loss()).status == "existence_violated"
+
+    @pytest.mark.parametrize("loss", [gaussian, lambda: weibull(0.5)], ids=["gaussian", "weibull"])
+    def test_full_rank_control_converges(self, loss):
+        for seed in range(100):
+            x = np.random.default_rng(seed).standard_normal((4, 3))
+            for q in both_storages(from_observations(x)):
+                assert check_existence(q, loss()).verdict == "satisfied"
+                assert fixed_point_solve(q, loss()).status == "converged"
+
+
+class TestEnumerationKeys:
+    def test_subspace_reached_along_several_unions_is_one_witness(self):
+        # Three lines in R^4 span one 3-D subspace, reached from each of the
+        # three planes; the search reports it once.
+        x = np.array([[0.0, 0.0, 0.0], [0.20, -0.92, 0.18], [2.48, 1.63, -0.35]])
+        prob = augment(x, 1.0)
+        for q in both_storages(prob.q_aug):
+            rep = check_existence(q, prob.augmented_rho)
+            assert rep.verdict == "violated"
+            assert [w.mass for w in rep.witnesses if w.subspace_dim == 3] == [pytest.approx(1.0)]
+
+    def test_mixed_ranks_keep_the_general_budget(self):
+        # 3 line and 4 plane groups: 7 + C(7, 2) > 20, but only lines-only
+        # searches stop on that count; the 3-D witness is found within budget.
+        x = np.array([[0, 0, 0, 0], [3, 2, 3, 1], [2, 2, 1, 0], [-4, -1, -2, -1], [3, 2, 3, 1]], float)
+        rep = check_existence(build_kstat(x, 3), t_dist(1.5, 4), budget=20)
+        assert (rep.verdict, rep.method) == ("violated", "exact_enumeration")
+        assert any(w.subspace_dim == 3 and w.mass == pytest.approx(1.0) for w in rep.witnesses)
 
 
 class TestSubsetSamplingNearFullCoverage:

@@ -17,6 +17,7 @@ from mscatter import (
     sym_exp,
     sym_log,
 )
+from mscatter.symmat import clip_psd_dust
 
 
 def random_sym(rng, q, scale=1.0):
@@ -68,6 +69,27 @@ class TestTypes:
         assert s.logdet == pytest.approx(math.log(np.linalg.det(s.mat)), rel=1e-10)
         assert np.allclose(s.sqrt() @ s.sqrt(), s.mat)
         assert np.allclose(s.inv_sqrt() @ s.mat @ s.inv_sqrt(), np.eye(4), atol=1e-12)
+
+
+class TestClipPsdDust:
+    def stack(self):
+        # Rank-one atoms carry negative eigenvalue dust of rounding size.
+        y = np.random.default_rng(9).standard_normal((50, 5))
+        return np.einsum("mi,mj->mij", y, y)
+
+    def test_stack_matches_single_matrices(self):
+        atoms = self.stack()
+        clipped = clip_psd_dust(atoms)
+        one_by_one = np.stack([clip_psd_dust(a) for a in atoms])
+        assert np.any(np.linalg.eigvalsh(atoms)[:, 0] < 0.0)  # the clipping path runs
+        assert np.max(np.abs(clipped - one_by_one)) <= 1e-15 * np.max(np.abs(one_by_one))
+
+    def test_stack_with_one_indefinite_atom_raises(self):
+        atoms = self.stack()
+        atoms[7] -= 1e-6 * np.linalg.eigvalsh(atoms[7])[-1] * np.eye(5)
+        with pytest.raises(NotPositiveDefiniteError):
+            clip_psd_dust(atoms)
+        clip_psd_dust(atoms[:7])  # the atoms before it pass
 
 
 class TestSpectral:
