@@ -261,7 +261,6 @@ def acov_scatter(
     f: RhoFunction,
     k: int = 1,
     inner_cap: int = 5000,
-    atom_cap: int = 200_000,
     seed: int = 0,
 ) -> InfluenceReport:
     """Influence matrices and asymptotic standard errors for a fitted scatter.
@@ -283,7 +282,7 @@ def acov_scatter(
         h = hessian(from_observations(x_std), f)
         z_std = h.solve(_scores_k1(x_std, f))
     else:
-        h = hessian(build_kstat(x_std, k, cap=atom_cap, seed=seed), f)
+        h = hessian(build_kstat(x_std, k, seed=seed), f)
         avgs = np.stack([
             _inner_average(x_std, f, k, xi, inner_cap, seed + 1 + i, i)
             for i, xi in enumerate(x_std)

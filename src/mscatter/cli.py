@@ -35,7 +35,7 @@ from .solver import (
     psi_map,
     solve_procov,
 )
-from .symmat import PsdAtom, SpdMatrix
+from .symmat import PsdAtom, SpdMatrix, clip_psd_dust
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -112,8 +112,7 @@ def read_groups(path):
     if not isinstance(doc, list) or not doc:
         raise InputError(f"{path} must hold a non-empty JSON array of groups")
 
-    groups = []
-    dim = None
+    mats, dofs, dim = [], [], None
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "dof" not in entry or "scatter" not in entry:
             raise InputError(f"{path}: group {i} needs 'dof' and 'scatter' fields")
@@ -127,12 +126,16 @@ def read_groups(path):
             dim = s.shape[0]
         elif s.shape[0] != dim:
             raise InputError(f"{path}: group {i} has dimension {s.shape[0]}, expected {dim}")
-        try:
-            scatter = PsdAtom(s)
-        except NotPositiveDefiniteError as exc:
-            raise InputError(f"{path}: group {i} scatter: {exc}") from exc
-        groups.append(WishartGroup(scatter=scatter, dof=dof))
-    return groups
+        if not np.all(np.isfinite(s)):
+            raise InputError(f"{path}: group {i} scatter has non-finite entries")
+        mats.append(s)
+        dofs.append(dof)
+    stack = np.stack(mats)
+    try:
+        stack = clip_psd_dust((stack + np.swapaxes(stack, 1, 2)) / 2.0)
+    except NotPositiveDefiniteError as exc:
+        raise InputError(f"{path}: group scatters: {exc}") from exc
+    return [WishartGroup(scatter=PsdAtom(s, _trusted=True), dof=d) for s, d in zip(stack, dofs)]
 
 
 def _make_rho(args, q):
@@ -252,21 +255,15 @@ def _cmd_locscatter(args):
     if args.nu is None or not args.nu >= 1:
         raise InputError("locscatter requires --nu >= 1")
     est = estimate_location_scatter(x, args.nu, _solver_config(args))
-    doc = {
-        "subcommand": "locscatter",
-        "dim": q,
-        "n": int(x.shape[0]),
-        "nu": args.nu,
-        "status": est.status,
-        "iterations": est.iterations,
-        "criterion": est.criterion,
-        "gradient_norm": est.inner.gradient_norm,
-        "fixed_point_residual": est.inner.fixed_point_residual,
-        "gamma": est.gamma.mat.tolist(),
-        "mu": est.mu.tolist() if est.mu is not None else None,
-        "sigma": est.sigma.mat.tolist() if est.sigma is not None else None,
-        "existence": _existence_json(est.inner.existence),
-    }
+    doc = _estimate_json(est.inner, q)
+    doc.update(
+        subcommand="locscatter",
+        n=int(x.shape[0]),
+        nu=args.nu,
+        gamma=est.gamma.mat.tolist(),
+        mu=est.mu.tolist() if est.mu is not None else None,
+        sigma=est.sigma.mat.tolist() if est.sigma is not None else None,
+    )
     if args.se and est.status == STATUS_CONVERGED:
         rep = location_influence(x, args.nu, est)
         doc["se"] = {"sigma": rep.se_sigma.tolist(), "mu": rep.se_mu.tolist()}
@@ -290,12 +287,13 @@ def _cmd_check(args):
     x, _ = read_csv(args.input)
     q = x.shape[1]
     f = _make_rho(args, q)
-    qdist = _build_q(x, args)
+    qdist = None
     if args.locscatter:
         if args.estimator != "t" or args.nu is None or not args.nu >= 1:
             raise InputError("--locscatter checks need --estimator t with --nu >= 1")
         report = check_location_existence(x, args.nu)
     else:
+        qdist = _build_q(x, args)
         report = check_existence(qdist, f)
     doc = {
         "subcommand": "check",
@@ -316,6 +314,8 @@ def _cmd_check(args):
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"sigma document {args.sigma} holds no numeric 'sigma' matrix") from exc
         sigma = SpdMatrix(sig_rows)
+        if qdist is None:
+            qdist = _build_q(x, args)
         psi = psi_map(sigma, qdist, f)
         resid = float(
             np.linalg.norm(psi.mat - sigma.mat) / np.linalg.norm(sigma.mat)
@@ -341,11 +341,11 @@ def build_parser():
                             choices=["tyler", "t", "weibull", "gaussian"])
             sp.add_argument("--nu", type=float, default=None)
             sp.add_argument("--gamma", type=float, default=None)
-        sp.add_argument("--k", type=int, default=1,
-                        help="symmetrization order (k >= 2 uses k-subset sample covariances)")
-        sp.add_argument("--cap", type=int, default=200_000,
-                        help="subset cap for k >= 2 and influence computations")
-        sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--k", type=int, default=1,
+                            help="symmetrization order (k >= 2 uses k-subset sample covariances)")
+            sp.add_argument("--cap", type=int, default=200_000,
+                            help="subset cap for k >= 2 and influence computations")
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--tol-gradient", type=float, default=1e-9)
         sp.add_argument("--max-iter", type=int, default=500)

@@ -28,6 +28,11 @@ _RANK_RTOL = 1e-9
 # Containment slack for "column space lies inside subspace" tests.
 _CONTAIN_TOL = 1e-8
 
+# Largest condition number a fitted scatter may have: the solver stops as
+# diverged beyond it, and the unbounded-psi check reads the span of the mean
+# atom down to its reciprocal, so both draw the line in one place.
+_COND_LIMIT = 1e12
+
 
 @dataclass(frozen=True)
 class SourceInfo:
@@ -424,15 +429,15 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
 
     # Unbounded psi: the only way to reach threshold 1 is to carry all mass,
     # so the single candidate is the span of every atom column space, read
-    # off the mean atom down to 1e-12 of its largest eigenvalue (the Gaussian
-    # fit is the mean atom, and the solver stops as diverged past condition
-    # 1e12).  Atoms of full column rank were dropped from the groups, so their
-    # mass is missing from the sum and prevents a violation.
+    # off the mean atom down to 1/_COND_LIMIT of its largest eigenvalue (the
+    # Gaussian fit is the mean atom).  Atoms of full column rank were dropped
+    # from the groups, so their mass is missing from the sum and prevents a
+    # violation.
     if case != CASE0 and math.isinf(psi_inf):
         if witnesses:
             return ExistenceReport("violated", tuple(witnesses), "exact_enumeration")
         lam, vec = np.linalg.eigh(q.mean_atom())
-        span = vec[:, lam > 1e-12 * lam[-1]]
+        span = vec[:, lam > lam[-1] / _COND_LIMIT]
         total_contained = zero_mass + sum(masses)
         if span.shape[1] < dim and total_contained >= 1.0 - 1e-12:
             w = ExistenceWitness(span, total_contained, 1.0)

@@ -41,37 +41,32 @@ class RhoFunction:
     dim: Optional[int]
     _rho: Callable = field(repr=False)
     _rho_prime: Callable = field(repr=False)
-    _psi: Callable = field(repr=False)
     _rho_second: Optional[Callable] = field(repr=False, default=None)
     params: tuple = ()
 
     # -- evaluation ---------------------------------------------------------
 
-    def _check_domain(self, s):
+    def _call(self, fn, s):
+        """Check the domain, evaluate ``fn``; scalar in, scalar out."""
         s = np.asarray(s, dtype=float)
         if np.any(s < 0):
             raise DomainError(f"loss argument must be nonnegative, got {s}")
         if self.case_tag == CASE0 and np.any(s == 0):
             raise DomainError("the scale-invariant log loss is undefined at s = 0")
-        return s
+        out = fn(s)
+        return float(out) if s.ndim == 0 else out
 
     def rho(self, s):
         """Evaluate rho(s); scalar in, scalar out."""
-        s = self._check_domain(s)
-        out = self._rho(s)
-        return float(out) if np.isscalar(s) or s.ndim == 0 else out
+        return self._call(self._rho, s)
 
     def rho_prime(self, s):
         """Evaluate rho'(s)."""
-        s = self._check_domain(s)
-        out = self._rho_prime(s)
-        return float(out) if np.isscalar(s) or s.ndim == 0 else out
+        return self._call(self._rho_prime, s)
 
     def psi(self, s):
         """Evaluate psi(s) = s rho'(s)."""
-        s = self._check_domain(s)
-        out = self._psi(s)
-        return float(out) if np.isscalar(s) or s.ndim == 0 else out
+        return self._call(lambda v: v * self._rho_prime(v), s)
 
     def rho_second(self, s):
         """Evaluate rho''(s); unavailable for families without one."""
@@ -79,9 +74,7 @@ class RhoFunction:
             raise UnsupportedOperationError(
                 f"{self.kind} loss does not provide a second derivative"
             )
-        s = self._check_domain(s)
-        out = self._rho_second(s)
-        return float(out) if np.isscalar(s) or s.ndim == 0 else out
+        return self._call(self._rho_second, s)
 
     @property
     def has_second(self) -> bool:
@@ -107,7 +100,6 @@ def tyler(q: int) -> RhoFunction:
         dim=q,
         _rho=lambda s: q * np.log(s),
         _rho_prime=lambda s: q / s,
-        _psi=lambda s: np.full_like(np.asarray(s, dtype=float), float(q)),
         _rho_second=lambda s: -q / s**2,
         params=(q,),
     )
@@ -131,7 +123,6 @@ def t_dist(nu: float, q: int) -> RhoFunction:
         dim=q,
         _rho=lambda s: c * np.log(nu + s),
         _rho_prime=lambda s: c / (nu + s),
-        _psi=lambda s: c * s / (nu + s),
         _rho_second=lambda s: -c / (nu + s) ** 2,
         params=(nu, q),
     )
@@ -156,7 +147,6 @@ def weibull(gamma: float) -> RhoFunction:
         dim=None,
         _rho=lambda s: s**gamma,
         _rho_prime=lambda s: gamma * s ** (gamma - 1.0),
-        _psi=lambda s: gamma * s**gamma,
         _rho_second=second,
         params=(gamma,),
     )
@@ -175,7 +165,6 @@ def gaussian() -> RhoFunction:
         dim=None,
         _rho=lambda s: np.asarray(s, dtype=float),
         _rho_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        _psi=lambda s: np.asarray(s, dtype=float),
         _rho_second=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
 
@@ -184,21 +173,18 @@ def custom(
     rho: Callable,
     rho_prime: Callable,
     rho_second: Optional[Callable] = None,
-    psi: Optional[Callable] = None,
     psi_infinity: float = math.inf,
     case_tag: str = CASE1,
     dim: Optional[int] = None,
 ) -> RhoFunction:
     """Wrap user-supplied callbacks into a loss family.
 
-    Callbacks must be vectorized over numpy arrays.  If ``psi`` is omitted it
-    defaults to ``s * rho_prime(s)``.  Custom families must pass
-    :func:`validate` before the solver accepts them.
+    Callbacks must be vectorized over numpy arrays; psi(s) = s rho'(s)
+    follows from ``rho_prime``.  Custom families must pass :func:`validate`
+    before the solver accepts them.
     """
     if case_tag not in (CASE0, CASE1, CASE1_PRIME):
         raise InvalidInputError(f"unknown case tag {case_tag!r}")
-    if psi is None:
-        psi = lambda s: np.asarray(s, dtype=float) * rho_prime(s)  # noqa: E731
     return RhoFunction(
         kind="custom",
         case_tag=case_tag,
@@ -206,7 +192,6 @@ def custom(
         dim=dim,
         _rho=rho,
         _rho_prime=rho_prime,
-        _psi=psi,
         _rho_second=rho_second,
     )
 

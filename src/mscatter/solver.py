@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .distribution import (
+    _COND_LIMIT,
     ExistenceReport,
     MatrixDistribution,
     WishartGroup,
@@ -38,7 +39,7 @@ from .errors import (
     NotPositiveDefiniteError,
     UnsupportedOperationError,
 )
-from .rho import CASE0, RhoFunction, validate
+from .rho import CASE0, RhoFunction, tyler, validate
 from .symmat import SpdMatrix, SymMatrix, as_array, helmert
 
 STATUS_CONVERGED = "converged"
@@ -46,24 +47,24 @@ STATUS_MAX_ITER = "max_iter"
 STATUS_DIVERGED = "diverged"
 STATUS_EXISTENCE = "existence_violated"
 
+# An iterate whose log-eigenvalues have a Euclidean norm beyond this, or whose
+# condition number exceeds ``_COND_LIMIT``, ends the fit as diverged: a failing
+# existence condition shows up as unbounded iterates.
+_LOGNORM_LIMIT = 40.0
+
 
 @dataclass
 class SolverConfig:
     """Tolerances and limits for the fixed-point iteration.
 
-    ``normalize_det`` defaults to automatic: forced on for Case 0 (the
-    criterion is scale invariant there) and off otherwise.  The divergence
-    limits convert a failing existence condition, which manifests as
-    unbounded iterates, into a detectable runtime signal.
+    Case 0 iterates are always renormalized to determinant one (the criterion
+    is scale invariant there); other cases never are.
     """
 
     tol_fixed_point: float = 1e-10
     tol_gradient: float = 1e-9
     max_iter: int = 500
     start: Union[str, SpdMatrix] = "identity"  # "identity" | "mean_atom" | SpdMatrix
-    normalize_det: Optional[bool] = None
-    divergence_cond_limit: float = 1e12
-    divergence_lognorm_limit: float = 40.0
     existence_budget: int = 1000
 
     def __post_init__(self):
@@ -181,9 +182,11 @@ def fixed_point_solve(
     """Run the descending fixed-point iteration S_k = Psi(S_{k-1}, Q).
 
     The loss must pass :func:`mscatter.rho.validate`; the existence
-    conditions are checked first and a violated report aborts with status
-    ``existence_violated``.  Iterates whose condition number or log-norm
-    exceed the configured limits terminate with status ``diverged``.
+    conditions are checked first and a violated report stops the fit with
+    status ``existence_violated`` once the start matrix is evaluated, so the
+    residual and gradient norm describe the start.  Iterates whose condition
+    number exceeds 1e12 or whose log-eigenvalues exceed 40 in norm terminate
+    with status ``diverged``.
     """
     cfg = cfg or SolverConfig()
     _check_compat(q, f)
@@ -195,35 +198,11 @@ def fixed_point_solve(
         )
 
     case0 = f.case_tag == CASE0
-    if cfg.normalize_det is not None and cfg.normalize_det != case0:
-        raise InvalidInputError(
-            "normalize_det is forced on for Case 0 and off otherwise; "
-            "leave it as None"
-        )
-
     existence = check_existence(q, f, cfg.existence_budget)
     dim = q.dim
     s = _start_matrix(q, cfg)
     if case0:
         s = _det_normalize(s)
-
-    if existence.verdict == "violated":
-        sigma = SpdMatrix(s)
-        crit = criterion(sigma, q, f)
-        try:
-            gnorm = float(np.linalg.norm(gradient(sigma, q, f).mat))
-        except NotPositiveDefiniteError:
-            gnorm = math.nan
-        return ScatterEstimate(
-            sigma=sigma,
-            iterations=0,
-            criterion=crit,
-            gradient_norm=gnorm,
-            status=STATUS_EXISTENCE,
-            descent_log=np.array([crit]),
-            fixed_point_residual=math.inf,
-            existence=existence,
-        )
 
     log_values = []
     status = STATUS_MAX_ITER
@@ -246,6 +225,11 @@ def fixed_point_solve(
         g = solve_triangular(chol, y.T, lower=True)
         gnorm = float(np.linalg.norm(g))
 
+        # Checked before convergence: a start matrix can be an exact fixed
+        # point of Psi even though no unique minimizer exists.
+        if existence.verdict == "violated":
+            status = STATUS_EXISTENCE
+            break
         if fp_resid <= cfg.tol_fixed_point and gnorm <= cfg.tol_gradient:
             status = STATUS_CONVERGED
             break
@@ -266,7 +250,7 @@ def fixed_point_solve(
         cond = lam_next[-1] / lam_next[0]
         lognorm = float(np.linalg.norm(np.log(lam_next)))
         s = s_next
-        if cond > cfg.divergence_cond_limit or lognorm > cfg.divergence_lognorm_limit:
+        if cond > _COND_LIMIT or lognorm > _LOGNORM_LIMIT:
             status = STATUS_DIVERGED
             break
 
@@ -454,19 +438,14 @@ def solve_procov(groups, cfg: Optional[SolverConfig] = None) -> ProCovEstimate:
     """
     groups = [g if isinstance(g, WishartGroup) else WishartGroup(*g) for g in groups]
     q = from_wishart_groups(groups)
-    from .rho import tyler
-
-    f = tyler(q.dim)
-    est = fixed_point_solve(q, f, cfg)
+    est = fixed_point_solve(q, tyler(q.dim), cfg)
     sigma = est.sigma
 
     dofs = np.array([g.dof for g in groups], dtype=float)
-    m_plus = dofs.sum()
-    traces = np.array([np.trace(sigma.solve(g.scatter.mat)) for g in groups])
-    scales = traces / (q.dim * dofs)
+    scales = q.traces_under(sigma.inv()) / (q.dim * dofs)
 
     # Stationarity: m_+^{-1} sum_i c_i^{-1} S_i should be proportional to sigma.
-    recon = sum(g.scatter.mat / s for s, g in zip(scales, groups)) / m_plus
+    recon = q.weighted_sum(1.0 / (scales * dofs.sum()))
     alpha = float(np.sum(recon * sigma.mat) / np.sum(sigma.mat * sigma.mat))
     resid = float(np.linalg.norm(recon - alpha * sigma.mat) / np.linalg.norm(sigma.mat))
 

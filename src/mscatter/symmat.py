@@ -140,8 +140,9 @@ def clip_psd_dust(a: np.ndarray) -> np.ndarray:
     of an (m, q, q) stack, to zero.
 
     Raises ``NotPositiveDefiniteError`` if an eigenvalue is more negative than
-    ``PSD_DUST_RTOL`` relative to the largest one of its matrix.  Only the
-    matrices with negative dust are decomposed a second time.
+    ``PSD_DUST_RTOL`` relative to the largest one of its matrix; for a stack
+    the message names the index of the first such matrix.  Only the matrices
+    with negative dust are decomposed a second time.
     """
     lam = np.linalg.eigvalsh(a)
     lo, hi = lam[..., 0], lam[..., -1]
@@ -149,8 +150,8 @@ def clip_psd_dust(a: np.ndarray) -> np.ndarray:
     if np.any(bad):
         i = np.argmax(bad)
         raise NotPositiveDefiniteError(
-            f"matrix is not positive semidefinite: min eigenvalue {np.ravel(lo)[i]:.3e} "
-            f"vs max {np.ravel(hi)[i]:.3e}"
+            f"matrix{f' {i}' if a.ndim == 3 else ''} is not positive semidefinite: "
+            f"min eigenvalue {np.ravel(lo)[i]:.3e} vs max {np.ravel(hi)[i]:.3e}"
         )
     dust = lo < 0.0
     if not np.any(dust):

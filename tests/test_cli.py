@@ -85,6 +85,27 @@ class TestReadGroups:
         assert run(["procov", "--groups", str(p)]) == 3
         assert "positive semidefinite" in capsys.readouterr().err
 
+    def test_non_psd_error_names_the_group(self, tmp_path):
+        p = tmp_path / "g.json"
+        good = [[1.0, 0.0], [0.0, 1.0]]
+        p.write_text(json.dumps([
+            {"dof": 2, "scatter": good},
+            {"dof": 2, "scatter": [[1.0, 0.0], [0.0, -0.5]]},
+            {"dof": 2, "scatter": good},
+        ]))
+        with pytest.raises(InputError, match="group scatters: matrix 1 is not positive"):
+            read_groups(str(p))
+
+    def test_non_finite_scatter_names_the_group(self, tmp_path):
+        # JSON readers accept NaN; it must be rejected before any eigensolver.
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps([
+            {"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]},
+            {"dof": 2, "scatter": [[1.0, 0.0], [0.0, float("nan")]]},
+        ]))
+        with pytest.raises(InputError, match="group 1 scatter has non-finite entries"):
+            read_groups(str(p))
+
     def test_rejects_bad_dof_and_mixed_dims(self, tmp_path):
         p = tmp_path / "g.json"
         p.write_text(json.dumps([{"dof": 0, "scatter": [[1.0]]}]))
@@ -115,6 +136,14 @@ class TestScatterCommand:
         assert doc["status"] == "existence_violated"
         assert doc["existence"]["verdict"] == "violated"
         assert doc["existence"]["witnesses"]
+
+    def test_violated_fit_reports_numeric_residual(self, collinear_csv, capsys):
+        # The start matrix is evaluated before the fit stops, so the
+        # residual is measured (0 here: the identity is a fixed point).
+        assert run(["scatter", "--estimator", "tyler", "--input", collinear_csv]) == 2
+        doc = read_json(capsys)
+        assert doc["fixed_point_residual"] == 0.0
+        assert doc["gradient_norm"] == 0.0
 
     def test_gaussian_on_rounded_plane_exits_two(self, tmp_path, capsys):
         # Rows of a plane rounded to 8 digits: the fit cannot be resolved,
@@ -182,6 +211,14 @@ class TestLocScatterCommand:
 
     def test_nu_below_one_rejected(self, three_point_csv):
         assert run(["locscatter", "--nu", "0.5", "--input", three_point_csv]) == 3
+
+    def test_subset_flags_rejected(self, three_point_csv, tmp_path):
+        # locscatter and procov fit order one only: --k, --cap and --seed
+        # would be silently ignored, so they are not accepted.
+        assert run(["locscatter", "--nu", "3", "--k", "2", "--input", three_point_csv]) == 3
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps([{"dof": 5, "scatter": [[2.0, 0.3], [0.3, 1.0]]}]))
+        assert run(["procov", "--seed", "1", "--groups", str(p)]) == 3
 
 
 class TestProcovCommand:

@@ -45,6 +45,18 @@ class TestEvaluation:
         assert tyler(4).psi(17.0) == pytest.approx(4.0)
         assert weibull(0.5).psi(9.0) == pytest.approx(1.5)
 
+    def test_psi_equals_closed_forms_on_validation_grid(self):
+        grid = validate(gaussian()).grid
+        q, nu, g = 3, 2.5, 0.4
+        closed = [
+            (tyler(q), np.full_like(grid, q)),
+            (t_dist(nu, q), (nu + q) * grid / (nu + grid)),
+            (weibull(g), g * grid**g),
+            (gaussian(), grid),
+        ]
+        for f, want in closed:
+            assert np.allclose(f.psi(grid), want, rtol=1e-14, atol=0.0), f
+
     def test_psi_infinity_matches_large_argument(self):
         f = t_dist(2.0, 3)
         assert f.psi(1e12) == pytest.approx(f.psi_infinity, rel=0.01)

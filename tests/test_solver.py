@@ -151,6 +151,37 @@ class TestFixedPointSolve:
         assert est.status == "existence_violated"
         assert est.existence.verdict == "violated"
 
+    def test_violated_start_reports_its_own_diagnostics(self):
+        # The identity start is an exact fixed point of the two-point
+        # problem, yet no unique minimizer exists: the fit must still stop
+        # as violated, reporting the start as measured.
+        est = fixed_point_solve(from_observations(np.eye(2)), tyler(2))
+        assert est.status == "existence_violated"
+        assert est.iterations == 0
+        assert len(est.descent_log) == 1
+        assert est.fixed_point_residual == 0.0
+        assert est.gradient_norm == 0.0
+
+    def test_violated_start_residual_matches_psi_map(self):
+        # 8 of 10 rows in the plane x3 = 0: plane mass 0.8 >= 2/3.
+        rng = np.random.default_rng(0)
+        plane = np.column_stack([rng.standard_normal((8, 2)), np.zeros(8)])
+        q = from_observations(np.vstack([plane, rng.standard_normal((2, 3))]))
+        est = fixed_point_solve(q, tyler(3))
+        assert est.status == "existence_violated"
+        assert est.iterations == 0
+        s0 = est.sigma.mat
+        resid = np.linalg.norm(psi_map(est.sigma, q, tyler(3)).mat - s0) / np.linalg.norm(s0)
+        assert est.fixed_point_residual == pytest.approx(resid, rel=1e-12)
+        assert est.gradient_norm == pytest.approx(
+            np.linalg.norm(gradient(est.sigma, q, tyler(3)).mat), rel=1e-12
+        )
+        # Psi of the start is singular for the Gaussian loss on planar rows;
+        # the diagnostics are measured all the same.
+        est = fixed_point_solve(from_observations(plane), gaussian())
+        assert est.status == "existence_violated"
+        assert math.isfinite(est.fixed_point_residual) and math.isfinite(est.gradient_norm)
+
     def test_three_point_tyler_converges_det_one(self):
         q = from_observations(three_point_fixture())
         est = fixed_point_solve(q, tyler(2), SolverConfig(tol_fixed_point=1e-12))
@@ -221,11 +252,6 @@ class TestFixedPointSolve:
         q = from_observations(np.eye(2) * 2.0)
         with pytest.raises(InvalidInputError):
             fixed_point_solve(q, f)
-
-    def test_normalize_det_flag_guarded(self):
-        q = from_observations(three_point_fixture())
-        with pytest.raises(InvalidInputError):
-            fixed_point_solve(q, tyler(2), SolverConfig(normalize_det=False))
 
 
 class TestSolverInvariants:
@@ -491,6 +517,22 @@ class TestProCov:
         fit = solve_procov(groups, SolverConfig(tol_fixed_point=1e-12, tol_gradient=1e-11))
         assert fit.status == "converged"
         assert fit.stationarity_residual <= 1e-6
+
+    def test_scales_and_stationarity_match_per_group_formulas(self):
+        rng = np.random.default_rng(31)
+        groups = []
+        for dof in (3, 5, 8, 13):
+            b = rng.standard_normal((4, 4))
+            groups.append(WishartGroup(PsdAtom(b @ b.T + 0.1 * np.eye(4)), dof))
+        fit = solve_procov(groups, SolverConfig(max_iter=3))
+        sigma = fit.sigma
+        dofs = np.array([g.dof for g in groups], dtype=float)
+        scales = np.array([np.trace(sigma.solve(g.scatter.mat)) for g in groups]) / (4 * dofs)
+        recon = sum(g.scatter.mat / c for c, g in zip(scales, groups)) / dofs.sum()
+        alpha = np.sum(recon * sigma.mat) / np.sum(sigma.mat * sigma.mat)
+        resid = np.linalg.norm(recon - alpha * sigma.mat) / np.linalg.norm(sigma.mat)
+        assert np.allclose(fit.scales, scales, rtol=1e-12, atol=0.0)
+        assert fit.stationarity_residual == pytest.approx(resid, rel=1e-12)
 
     def test_insufficient_groups_flagged(self):
         # One rank-2 group in R^3 cannot identify the scatter.
