@@ -117,7 +117,6 @@ def influence_kge2(
     seed: int = 0,
     hess: Optional[HessianOperator] = None,
     exclude: Optional[int] = None,
-    q_std: Optional[MatrixDistribution] = None,
 ) -> SymMatrix:
     """Influence matrix for the order-k symmetrized estimator.
 
@@ -134,9 +133,7 @@ def influence_kge2(
         raise InvalidInputError(f"need at least k={k} observations, have {x_std.shape[0]}")
     x = np.asarray(x_point, dtype=float).ravel()
     if hess is None:
-        if q_std is None:
-            q_std = build_kstat(x_std, k, cap=max(inner_cap, 1), seed=seed)
-        hess = hessian(q_std, f)
+        hess = hessian(build_kstat(x_std, k, seed=seed), f)
     avg = _inner_average(x_std, f, k, x, inner_cap, seed, exclude)
     return SymMatrix(k * hess.solve(avg))
 

@@ -25,7 +25,7 @@ from . import __version__
 from .asymptotics import acov_scatter, location_influence
 from .distribution import WishartGroup, build_kstat, check_existence, from_observations
 from .errors import MScatterError, NotPositiveDefiniteError
-from .location import check_location_existence, estimate_location_scatter
+from .location import augment, estimate_location_scatter
 from .rho import gaussian, t_dist, tyler, weibull
 from .solver import (
     STATUS_CONVERGED,
@@ -119,7 +119,10 @@ def read_groups(path):
         dof = entry["dof"]
         if not isinstance(dof, int) or dof < 1:
             raise InputError(f"{path}: group {i} has invalid dof {dof!r}")
-        s = np.asarray(entry["scatter"], dtype=float)
+        try:
+            s = np.asarray(entry["scatter"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: group {i} scatter is not a numeric matrix") from exc
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise InputError(f"{path}: group {i} scatter is not square")
         if dim is None:
@@ -287,14 +290,16 @@ def _cmd_check(args):
     x, _ = read_csv(args.input)
     q = x.shape[1]
     f = _make_rho(args, q)
-    qdist = None
     if args.locscatter:
         if args.estimator != "t" or args.nu is None or not args.nu >= 1:
             raise InputError("--locscatter checks need --estimator t with --nu >= 1")
-        report = check_location_existence(x, args.nu)
+        # The joint fit is the scatter fit of the augmented problem, whose
+        # fitted matrix is the document's gamma.
+        prob = augment(x, args.nu)
+        qdist, f, key = prob.q_aug, prob.augmented_rho, "gamma"
     else:
-        qdist = _build_q(x, args)
-        report = check_existence(qdist, f)
+        qdist, key = _build_q(x, args), "sigma"
+    report = check_existence(qdist, f)
     doc = {
         "subcommand": "check",
         "dim": q,
@@ -310,12 +315,10 @@ def _cmd_check(args):
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read sigma document {args.sigma}: {exc}") from exc
         try:
-            sig_rows = np.asarray(prev["sigma"] if isinstance(prev, dict) else prev, dtype=float)
+            sig_rows = np.asarray(prev[key] if isinstance(prev, dict) else prev, dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"sigma document {args.sigma} holds no numeric 'sigma' matrix") from exc
+            raise InputError(f"sigma document {args.sigma} holds no numeric {key!r} matrix") from exc
         sigma = SpdMatrix(sig_rows)
-        if qdist is None:
-            qdist = _build_q(x, args)
         psi = psi_map(sigma, qdist, f)
         resid = float(
             np.linalg.norm(psi.mat - sigma.mat) / np.linalg.norm(sigma.mat)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .distribution import (
     _COND_LIMIT,
@@ -112,18 +111,20 @@ def _spd(s, q: MatrixDistribution) -> np.ndarray:
 
 
 def _evaluate(s: np.ndarray, q: MatrixDistribution, f: RhoFunction):
-    """(L(S, Q), Psi(S, Q), lower Cholesky factor of S) in one pass over the
-    atoms; atoms at the zero matrix contribute to neither.  Raises
-    ``LinAlgError`` when S is not positive definite."""
+    """(L(S, Q), Psi(S, Q), L^-1) in one pass over the atoms, with L the lower
+    Cholesky factor of S, so S^-1 = L^-T L^-1; atoms at the zero matrix
+    contribute to neither.  Raises ``LinAlgError`` when S is not positive
+    definite."""
     chol = np.linalg.cholesky(s)
+    l_inv = np.linalg.inv(chol)
     nz = q.traces > 0.0
-    t = q.traces_under(cho_solve((chol, True), np.eye(q.dim)))[nz]
+    t = q.traces_under(l_inv.T @ l_inv)[nz]
     w = q.weights[nz]
     crit = float(w @ (np.asarray(f.rho(t)) - np.asarray(f.rho(q.traces[nz]))))
     coeff = np.zeros(q.n_atoms)
     coeff[nz] = w * np.asarray(f.rho_prime(t))
     psi = q.weighted_sum(coeff)
-    return crit + 2.0 * float(np.sum(np.log(np.diag(chol)))), (psi + psi.T) / 2.0, chol
+    return crit + 2.0 * float(np.sum(np.log(np.diag(chol)))), (psi + psi.T) / 2.0, l_inv
 
 
 def criterion(s, q: MatrixDistribution, f: RhoFunction) -> float:
@@ -213,7 +214,7 @@ def fixed_point_solve(
 
     for _ in range(cfg.max_iter + 1):
         try:
-            crit, psi, chol = _evaluate(s, q, f)
+            crit, psi, l_inv = _evaluate(s, q, f)
         except np.linalg.LinAlgError:
             status = STATUS_DIVERGED
             break
@@ -221,9 +222,7 @@ def fixed_point_solve(
 
         diff = psi - s
         fp_resid = float(np.linalg.norm(diff) / np.linalg.norm(s))
-        y = solve_triangular(chol, diff, lower=True)
-        g = solve_triangular(chol, y.T, lower=True)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = float(np.linalg.norm(l_inv @ diff @ l_inv.T))
 
         # Checked before convergence: a start matrix can be an exact fixed
         # point of Psi even though no unique minimizer exists.

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     DimensionMismatchError,
@@ -163,28 +162,23 @@ def clip_psd_dust(a: np.ndarray) -> np.ndarray:
 
 
 class SpdMatrix:
-    """A symmetric positive definite matrix with a cached Cholesky factor.
+    """A symmetric positive definite matrix with its log-determinant cached.
 
-    Construction fails with ``NotPositiveDefiniteError`` unless the smallest
-    eigenvalue is strictly positive.
+    Construction fails with ``NotPositiveDefiniteError`` unless the Cholesky
+    factorization succeeds.
     """
 
-    __slots__ = ("mat", "_chol", "_logdet")
+    __slots__ = ("mat", "_logdet")
 
     def __init__(self, entries):
         a = _check_square(as_array(entries), "entries")
         a = (a + a.T) / 2.0
         try:
-            c, low = cho_factor(a, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
-            raise NotPositiveDefiniteError(str(exc)) from exc
-        except Exception as exc:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: {exc}"
-            ) from exc
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
         self.mat = _freeze(a)
-        self._chol = (c, low)
-        self._logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+        self._logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         if not np.isfinite(self._logdet):
             raise NotPositiveDefiniteError("log-determinant is not finite")
 
@@ -197,12 +191,12 @@ class SpdMatrix:
         return self._logdet
 
     def solve(self, b) -> np.ndarray:
-        """Solve S x = b through the cached Cholesky factor."""
-        return cho_solve(self._chol, np.asarray(b, dtype=float))
+        """Solve S x = b."""
+        return np.linalg.solve(self.mat, b)
 
     def inv(self) -> np.ndarray:
-        """Inverse computed by Cholesky solves against the identity."""
-        return self.solve(np.eye(self.dim))
+        """Inverse S^{-1}."""
+        return np.linalg.inv(self.mat)
 
     def sqrt(self) -> np.ndarray:
         """Symmetric square root S^{1/2}."""
@@ -243,7 +237,7 @@ def sym_log(s) -> SymMatrix:
 
 
 def solve_trace(s, m) -> float:
-    """tr(S^{-1} M) for SPD S and PSD (or symmetric) M, via Cholesky solve."""
+    """tr(S^{-1} M) for SPD S and PSD (or symmetric) M."""
     if not isinstance(s, SpdMatrix):
         s = SpdMatrix(s)
     mm = as_array(m)

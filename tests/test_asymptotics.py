@@ -168,6 +168,16 @@ class TestInfluenceKge2:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_default_hessian_is_acov_scatters(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((15, 3))
+        f = tyler(3)
+        est = fixed_point_solve(build_kstat(x, 2), f, TIGHT)
+        rep = acov_scatter(x, est, f, k=2, inner_cap=50)
+        x_std = x @ rep.whitening
+        z = influence_kge2(x_std, f, 2, x_std[4], inner_cap=50, exclude=4).mat
+        assert np.linalg.norm(z - rep.influence[4]) <= 1e-12 * np.linalg.norm(z)
+
 
 class TestSphericalConstants:
     def test_nu_zero_values(self):

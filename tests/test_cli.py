@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import mscatter
 from mscatter import SeededStream, SpdMatrix, mvt
 from mscatter.cli import InputError, read_csv, read_groups, run
 
@@ -105,6 +107,19 @@ class TestReadGroups:
         ]))
         with pytest.raises(InputError, match="group 1 scatter has non-finite entries"):
             read_groups(str(p))
+
+    @pytest.mark.parametrize("scatter", [
+        [["a", 1.0], [1.0, 2.0]],
+        [[1.0], [1.0, 2.0]],
+    ], ids=["string", "ragged"])
+    def test_non_numeric_scatter_exits_three(self, tmp_path, capsys, scatter):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps([
+            {"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]},
+            {"dof": 2, "scatter": scatter},
+        ]))
+        assert run(["procov", "--groups", str(p)]) == 3
+        assert "group 1 scatter is not a numeric matrix" in capsys.readouterr().err
 
     def test_rejects_bad_dof_and_mixed_dims(self, tmp_path):
         p = tmp_path / "g.json"
@@ -286,6 +301,50 @@ class TestEntryPoint:
         assert run(["scatter"]) == 3  # missing --input
 
 
+# Runs CLI jobs in a fresh interpreter whose imports of scipy fail.
+SCIPY_BLOCKED_JOBS = """
+import importlib.abc, json, os, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from mscatter.cli import run
+
+x, groups = sys.argv[1:]
+jobs = [
+    ["scatter", "--input", x],
+    ["influence", "--k", "2", "--cap", "200", "--input", x],
+    ["locscatter", "--nu", "3", "--se", "--input", x],
+    ["procov", "--groups", groups],
+]
+print(json.dumps([run(job + ["--out", os.devnull]) for job in jobs]))
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_jobs_run_without_scipy(self, tmp_path):
+        x = tmp_path / "x.csv"
+        np.savetxt(x, np.random.default_rng(3).standard_normal((20, 2)), delimiter=",")
+        groups = tmp_path / "g.json"
+        groups.write_text(json.dumps([
+            {"dof": 5, "scatter": [[2.0, 0.3], [0.3, 1.0]]},
+            {"dof": 3, "scatter": [[1.0, -0.2], [-0.2, 0.5]]},
+        ]))
+        src = os.path.dirname(os.path.dirname(mscatter.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_BLOCKED_JOBS, str(x), str(groups)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 0, 0, 0], proc.stderr
+
+
 class TestThreadLimit:
     @pytest.mark.parametrize("value, reason", [
         ("2", "threadpoolctl is not installed"),
@@ -334,3 +393,35 @@ class TestCheckLocScatter:
         p.write_text("1,0\n0,1\n2,1\n")
         assert run(["check", "--estimator", "t", "--locscatter", "--input", str(p)]) == 3
         assert run(["check", "--locscatter", "--input", str(p)]) == 3
+
+    @pytest.fixture
+    def t3_fit(self, tmp_path):
+        p = tmp_path / "t3.csv"
+        x = mvt(np.array([1.0, -1.0, 0.5]), SpdMatrix(np.diag([2.0, 1.0, 0.5])), 3.0, 200,
+                SeededStream(2))
+        np.savetxt(p, x, delimiter=",", fmt="%.17g")
+        fit = tmp_path / "fit.json"
+        assert run(["locscatter", "--nu", "3", "--input", str(p), "--out", str(fit)]) == 0
+        return str(p), fit
+
+    def test_converged_fit_round_trip(self, t3_fit, capsys):
+        # The residual is the augmented problem's, at the fitted gamma: the
+        # fit's own residual.
+        path, fit = t3_fit
+        code = run(["check", "--estimator", "t", "--nu", "3", "--locscatter",
+                    "--input", path, "--sigma", str(fit)])
+        doc = read_json(capsys)
+        assert code == 0
+        assert doc["fixed_point_residual"] == json.loads(fit.read_text())["fixed_point_residual"]
+
+    # The augmented problem is 4-dimensional: a 3x3 gamma has the wrong size.
+    @pytest.mark.parametrize("key", ["sigma", "gamma"], ids=["sigma_only", "wrong_dimension"])
+    def test_document_without_usable_gamma_exits_three(self, t3_fit, tmp_path, capsys, key):
+        path, _ = t3_fit
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: np.eye(3).tolist()}))
+        code = run(["check", "--estimator", "t", "--nu", "3", "--locscatter",
+                    "--input", path, "--sigma", str(bad)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: ")

@@ -182,6 +182,18 @@ class TestFixedPointSolve:
         assert est.status == "existence_violated"
         assert math.isfinite(est.fixed_point_residual) and math.isfinite(est.gradient_norm)
 
+    @pytest.mark.parametrize("f, k", [
+        (tyler(3), 1), (t_dist(2.0, 3), 1), (gaussian(), 1), (tyler(3), 2),
+    ], ids=["tyler", "t", "gaussian", "tyler_k2"])
+    def test_gradient_norm_after_steps_matches_gradient(self, f, k):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((20, 3)) * [1.0, 3.0, 0.5]
+        q = from_observations(x) if k == 1 else build_kstat(x, 2)
+        est = fixed_point_solve(q, f, SolverConfig(max_iter=3))
+        assert est.gradient_norm == pytest.approx(
+            np.linalg.norm(gradient(est.sigma, q, f).mat), rel=1e-12
+        )
+
     def test_three_point_tyler_converges_det_one(self):
         q = from_observations(three_point_fixture())
         est = fixed_point_solve(q, tyler(2), SolverConfig(tol_fixed_point=1e-12))
