@@ -15,8 +15,6 @@ plug-in average over (k-1)-subsets of the observed sample.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,8 +22,8 @@ import numpy as np
 
 from .distribution import (
     MatrixDistribution,
-    _sample_distinct_subsets,
     _subset_covariances,
+    _subsets,
     build_kstat,
     from_observations,
 )
@@ -96,12 +94,7 @@ def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, x: np.ndarray,
     n_eff = idx.shape[0]
     if n_eff < k - 1:
         raise InvalidInputError(f"need at least {k - 1} other observations, have {n_eff}")
-    total = math.comb(n_eff, k - 1)
-    if total <= inner_cap:
-        subsets = np.array(list(itertools.combinations(range(n_eff), k - 1)), dtype=np.int64)
-    else:
-        subsets = _sample_distinct_subsets(n_eff, k - 1, inner_cap, seed)
-    pts = x_std[idx[subsets]]  # (m, k-1, q)
+    pts = x_std[idx[_subsets(n_eff, k - 1, inner_cap, seed)]]  # (m, k-1, q)
     xs = np.broadcast_to(x, (pts.shape[0], 1, q))
     # The average is Psi(I, .) over the subset covariances S(x, X_J).
     covs = _subset_covariances(np.concatenate([xs, pts], axis=1))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -141,24 +140,23 @@ def read_groups(path):
     return [WishartGroup(scatter=PsdAtom(s, _trusted=True), dof=d) for s, d in zip(stack, dofs)]
 
 
+# The shape parameter each estimator takes; the others take none.
+_SHAPE_FLAG = {"t": "nu", "weibull": "gamma"}
+
+
 def _make_rho(args, q):
     est = args.estimator
-    if est == "tyler":
-        if getattr(args, "nu", None) is not None:
-            raise InputError("--nu is not a tyler parameter")
-        return tyler(q)
+    wanted = _SHAPE_FLAG.get(est)
+    for name in ("nu", "gamma"):
+        if name != wanted and getattr(args, name) is not None:
+            raise InputError(f"--{name} is not a {est} parameter")
+    if wanted and getattr(args, wanted) is None:
+        raise InputError(f"the {est} estimator requires --{wanted}")
     if est == "t":
-        if getattr(args, "nu", None) is None or not args.nu > 0:
-            raise InputError("the t estimator requires --nu > 0")
         return t_dist(args.nu, q)
     if est == "weibull":
-        g = getattr(args, "gamma", None)
-        if g is None or not 0 < g < 1:
-            raise InputError("the weibull estimator requires --gamma in (0, 1)")
-        return weibull(g)
-    if est == "gaussian":
-        return gaussian()
-    raise InputError(f"unknown estimator {est!r}")
+        return weibull(args.gamma)
+    return tyler(q) if est == "tyler" else gaussian()
 
 
 def _solver_config(args):
@@ -200,10 +198,17 @@ def _estimate_json(est, q):
     }
 
 
-def _build_q(x, args):
-    if args.k == 1:
+def _subset_settings(args):
+    """The subset cap and seed, which only order k >= 2 applies."""
+    if args.k == 1 and (args.cap is not None or args.seed is not None):
+        raise InputError("--cap and --seed apply only with --k >= 2")
+    return 200_000 if args.cap is None else args.cap, args.seed or 0
+
+
+def _build_q(x, k, cap, seed):
+    if k == 1:
         return from_observations(x)
-    return build_kstat(x, args.k, cap=args.cap, seed=args.seed)
+    return build_kstat(x, k, cap=cap, seed=seed)
 
 
 def _sanitize(value):
@@ -217,18 +222,16 @@ def _sanitize(value):
     return value
 
 
-def _emit(doc, args):
-    if args.output == "json":
-        text = json.dumps(_sanitize(doc), indent=2, allow_nan=False)
+def _emit(doc, out, csv=False):
+    """Write the document as JSON, or as CSV rows (mu first, then sigma,
+    skipping whichever a fit that did not converge lacks)."""
+    if csv:
+        rows = [doc.get("mu")] + (doc["sigma"] or [])
+        text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in rows if row is not None)
     else:
-        lines = []
-        if doc.get("mu") is not None:
-            lines.append(",".join(f"{v:.17g}" for v in doc["mu"]))
-        for row in doc["sigma"]:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        text = json.dumps(_sanitize(doc), indent=2, allow_nan=False)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -238,7 +241,8 @@ def _cmd_scatter(args, with_se):
     x, _ = read_csv(args.input)
     q = x.shape[1]
     f = _make_rho(args, q)
-    qdist = _build_q(x, args)
+    cap, seed = _subset_settings(args)
+    qdist = _build_q(x, args.k, cap, seed)
     est = fixed_point_solve(qdist, f, _solver_config(args))
     doc = _estimate_json(est, q)
     doc["subcommand"] = "influence" if with_se else "scatter"
@@ -246,16 +250,16 @@ def _cmd_scatter(args, with_se):
     doc["n"] = int(x.shape[0])
     doc["k"] = args.k
     if (with_se or args.se) and est.status == STATUS_CONVERGED:
-        rep = acov_scatter(x, est, f, k=args.k, inner_cap=args.cap, seed=args.seed)
+        rep = acov_scatter(x, est, f, k=args.k, inner_cap=cap, seed=seed)
         doc["se"] = {"sigma": rep.se_sigma.tolist()}
-    _emit(doc, args)
+    _emit(doc, args.out, args.output == "csv")
     return EXIT_OK if est.status == STATUS_CONVERGED else EXIT_NOT_CONVERGED
 
 
 def _cmd_locscatter(args):
     x, _ = read_csv(args.input)
     q = x.shape[1]
-    if args.nu is None or not args.nu >= 1:
+    if not args.nu >= 1:
         raise InputError("locscatter requires --nu >= 1")
     est = estimate_location_scatter(x, args.nu, _solver_config(args))
     doc = _estimate_json(est.inner, q)
@@ -270,7 +274,7 @@ def _cmd_locscatter(args):
     if args.se and est.status == STATUS_CONVERGED:
         rep = location_influence(x, args.nu, est)
         doc["se"] = {"sigma": rep.se_sigma.tolist(), "mu": rep.se_mu.tolist()}
-    _emit(doc, args)
+    _emit(doc, args.out, args.output == "csv")
     return EXIT_OK if est.status == STATUS_CONVERGED else EXIT_NOT_CONVERGED
 
 
@@ -282,7 +286,7 @@ def _cmd_procov(args):
     doc["sigma"] = fit.sigma.mat.tolist()
     doc["scales"] = fit.scales.tolist()
     doc["stationarity_residual"] = fit.stationarity_residual
-    _emit(doc, args)
+    _emit(doc, args.out, args.output == "csv")
     return EXIT_OK if fit.status == STATUS_CONVERGED else EXIT_NOT_CONVERGED
 
 
@@ -290,15 +294,18 @@ def _cmd_check(args):
     x, _ = read_csv(args.input)
     q = x.shape[1]
     f = _make_rho(args, q)
+    cap, seed = _subset_settings(args)
     if args.locscatter:
-        if args.estimator != "t" or args.nu is None or not args.nu >= 1:
+        if args.estimator != "t" or not args.nu >= 1:
             raise InputError("--locscatter checks need --estimator t with --nu >= 1")
+        if args.k != 1:
+            raise InputError("--locscatter checks the order-one location problem; --k must be 1")
         # The joint fit is the scatter fit of the augmented problem, whose
         # fitted matrix is the document's gamma.
         prob = augment(x, args.nu)
         qdist, f, key = prob.q_aug, prob.augmented_rho, "gamma"
     else:
-        qdist, key = _build_q(x, args), "sigma"
+        qdist, key = _build_q(x, args.k, cap, seed), "sigma"
     report = check_existence(qdist, f)
     doc = {
         "subcommand": "check",
@@ -326,7 +333,7 @@ def _cmd_check(args):
         doc["fixed_point_residual"] = resid
         doc["criterion"] = criterion(sigma, qdist, f)
         ok = ok and resid <= args.tol
-    _emit(doc, args)
+    _emit(doc, args.out)
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
@@ -338,17 +345,19 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"mscatter {__version__}")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, estimator=True):
-        if estimator:
-            sp.add_argument("--estimator", default="tyler",
-                            choices=["tyler", "t", "weibull", "gaussian"])
-            sp.add_argument("--nu", type=float, default=None)
-            sp.add_argument("--gamma", type=float, default=None)
-            sp.add_argument("--k", type=int, default=1,
-                            help="symmetrization order (k >= 2 uses k-subset sample covariances)")
-            sp.add_argument("--cap", type=int, default=200_000,
-                            help="subset cap for k >= 2 and influence computations")
-            sp.add_argument("--seed", type=int, default=0)
+    def estimator_flags(sp):
+        sp.add_argument("--estimator", default="tyler",
+                        choices=["tyler", "t", "weibull", "gaussian"])
+        sp.add_argument("--nu", type=float, default=None, help="t degrees of freedom")
+        sp.add_argument("--gamma", type=float, default=None, help="weibull exponent")
+        sp.add_argument("--k", type=int, default=1,
+                        help="symmetrization order (k >= 2 uses k-subset sample covariances)")
+        sp.add_argument("--cap", type=int, default=None,
+                        help="k >= 2: most k-subsets and influence subsets (default 200000)")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="k >= 2: seed of the subset sample (default 0)")
+
+    def fit_flags(sp):
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--tol-gradient", type=float, default=1e-9)
         sp.add_argument("--max-iter", type=int, default=500)
@@ -358,53 +367,35 @@ def build_parser():
     sp = sub.add_parser("scatter", help="fit a scatter matrix")
     sp.add_argument("--input", required=True)
     sp.add_argument("--se", action="store_true", help="report influence-function standard errors")
-    common(sp)
+    estimator_flags(sp)
+    fit_flags(sp)
 
     sp = sub.add_parser("influence", help="scatter fit with standard errors")
     sp.add_argument("--input", required=True)
-    common(sp)
+    estimator_flags(sp)
+    fit_flags(sp)
 
     sp = sub.add_parser("locscatter", help="fit joint location and scatter (t model)")
     sp.add_argument("--input", required=True)
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--se", action="store_true")
-    common(sp, estimator=False)
+    fit_flags(sp)
 
     sp = sub.add_parser("procov", help="fit proportional covariance matrices")
     sp.add_argument("--groups", required=True, help="JSON file of Wishart groups")
-    common(sp, estimator=False)
+    fit_flags(sp)
 
-    sp = sub.add_parser("check", help="existence report and fixed-point residual")
+    sp = sub.add_parser("check", help="existence report and fixed-point residual (JSON)")
     sp.add_argument("--input", required=True)
     sp.add_argument("--sigma", default=None, help="JSON document holding a fitted sigma")
     sp.add_argument("--locscatter", action="store_true",
-                    help="check the location-scatter condition instead (t estimator)")
-    common(sp)
+                    help="check the location-scatter condition instead (t estimator, k = 1)")
+    estimator_flags(sp)
+    sp.add_argument("--tol", type=float, default=1e-10,
+                    help="largest fixed-point residual of --sigma that passes")
+    sp.add_argument("--out", default=None, help="write output here instead of stdout")
 
     return p
-
-
-def _limit_threads():
-    """Apply ``MSCATTER_THREADS`` to the BLAS thread pools through
-    threadpoolctl; warn on stderr when that cannot take effect."""
-    limit = os.environ.get("MSCATTER_THREADS")
-    if not limit:
-        return
-    try:
-        threads = int(limit)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        print(f"warning: MSCATTER_THREADS={limit!r} is not a positive integer; ignored",
-              file=sys.stderr)
-        return
-    try:
-        import threadpoolctl
-    except ImportError:
-        print("warning: MSCATTER_THREADS is set but threadpoolctl is not installed; ignored",
-              file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(threads)
 
 
 def run(argv=None) -> int:
@@ -415,7 +406,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags; remap to the input-error code.
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    _limit_threads()
     try:
         if args.subcommand == "scatter":
             return _cmd_scatter(args, with_se=False)

@@ -106,12 +106,13 @@ def tyler(q: int) -> RhoFunction:
 
 
 def t_dist(nu: float, q: int) -> RhoFunction:
-    """Multivariate-t loss rho(s) = (nu + q) log(nu + s) for nu > 0 (Case 1').
+    """Multivariate-t loss rho(s) = (nu + q) log(nu + s) for finite nu > 0 (Case 1').
 
     psi(s) = (nu + q) s / (nu + s) is bounded with psi(inf) = nu + q.
     """
-    if not nu > 0:
-        raise InvalidInputError(f"t loss requires nu > 0, got {nu} (use tyler for nu = 0)")
+    if not 0 < nu < math.inf:
+        raise InvalidInputError(f"t loss requires finite nu > 0, got {nu} "
+                                "(use tyler for nu = 0, gaussian for nu = inf)")
     if q < 1:
         raise InvalidInputError("dimension q must be >= 1")
     nu, q = float(nu), int(q)

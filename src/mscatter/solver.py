@@ -341,7 +341,8 @@ class HessianOperator:
 
         A stack is solved as one system with all right-hand sides."""
         coords = self._coords(self.project(a))
-        flat = coords.reshape(-1, coords.shape[-1])
+        # Explicit row count: Tyler's domain at dim 1 has no coordinates.
+        flat = coords.reshape(math.prod(coords.shape[:-1]), coords.shape[-1])
         return self._reconstruct(np.linalg.solve(self.matrix, flat.T).T.reshape(coords.shape))
 
     def eigenvalues(self) -> np.ndarray:

@@ -256,8 +256,3 @@ def inner(a, b) -> float:
             f"dimension mismatch: {aa.shape} vs {bb.shape}"
         )
     return float(np.sum(aa * bb))
-
-
-def frobenius(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(as_array(a)))

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mscatter
 from mscatter import SeededStream, SpdMatrix, mvt
@@ -227,6 +232,14 @@ class TestLocScatterCommand:
     def test_nu_below_one_rejected(self, three_point_csv):
         assert run(["locscatter", "--nu", "0.5", "--input", three_point_csv]) == 3
 
+    def test_unconverged_csv_output_exits_two(self, tmp_path, capsys):
+        # One iteration leaves no mu or sigma: only the rows that exist are written.
+        p = tmp_path / "x.csv"
+        p.write_text("1,2,3\n2,1,0\n0.5,3,1\n4,1,2\n1,1,5\n")
+        assert run(["locscatter", "--nu", "3", "--max-iter", "1", "--output", "csv",
+                    "--input", str(p)]) == 2
+        assert capsys.readouterr().out.strip() == ""
+
     def test_subset_flags_rejected(self, three_point_csv, tmp_path):
         # locscatter and procov fit order one only: --k, --cap and --seed
         # would be silently ignored, so they are not accepted.
@@ -274,9 +287,7 @@ class TestCheckCommand:
         {"scatter": np.eye(2).tolist()},
         {"sigma": [[1.0, 0.0], [0.0]]},
     ], ids=["wrong_dimension", "missing_key", "ragged"])
-    def test_malformed_sigma_exits_three(self, three_point_csv, tmp_path, capsys,
-                                         monkeypatch, doc):
-        monkeypatch.delenv("MSCATTER_THREADS", raising=False)
+    def test_malformed_sigma_exits_three(self, three_point_csv, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code = run(["check", "--estimator", "tyler", "--input", three_point_csv,
@@ -345,25 +356,6 @@ class TestNumpyOnlyRuntime:
         assert json.loads(proc.stdout) == [0, 0, 0, 0], proc.stderr
 
 
-class TestThreadLimit:
-    @pytest.mark.parametrize("value, reason", [
-        ("2", "threadpoolctl is not installed"),
-        ("0", "not a positive integer"),
-        ("two", "not a positive integer"),
-    ])
-    def test_ineffective_setting_warns(self, three_point_csv, capsys, monkeypatch, value, reason):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-        monkeypatch.delenv("MSCATTER_THREADS", raising=False)
-        assert run(["scatter", "--input", three_point_csv]) == 0
-        plain = capsys.readouterr()
-        monkeypatch.setenv("MSCATTER_THREADS", value)
-        assert run(["scatter", "--input", three_point_csv]) == 0
-        out = capsys.readouterr()
-        assert out.out == plain.out
-        lines = out.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("warning:") and reason in lines[0]
-
-
 class TestInfluenceCommand:
     def test_k2_standard_errors(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -375,6 +367,14 @@ class TestInfluenceCommand:
         assert code == 0
         assert doc["subcommand"] == "influence"
         assert np.asarray(doc["se"]["sigma"]).shape == (2, 2)
+
+    def test_tyler_one_column_has_zero_influence(self, tmp_path, capsys):
+        # Tyler's scatter of one variable is fixed at 1: its Hessian domain
+        # has no coordinates and every influence is zero.
+        p = tmp_path / "x.csv"
+        p.write_text("1\n2\n-3\n")
+        assert run(["influence", "--input", str(p)]) == 0
+        assert read_json(capsys)["se"]["sigma"] == [[0.0]]
 
 
 class TestCheckLocScatter:
@@ -425,3 +425,151 @@ class TestCheckLocScatter:
         err = capsys.readouterr().err.splitlines()
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+class TestSettingsApplied:
+    """Every flag a subcommand accepts is one it applies."""
+
+    @pytest.fixture
+    def t_csv(self, tmp_path):
+        p = tmp_path / "x.csv"
+        x = mvt(np.zeros(2), SpdMatrix(np.eye(2)), 3.0, 40, SeededStream(21))
+        np.savetxt(p, x, delimiter=",")
+        return str(p)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--max-iter", "5"],
+        ["check", "--tol-gradient", "1e-9"],
+        ["check", "--output", "csv"],
+        ["scatter", "--estimator", "gaussian", "--nu", "3"],
+        ["scatter", "--estimator", "tyler", "--gamma", "0.5"],
+        ["scatter", "--estimator", "t", "--nu", "3", "--gamma", "0.5"],
+        ["scatter", "--estimator", "weibull", "--gamma", "0.5", "--nu", "3"],
+        ["scatter", "--cap", "7"],
+        ["scatter", "--seed", "3", "--se"],
+        ["influence", "--seed", "3"],
+        ["check", "--cap", "5"],
+        ["check", "--estimator", "t", "--nu", "3", "--locscatter", "--k", "2"],
+        ["check", "--estimator", "t", "--nu", "3", "--locscatter", "--k", "2", "--cap", "5"],
+        ["check", "--estimator", "t", "--nu", "3", "--locscatter", "--k", "2", "--seed", "9"],
+        ["check", "--estimator", "t", "--nu", "3", "--locscatter", "--seed", "9"],
+        ["scatter", "--k", "2", "--cap", "5", "--seed", "-1"],
+    ], ids=" ".join)
+    def test_refused(self, t_csv, capsys, argv):
+        assert run(argv + ["--input", t_csv]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 or "usage:" in out.err
+
+    @pytest.mark.parametrize("argv", [
+        ["scatter", "--k", "2", "--cap", "50", "--seed", "3"],
+        ["scatter", "--estimator", "weibull", "--gamma", "0.5"],
+        ["influence", "--estimator", "t", "--nu", "3"],
+        ["influence", "--k", "2", "--cap", "100", "--seed", "1"],
+        ["check", "--tol", "1e-8", "--out", "f.json"],
+        ["check", "--k", "2", "--cap", "50", "--seed", "3"],
+        ["check", "--estimator", "t", "--nu", "3", "--locscatter", "--k", "1"],
+    ], ids=" ".join)
+    def test_accepted_neighbours(self, t_csv, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a == "f.json" else a for a in argv]
+        assert run(argv + ["--input", t_csv]) == 0
+
+    def test_check_help_lists_only_its_flags(self, capsys):
+        assert run(["check", "--help"]) == 0
+        text = capsys.readouterr().out
+        for flag in ("--tol-gradient", "--max-iter", "--output"):
+            assert flag not in text
+
+    def test_thread_variable_changes_nothing(self, t_csv, capsys, monkeypatch):
+        monkeypatch.delenv("MSCATTER_THREADS", raising=False)
+        assert run(["scatter", "--input", t_csv]) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("MSCATTER_THREADS", "2")
+        assert run(["scatter", "--input", t_csv]) == 0
+        assert capsys.readouterr() == plain
+
+
+# Flags of every subcommand, each with valid and invalid values; None marks
+# a switch.  "@sigma" and "@out" stand for a sigma document and an output
+# file next to the input.
+FUZZ_FLAGS = {
+    "--estimator": ["tyler", "t", "weibull", "gaussian", "cauchy"],
+    "--nu": ["3", "1", "0.5", "0", "-1", "inf", "nan", "three"],
+    "--gamma": ["0.5", "0", "1", "nan"],
+    "--k": ["1", "2", "3", "0", "9"],
+    "--cap": ["1", "3", "50", "0", "-2"],
+    "--seed": ["0", "3", "-1"],
+    "--tol": ["1e-8", "0", "-1", "nan"],
+    "--tol-gradient": ["1e-9", "0"],
+    "--max-iter": ["1", "4", "0", "-3"],
+    "--output": ["json", "csv", "xml"],
+    "--sigma": ["@sigma"],
+    "--out": ["@out"],
+    "--se": None,
+    "--locscatter": None,
+}
+
+
+@st.composite
+def csv_texts(draw):
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 3))
+    cell = st.sampled_from(["0", "1", "-2", "0.5", "3e2", "1e-300", "nan", "-inf"])
+    rows = [[draw(cell) for _ in range(q)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows.append(list(rows[0]))  # duplicate row
+    fault = draw(st.sampled_from([None, "ragged", "text"]))
+    if fault == "ragged":
+        rows[-1] = rows[-1] + ["1"]
+    elif fault == "text":
+        rows[-1][0] = "x"
+    if draw(st.booleans()):
+        rows.insert(0, [f"c{j}" for j in range(q)])  # header
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+@st.composite
+def groups_texts(draw):
+    scatter = st.sampled_from([
+        [[2.0, 0.3], [0.3, 1.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0]], [[1.0, 2.0], [2.0, 1.0]],
+        [["a", 1.0], [1.0, 2.0]], [[1.0], [1.0, 2.0]],
+    ])
+    dof = st.sampled_from([1, 3, 0, -1, "2"])
+    doc = [{"dof": draw(dof), "scatter": draw(scatter)} for _ in range(draw(st.integers(1, 3)))]
+    return json.dumps(doc)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    subcommand=st.sampled_from(["scatter", "influence", "locscatter", "procov", "check"]),
+    flags=st.lists(st.sampled_from(sorted(FUZZ_FLAGS)), max_size=4, unique=True),
+    values=st.data(),
+    csv_text=csv_texts(),
+    groups_text=groups_texts(),
+    sigma=st.sampled_from([np.eye(2).tolist(), [[1.0, 0.0], [0.0]], "x"]),
+)
+def test_cli_fuzz(subcommand, flags, values, csv_text, groups_text, sigma):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data")
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write(groups_text if subcommand == "procov" else csv_text)
+        sigma_doc = os.path.join(tmp, "sigma.json")
+        with open(sigma_doc, "w", encoding="utf-8") as fh:
+            json.dump({"sigma": sigma, "gamma": sigma}, fh)
+        paths = {"@sigma": sigma_doc, "@out": os.path.join(tmp, "out")}
+        argv = [subcommand, "--groups" if subcommand == "procov" else "--input", data]
+        for flag in flags:
+            argv.append(flag)
+            if FUZZ_FLAGS[flag] is not None:
+                value = values.draw(st.sampled_from(FUZZ_FLAGS[flag]))
+                argv.append(paths.get(value, value))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        assert code in (0, 2, 3), argv
+        if code in (0, 2) and "csv" not in argv:
+            if "--out" in argv:
+                with open(paths["@out"], encoding="utf-8") as fh:
+                    json.load(fh)
+            else:
+                json.loads(stdout.getvalue())

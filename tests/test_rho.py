@@ -65,6 +65,11 @@ class TestEvaluation:
         with pytest.raises(InvalidInputError):
             t_dist(0.0, 2)
 
+    def test_t_rejects_infinite_nu(self):
+        # The Gaussian limit has its own loss; nu = inf would only give NaNs.
+        with pytest.raises(InvalidInputError, match="finite nu"):
+            t_dist(math.inf, 2)
+
     def test_weibull_exponent_range(self):
         with pytest.raises(InvalidInputError):
             weibull(1.0)
