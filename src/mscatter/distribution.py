@@ -215,11 +215,11 @@ def _subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
     """k-subsets of range(n) as sorted index rows: all C(n, k) of them in
     lexicographic order when there are at most ``cap``, otherwise ``cap``
     distinct ones drawn uniformly and reproducibly from ``seed``."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     total = math.comb(n, k)
     if total <= cap:
         return np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-    if seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     if 2 * cap >= total:
         # Rejection sampling degenerates near full coverage; enumerate and
@@ -232,10 +232,7 @@ def _subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
         batch = rng.integers(0, n, size=(2 * (cap - chosen.shape[0]) + 16, k))
         batch.sort(axis=1)
         ok = np.all(np.diff(batch, axis=1) > 0, axis=1)
-        # Distinct rows in lexicographic order.
-        chosen = np.vstack([chosen, batch[ok]])
-        chosen = chosen[np.lexsort(chosen.T[::-1])]
-        chosen = chosen[np.r_[True, np.any(chosen[1:] != chosen[:-1], axis=1)]]
+        chosen = np.unique(np.vstack([chosen, batch[ok]]), axis=0)
     # Deterministic trim: keep a random but seed-determined selection of cap rows.
     keep = rng.permutation(chosen.shape[0])[:cap]
     return chosen[np.sort(keep)]

@@ -454,6 +454,7 @@ class TestSettingsApplied:
         ["check", "--estimator", "t", "--nu", "3", "--locscatter", "--k", "2", "--seed", "9"],
         ["check", "--estimator", "t", "--nu", "3", "--locscatter", "--seed", "9"],
         ["scatter", "--k", "2", "--cap", "5", "--seed", "-1"],
+        ["scatter", "--k", "2", "--seed", "-1"],
     ], ids=" ".join)
     def test_refused(self, t_csv, capsys, argv):
         assert run(argv + ["--input", t_csv]) == 3
@@ -473,6 +474,16 @@ class TestSettingsApplied:
     def test_accepted_neighbours(self, t_csv, tmp_path, capsys, argv):
         argv = [str(tmp_path / a) if a == "f.json" else a for a in argv]
         assert run(argv + ["--input", t_csv]) == 0
+
+    @pytest.mark.parametrize("seed", range(0, 20, 3))
+    def test_sparse_subset_sample_fits(self, tmp_path, capsys, seed):
+        # Seven rows, 6-subsets capped at 3: the sampler's rejection batches
+        # often hold no valid subset.
+        p = tmp_path / "x.csv"
+        np.savetxt(p, mvt(np.zeros(2), SpdMatrix(np.eye(2)), 3.0, 7, SeededStream(5)), delimiter=",")
+        argv = ["scatter", "--k", "6", "--cap", "3", "--seed", str(seed), "--input", str(p)]
+        assert run(argv) in (0, 2)
+        json.loads(capsys.readouterr().out)
 
     def test_check_help_lists_only_its_flags(self, capsys):
         assert run(["check", "--help"]) == 0
@@ -496,9 +507,9 @@ FUZZ_FLAGS = {
     "--estimator": ["tyler", "t", "weibull", "gaussian", "cauchy"],
     "--nu": ["3", "1", "0.5", "0", "-1", "inf", "nan", "three"],
     "--gamma": ["0.5", "0", "1", "nan"],
-    "--k": ["1", "2", "3", "0", "9"],
+    "--k": ["1", "2", "3", "5", "0", "9"],
     "--cap": ["1", "3", "50", "0", "-2"],
-    "--seed": ["0", "3", "-1"],
+    "--seed": ["0", "1", "3", "5", "-1"],
     "--tol": ["1e-8", "0", "-1", "nan"],
     "--tol-gradient": ["1e-9", "0"],
     "--max-iter": ["1", "4", "0", "-3"],

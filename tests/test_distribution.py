@@ -22,6 +22,7 @@ from mscatter import (
     tyler,
     weibull,
 )
+from mscatter.distribution import _subsets
 
 
 class TestConstruction:
@@ -146,6 +147,20 @@ class TestBuildKstat:
         b = build_kstat(x[perm], 3, cap=10_000)
         key = lambda arr: np.sort(arr.reshape(arr.shape[0], -1) @ np.arange(9.0))
         assert np.allclose(key(a.atoms), key(b.atoms))
+
+    @pytest.mark.parametrize("seed", range(51))
+    def test_sparse_valid_draws(self, seed):
+        # Only 7 of the 7**6 sorted draws are valid 6-subsets of 7 indices,
+        # so a rejection batch often holds none of them.
+        rows = _subsets(7, 6, 3, seed)
+        assert rows.shape == (3, 6)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert np.unique(rows, axis=0).shape[0] == 3
+
+    @pytest.mark.parametrize("cap", [1, 100])
+    def test_negative_seed_refused_whether_or_not_sampled(self, cap):
+        with pytest.raises(InvalidInputError, match="seed"):
+            build_kstat(np.eye(4), 2, cap=cap, seed=-1)
 
     def test_k_bounds(self):
         x = np.zeros((3, 2))
