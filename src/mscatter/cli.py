@@ -29,6 +29,7 @@ from .rho import gaussian, t_dist, tyler, weibull
 from .solver import (
     STATUS_CONVERGED,
     SolverConfig,
+    _frobenius,
     criterion,
     fixed_point_solve,
     psi_map,
@@ -327,9 +328,7 @@ def _cmd_check(args):
             raise InputError(f"sigma document {args.sigma} holds no numeric {key!r} matrix") from exc
         sigma = SpdMatrix(sig_rows)
         psi = psi_map(sigma, qdist, f)
-        resid = float(
-            np.linalg.norm(psi.mat - sigma.mat) / np.linalg.norm(sigma.mat)
-        )
+        resid = _frobenius(psi.mat - sigma.mat) / _frobenius(sigma.mat)
         doc["fixed_point_residual"] = resid
         doc["criterion"] = criterion(sigma, qdist, f)
         ok = ok and resid <= args.tol

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError, RangeError
 from .rho import CASE0, RhoFunction
 from .symmat import PsdAtom, as_array, clip_psd_dust, helmert
 
@@ -102,6 +102,9 @@ class MatrixDistribution:
 
     def _finish(self, traces, weights, source):
         m = traces.shape[0]
+        normal = (traces == 0.0) | (np.abs(traces) >= np.finfo(float).tiny)
+        if not np.all(np.isfinite(traces) & normal):
+            raise RangeError("atom traces overflow or underflow at this scale; rescale the data")
         if weights is None:
             w = np.full(m, 1.0 / m)
         else:

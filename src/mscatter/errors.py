@@ -19,7 +19,8 @@ class DomainError(MScatterError, ValueError):
 
 
 class RangeError(MScatterError, OverflowError):
-    """Result not representable (matrix exponential overflow)."""
+    """Result not representable (matrix exponential overflow, or atom traces
+    beyond the normal floating-point range)."""
 
 
 class NotPositiveDefiniteError(MScatterError, ValueError):

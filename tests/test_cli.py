@@ -296,6 +296,22 @@ class TestCheckCommand:
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    # Squared entries of sigma leave the float range at these scales.
+    @pytest.mark.parametrize("flags,scale", [
+        (["--estimator", "gaussian"], 1e100),
+        (["--estimator", "t", "--nu", "3"], 1e-100),
+    ], ids=["gaussian_1e100", "t_1e-100"])
+    def test_extreme_scale_round_trip(self, tmp_path, capsys, flags, scale):
+        p = tmp_path / "x.csv"
+        x = scale * np.random.default_rng(3).standard_normal((40, 3))
+        np.savetxt(p, x, delimiter=",", fmt="%.17g")
+        fit = tmp_path / "fit.json"
+        assert run(["scatter", *flags, "--input", str(p), "--out", str(fit)]) == 0
+        code = run(["check", *flags, "--input", str(p), "--sigma", str(fit)])
+        doc = read_json(capsys)
+        assert code == 0
+        assert doc["fixed_point_residual"] == json.loads(fit.read_text())["fixed_point_residual"]
+
 
 class TestEntryPoint:
     def test_module_invocation(self, three_point_csv):
@@ -427,6 +443,55 @@ class TestCheckLocScatter:
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+class TestUnits:
+    """Rows in other units give the same fit, in those units."""
+
+    @staticmethod
+    def fit(tmp_path, capsys, argv, x):
+        p = tmp_path / "x.csv"
+        np.savetxt(p, x, delimiter=",", fmt="%.17g")
+        code = run([*argv, "--input", str(p)])
+        return code, read_json(capsys)
+
+    @staticmethod
+    def assert_close(actual, expected):
+        actual, expected = np.asarray(actual), np.asarray(expected)
+        assert np.max(np.abs(actual - expected)) <= 1e-7 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("argv", [
+        ["scatter", "--estimator", "t", "--nu", "3"],
+        ["scatter", "--estimator", "gaussian"],
+        ["scatter", "--estimator", "weibull", "--gamma", "0.5"],
+        ["influence", "--estimator", "t", "--nu", "3"],
+    ])
+    def test_thousandfold_rows(self, tmp_path, capsys, argv):
+        x = np.random.default_rng(0).standard_normal((300, 20))
+        code, unit = self.fit(tmp_path, capsys, argv, x)
+        assert code == 0
+        code, milli = self.fit(tmp_path, capsys, argv, 1000.0 * x)
+        assert code == 0
+        self.assert_close(milli["sigma"], 1e6 * np.asarray(unit["sigma"]))
+
+    def test_location_hundredfold_rows(self, tmp_path, capsys):
+        x = np.random.default_rng(0).standard_normal((300, 20))
+        code, unit = self.fit(tmp_path, capsys, ["locscatter", "--nu", "3"], x)
+        assert code == 0
+        code, centi = self.fit(tmp_path, capsys, ["locscatter", "--nu", "3"], 100.0 * x)
+        assert code == 0
+        self.assert_close(centi["mu"], 100.0 * np.asarray(unit["mu"]))
+        self.assert_close(centi["sigma"], 1e4 * np.asarray(unit["sigma"]))
+
+    # Squared row norms of 1e+-160 leave the normal float range.
+    @pytest.mark.parametrize("scale,code", [(1e-160, 3), (1e-150, 0), (1e150, 0), (1e160, 3)])
+    def test_extreme_scales(self, tmp_path, capsys, scale, code):
+        x = scale * np.array([[1.0, 2.0], [-3.0, 1.0], [2.0, 0.5]])
+        p = tmp_path / "x.csv"
+        np.savetxt(p, x, delimiter=",", fmt="%.17g")
+        assert run(["scatter", "--input", str(p)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == (code == 3)
+
+
 class TestSettingsApplied:
     """Every flag a subcommand accepts is one it applies."""
 
@@ -525,7 +590,8 @@ FUZZ_FLAGS = {
 def csv_texts(draw):
     n = draw(st.integers(1, 6))
     q = draw(st.integers(1, 3))
-    cell = st.sampled_from(["0", "1", "-2", "0.5", "3e2", "1e-300", "nan", "-inf"])
+    cell = st.sampled_from(["0", "1", "-2", "0.5", "3e2", "7e9", "-3e-9", "1e160", "-1e-160",
+                            "1e-300", "nan", "-inf"])
     rows = [[draw(cell) for _ in range(q)] for _ in range(n)]
     if draw(st.booleans()):
         rows.append(list(rows[0]))  # duplicate row

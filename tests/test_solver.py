@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mscatter import (
     InvalidInputError,
     MatrixDistribution,
     PsdAtom,
+    RangeError,
     SolverConfig,
     SpdMatrix,
     UnsupportedOperationError,
@@ -33,6 +35,7 @@ from mscatter import (
 from mscatter import build_kstat
 from mscatter.rho import CASE0
 from mscatter.samplers import SeededStream
+from mscatter.solver import _frobenius
 
 
 def three_point_fixture():
@@ -301,6 +304,77 @@ class TestSolverInvariants:
         b = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
         est = fixed_point_solve(transform(q, b, "forward"), f, cfg)
         assert np.max(np.abs(est.sigma.mat - b @ base.sigma.mat @ b.T)) <= 1e-7
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("loss", ["t", "gaussian", "weibull"])
+    def test_case1_equivariance_across_units(self, loss, scale):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((40, 3))
+        f = {"t": t_dist(3.0, 3), "gaussian": gaussian(), "weibull": weibull(0.5)}[loss]
+        cfg = SolverConfig(tol_fixed_point=1e-13, tol_gradient=1e-12, max_iter=3000)
+        base = fixed_point_solve(from_observations(x), f, cfg)
+        b = scale * (rng.standard_normal((3, 3)) + 2.0 * np.eye(3))
+        est = fixed_point_solve(from_observations(x @ b.T), f, cfg)
+        assert est.converged
+        expected = b @ base.sigma.mat @ b.T
+        assert np.max(np.abs(est.sigma.mat - expected)) <= 1e-7 * np.max(np.abs(expected))
+        log = est.descent_log
+        assert np.all(np.diff(log) <= 1e-12 * np.max(np.abs(log)))
+
+    # Condition numbers well inside the solver's 1e12 limit.
+    @pytest.mark.parametrize("loss,cond", [("t", 1e6), ("tyler", 1e10)])
+    def test_equivariance_ill_conditioned(self, loss, cond):
+        q = 40
+        z = np.random.default_rng(21).standard_normal((200, q))
+        d = np.sqrt(np.logspace(0, math.log10(cond), q))
+        f = t_dist(3.0, q) if loss == "t" else tyler(q)
+        cfg = SolverConfig(tol_fixed_point=1e-13, tol_gradient=1e-12, max_iter=3000)
+        base = fixed_point_solve(from_observations(z), f, cfg)
+        est = fixed_point_solve(from_observations(z * d), f, cfg)
+        assert est.converged
+        back = est.sigma.mat / np.outer(d, d)
+        if f.case_tag == CASE0:
+            back /= np.linalg.det(back) ** (1.0 / q)
+        assert np.linalg.norm(back - base.sigma.mat) <= 1e-7 * np.linalg.norm(base.sigma.mat)
+        log = est.descent_log
+        assert np.all(np.diff(log) <= 1e-12 * np.max(np.abs(log)))
+
+    # From the identity start, t fits at large scales may need more than the
+    # default 500 iterations.
+    @pytest.mark.parametrize("exponent", [50, -50, 100, -100, 150, -150])
+    def test_extreme_scales(self, exponent):
+        x = np.random.default_rng(4).standard_normal((40, 3))
+        c = 10.0 ** exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (t_dist(3.0, 3), gaussian(), weibull(0.5), tyler(3)):
+                base = fixed_point_solve(from_observations(x), f).sigma.mat
+                est = fixed_point_solve(from_observations(c * x), f)
+                if f.kind == "t" and exponent > 0 and est.status == "max_iter":
+                    continue
+                assert est.converged
+                expected = base if f.case_tag == CASE0 else c * c * base
+                assert np.max(np.abs(est.sigma.mat - expected)) <= 1e-7 * np.max(np.abs(expected))
+
+    # Squared row norms leave the normal float range: infinite, or subnormal.
+    @pytest.mark.parametrize("exponent", [160, -160])
+    def test_scale_out_of_range_refused(self, exponent):
+        x = np.random.default_rng(4).standard_normal((40, 3))
+        with pytest.raises(RangeError):
+            from_observations(10.0 ** exponent * x)
+
+    def test_frobenius_is_the_plain_norm(self):
+        rng = np.random.default_rng(22)
+        for _ in range(2000):
+            a = rng.standard_normal(tuple(rng.integers(1, 7, size=2)))
+            a *= 10.0 ** rng.uniform(-100.0, 100.0)
+            assert _frobenius(a) == np.linalg.norm(a)
+            assert _frobenius(a.T) == np.linalg.norm(a.T)
+        # Where np.linalg.norm underflows or overflows, the scaling stays exact.
+        a = rng.standard_normal((4, 4))
+        for e in (-600, 600):
+            assert _frobenius(np.ldexp(a, e)) == math.ldexp(np.linalg.norm(a), e)
+        assert _frobenius(np.zeros((2, 2))) == 0.0
 
     def test_tyler_direction_invariance(self):
         rng = np.random.default_rng(14)
