@@ -49,8 +49,9 @@ class InputError(MScatterError):
 def read_csv(path):
     """Read a numeric CSV: rows are observations, columns are variables.
 
-    A single header row is auto-detected (first row with any non-numeric
-    cell).  Ragged rows and non-numeric cells after the header are errors.
+    A single header row is auto-detected: a first row none of whose cells
+    is a number.  Ragged rows and non-numeric cells anywhere else are errors
+    that name their row.
 
     Returns (matrix, column_names) with names None when there is no header.
     """
@@ -62,28 +63,31 @@ def read_csv(path):
     if not lines:
         raise InputError(f"{path} is empty")
 
-    def parse_row(line):
-        cells = [c.strip() for c in line.split(",")]
+    def number(cell):
         try:
-            return [float(c) for c in cells]
+            return float(cell)
         except ValueError:
             return None
 
     names = None
-    first = parse_row(lines[0])
     body = lines
-    if first is None:
-        names = [c.strip() for c in lines[0].split(",")]
+    cells = [c.strip() for c in lines[0].split(",")]
+    if all(number(c) is None for c in cells):
+        names = cells
         body = lines[1:]
         if not body:
             raise InputError(f"{path} has a header but no data rows")
+    try:
+        return np.loadtxt(body, delimiter=",", comments=None, ndmin=2), names
+    except ValueError:
+        pass  # parse row by row to word the error
 
     rows = []
     width = None
     for offset, line in enumerate(body):
-        row = parse_row(line)
+        row = [number(c.strip()) for c in line.split(",")]
         rownum = offset + (2 if names else 1)
-        if row is None:
+        if None in row:
             raise InputError(f"{path}: non-numeric cell in row {rownum}")
         if width is None:
             width = len(row)

@@ -13,7 +13,6 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,16 +31,6 @@ _CONTAIN_TOL = 1e-8
 # diverged beyond it, and the unbounded-psi check reads the span of the mean
 # atom down to its reciprocal, so both draw the line in one place.
 _COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class SourceInfo:
-    """Provenance of a distribution, used by sufficient-condition fallbacks."""
-
-    kind: str  # "observations" | "kstat" | "wishart" | "generic"
-    n: Optional[int] = None
-    k: Optional[int] = None
-    m_plus: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -66,13 +55,14 @@ class MatrixDistribution:
     stack of factor rows with M_i = Y_i^T Y_i; Wishart groups and atoms given
     to this constructor keep the dense (m, q, q) stack.  ``traces_under`` and
     ``weighted_sum`` evaluate either form, ``atoms`` is the read-only dense
-    stack (built from the factors on first use) and ``atom(i)`` recovers a
-    single ``PsdAtom``.  Weights are positive and sum to one.
+    stack (built from the factors on first use), ``atom_blocks`` yields it a
+    block at a time without keeping it, and ``atom(i)`` recovers a single
+    ``PsdAtom``.  Weights are positive and sum to one.
     """
 
-    __slots__ = ("dim", "weights", "traces", "case0_ready", "source", "_factors", "_atoms")
+    __slots__ = ("dim", "weights", "traces", "case0_ready", "_factors", "_atoms")
 
-    def __init__(self, atoms, weights=None, *, clip: bool = True, source: Optional[SourceInfo] = None):
+    def __init__(self, atoms, weights=None, *, clip: bool = True):
         if isinstance(atoms, (list, tuple)):
             mats = [as_array(a) for a in atoms]
             if not mats:
@@ -90,17 +80,17 @@ class MatrixDistribution:
         if clip:
             arr = clip_psd_dust(arr)
         self._factors, self._atoms = None, arr
-        self._finish(np.einsum("mii->m", arr), weights, source)
+        self._finish(np.einsum("mii->m", arr), weights)
 
     @classmethod
-    def _from_factors(cls, factors, weights=None, source: Optional[SourceInfo] = None):
+    def _from_factors(cls, factors, weights=None):
         """Distribution of the atoms Y_i^T Y_i of an (m, r, q) factor stack."""
         self = cls.__new__(cls)
         self._factors, self._atoms = np.array(factors, dtype=float), None
-        self._finish(np.einsum("mri,mri->m", self._factors, self._factors), weights, source)
+        self._finish(np.einsum("mri,mri->m", self._factors, self._factors), weights)
         return self
 
-    def _finish(self, traces, weights, source):
+    def _finish(self, traces, weights):
         m = traces.shape[0]
         normal = (traces == 0.0) | (np.abs(traces) >= np.finfo(float).tiny)
         if not np.all(np.isfinite(traces) & normal):
@@ -120,7 +110,6 @@ class MatrixDistribution:
         self.weights, self.traces = w, traces
         self.dim = (self._atoms if self._factors is None else self._factors).shape[-1]
         self.case0_ready = bool(np.all(traces > 0.0))
-        self.source = source or SourceInfo(kind="generic")
 
     @property
     def atoms(self) -> np.ndarray:
@@ -133,6 +122,15 @@ class MatrixDistribution:
     @property
     def n_atoms(self) -> int:
         return self.weights.shape[0]
+
+    def atom_blocks(self, size: int):
+        """(start, dense atoms) of consecutive blocks of at most ``size``."""
+        for lo in range(0, self.n_atoms, size):
+            if self._atoms is not None:
+                yield lo, self._atoms[lo:lo + size]
+            else:
+                y = self._factors[lo:lo + size]
+                yield lo, np.einsum("mri,mrj->mij", y, y)
 
     def traces_under(self, a: np.ndarray) -> np.ndarray:
         """t_i = tr(A M_i) for every atom and a symmetric (q, q) matrix A."""
@@ -156,10 +154,7 @@ class MatrixDistribution:
         return self.weighted_sum(self.weights)
 
     def __repr__(self):
-        return (
-            f"MatrixDistribution(dim={self.dim}, n_atoms={self.n_atoms}, "
-            f"source={self.source.kind})"
-        )
+        return f"MatrixDistribution(dim={self.dim}, n_atoms={self.n_atoms})"
 
 
 # -- constructors --------------------------------------------------------------
@@ -187,9 +182,7 @@ def from_observations(x, center=None) -> MatrixDistribution:
                 f"center has shape {center.shape}, expected ({x.shape[1]},)"
             )
         x = x - center
-    return MatrixDistribution._from_factors(
-        x[:, None, :], source=SourceInfo(kind="observations", n=x.shape[0], k=1)
-    )
+    return MatrixDistribution._from_factors(x[:, None, :])
 
 
 def sample_covariance(points) -> PsdAtom:
@@ -204,14 +197,14 @@ def sample_covariance(points) -> PsdAtom:
     return PsdAtom(_subset_covariances(pts[None]).atoms[0])
 
 
-def _subset_covariances(pts: np.ndarray, source: Optional[SourceInfo] = None) -> MatrixDistribution:
+def _subset_covariances(pts: np.ndarray) -> MatrixDistribution:
     """Equal-weight sample covariances of the (k, q) point sets of an (m, k, q)
     stack, each stored as its k-1 Helmert contrasts scaled by 1/sqrt(k-1).
     The contrasts act on differences from the first point, so coincident
     points give exactly zero factor rows."""
     k = pts.shape[1]
     factors = helmert(k)[:, 1:] @ (pts[:, 1:] - pts[:, :1]) / math.sqrt(k - 1)
-    return MatrixDistribution._from_factors(factors, source=source)
+    return MatrixDistribution._from_factors(factors)
 
 
 def _subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
@@ -260,7 +253,7 @@ def build_kstat(x, k: int, cap: int = 200_000, seed: int = 0) -> MatrixDistribut
         raise InvalidInputError("observations contain non-finite entries")
 
     subsets = _subsets(n, k, cap, seed)
-    return _subset_covariances(x[subsets], SourceInfo(kind="kstat", n=n, k=k))
+    return _subset_covariances(x[subsets])
 
 
 def from_wishart_groups(groups) -> MatrixDistribution:
@@ -274,18 +267,15 @@ def from_wishart_groups(groups) -> MatrixDistribution:
     dims = {g.scatter.dim for g in groups}
     if len(dims) != 1:
         raise DimensionMismatchError(f"groups have mixed dimensions {sorted(dims)}")
-    m_plus = sum(g.dof for g in groups)
-    weights = np.array([g.dof / m_plus for g in groups])
+    weights = np.array([g.dof for g in groups], dtype=float)
     atoms = np.stack([g.scatter.mat for g in groups])
-    return MatrixDistribution(
-        atoms, weights, clip=False, source=SourceInfo(kind="wishart", m_plus=m_plus)
-    )
+    return MatrixDistribution(atoms, weights, clip=False)
 
 
 def transform(q: MatrixDistribution, b, direction: str = "forward") -> MatrixDistribution:
     """Congruence transform of every atom: B M B^T or B^{-1} M B^{-T}.
 
-    Weights and provenance are unchanged.  B must be nonsingular (smallest
+    Weights are unchanged.  B must be nonsingular (smallest
     singular value above 1e-12 of the largest).
     """
     b = np.asarray(b, dtype=float)
@@ -301,8 +291,8 @@ def transform(q: MatrixDistribution, b, direction: str = "forward") -> MatrixDis
     else:
         raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if q._factors is not None:
-        return MatrixDistribution._from_factors(q._factors @ t.T, q.weights, q.source)
-    return MatrixDistribution(t @ q.atoms @ t.T, q.weights, clip=False, source=q.source)
+        return MatrixDistribution._from_factors(q._factors @ t.T, q.weights)
+    return MatrixDistribution(t @ q.atoms @ t.T, q.weights, clip=False)
 
 
 # -- existence diagnostics ------------------------------------------------------
@@ -325,7 +315,9 @@ class ExistenceWitness:
 class ExistenceReport:
     verdict: str  # "satisfied" | "violated" | "undecided"
     witnesses: tuple
-    method: str  # "exact_enumeration" | "sufficient_condition" | "budget_exceeded"
+    # "exact_enumeration" | "sufficient_condition" (certified at a fit's point
+    # by its Hessian) | "witness" (a failed fit's span, recounted) | "budget_exceeded"
+    method: str
 
     def __repr__(self):
         return (
@@ -404,7 +396,8 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
     (psi(inf) - q + dim(V))/psi(inf) (Case 1, threshold 1 when psi(inf) is
     infinite).  For finite Q it suffices to enumerate subspaces spanned by
     unions of atom column spaces; ``budget`` caps how many candidates are
-    examined before falling back to sample-size sufficient conditions.
+    examined; a search it stops answers ``undecided``, which only a fit can
+    settle (see :func:`fixed_point_solve`).
     """
     if budget < 1:
         raise InvalidInputError("budget must be positive")
@@ -456,19 +449,31 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
         return ExistenceReport("violated", tuple(witnesses), "exact_enumeration")
     if exhausted:
         return ExistenceReport("satisfied", (), "exact_enumeration")
-
-    src = q.source
-    if src.kind == "observations" and src.n is not None:
-        need = dim + 1 if case == CASE0 else dim
-        if src.n >= need:
-            return ExistenceReport("satisfied", (), "sufficient_condition")
-    elif src.kind == "kstat" and src.n is not None:
-        if src.n >= dim + 1:
-            return ExistenceReport("satisfied", (), "sufficient_condition")
-    elif src.kind == "wishart" and src.m_plus is not None and case == CASE0:
-        if src.m_plus >= dim + 1:
-            return ExistenceReport("satisfied", (), "sufficient_condition")
     return ExistenceReport("undecided", (), "budget_exceeded")
+
+
+def span_witness(q: MatrixDistribution, f: RhoFunction, basis: np.ndarray):
+    """The witness that span(basis), orthonormal columns, carries its critical
+    mass under ``f``, or None.  The mass is recounted with the containment
+    test of the search, which needs some atom of Q below full rank."""
+    bases, masses, mass = _atom_groups(q)
+    mass += float(np.asarray(masses)[_containment(bases)(basis)].sum())
+    thr = _threshold(f.case_tag, f.psi_infinity, basis.shape[1], q.dim)
+    critical = basis.shape[1] < q.dim and mass >= thr - 1e-12
+    return ExistenceWitness(basis, mass, thr) if critical else None
+
+
+def _containment(bases):
+    """``inside(U)``: the mask of the groups whose column space lies inside
+    span(U), one product against all groups' basis columns reduced per group."""
+    ranks = np.array([b.shape[1] for b in bases])
+    cols, owner = np.hstack(bases), np.repeat(np.arange(len(bases)), ranks)
+
+    def inside(u):
+        resid = cols - u @ (u.T @ cols)
+        return np.bincount(owner, np.einsum("ij,ij->j", resid, resid), len(bases)) <= _CONTAIN_TOL**2 * ranks
+
+    return inside
 
 
 def _enumerate(bases, masses, zero_mass, case, psi_inf, dim, budget, witnesses) -> bool:
@@ -493,16 +498,10 @@ def _enumerate(bases, masses, zero_mass, case, psi_inf, dim, budget, witnesses) 
             witnesses.append(ExistenceWitness(bases[g], float(mass[g]), thr))
         return dim == 2 and n <= budget
 
-    cols, owner = np.hstack(bases), np.repeat(np.arange(n), ranks)
+    inside = _containment(bases)
     padded = np.zeros((n, dim, ranks.max()))
     for g, b in enumerate(bases):
         padded[g, :, : b.shape[1]] = b
-
-    def inside(u):
-        """Mask of the groups whose column space lies inside span(U): one
-        product against the basis columns of all groups, reduced per group."""
-        resid = cols - u @ (u.T @ cols)
-        return np.bincount(owner, np.einsum("ij,ij->j", resid, resid), n) <= _CONTAIN_TOL**2 * ranks
 
     # The search starts from the zero subspace, whose unions are the groups.
     queue, visited, charged = deque([np.zeros((dim, 0))]), set(), 0

@@ -100,7 +100,7 @@ def tyler(q: int) -> RhoFunction:
         dim=q,
         _rho=lambda s: q * np.log(s),
         _rho_prime=lambda s: q / s,
-        _rho_second=lambda s: -q / s**2,
+        _rho_second=lambda s: -(q / s) / s,
         params=(q,),
     )
 

@@ -30,6 +30,8 @@ from .distribution import (
     WishartGroup,
     check_existence,
     from_wishart_groups,
+    span_witness,
+    transform,
 )
 from .errors import (
     DimensionMismatchError,
@@ -45,6 +47,10 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_DIVERGED = "diverged"
 STATUS_EXISTENCE = "existence_violated"
+
+# Atoms per block when the Hessian sums its atom term, so no (m, q, q) stack
+# of all atoms is built.
+_HESSIAN_BLOCK = 256
 
 
 @dataclass
@@ -183,6 +189,15 @@ def fixed_point_solve(
     residual and gradient norm describe the start.  An iterate whose
     condition number exceeds 1e12 ends the fit as ``diverged``; no rule looks
     at the scale of S, so the fit is equivariant under a change of units.
+
+    A check the budget leaves ``undecided`` is settled by the fit when it
+    can be proven.  A converged fit whose loss has rho'' builds the Hessian
+    at its fitted point; the criterion is geodesically convex, so a
+    positive definite Hessian certifies the unique minimizer and the report
+    becomes ``satisfied`` by ``sufficient_condition``.  A fit that ends
+    ``diverged`` or ``existence_violated`` recounts the mass of the span of
+    its last Psi, down to 1e-12 of the largest eigenvalue; if that span is
+    critical the report becomes ``violated`` by ``witness``.
     """
     cfg = cfg or SolverConfig()
     _check_compat(q, f)
@@ -205,6 +220,7 @@ def fixed_point_solve(
     crit = math.nan
     gnorm = math.nan
     fp_resid = math.inf
+    psi = s  # stands in for the last Psi should the first evaluation fail
 
     for _ in range(cfg.max_iter + 1):
         try:
@@ -233,7 +249,7 @@ def fixed_point_solve(
         lam = np.linalg.eigvalsh(psi)
         if lam[0] <= 0.0:
             status = STATUS_EXISTENCE
-            s = _nudge_pd(psi, lam)
+            s = psi
             iterations += 1
             break
         s = _det_normalize(psi, lam) if case0 else psi
@@ -242,7 +258,21 @@ def fixed_point_solve(
             status = STATUS_DIVERGED
             break
 
-    sigma = SpdMatrix(_nudge_pd(s)) if status in (STATUS_DIVERGED, STATUS_EXISTENCE) else SpdMatrix(s)
+    failed = status in (STATUS_DIVERGED, STATUS_EXISTENCE)
+    if existence.verdict == "undecided":
+        if status == STATUS_CONVERGED and f.has_second:
+            try:
+                np.linalg.cholesky(hessian(transform(q, l_inv), f).matrix)
+                existence = ExistenceReport("satisfied", (), "sufficient_condition")
+            except np.linalg.LinAlgError:
+                pass
+        elif failed:
+            lam, vec = np.linalg.eigh(psi)
+            witness = span_witness(q, f, vec[:, lam > lam[-1] / _COND_LIMIT])
+            if witness is not None:
+                existence = ExistenceReport("violated", (witness,), "witness")
+
+    sigma = SpdMatrix(_nudge_pd(s) if failed else s)
     return ScatterEstimate(
         sigma=sigma,
         iterations=iterations,
@@ -270,14 +300,15 @@ def _det_normalize(s: np.ndarray, lam=None) -> np.ndarray:
     return s / scale
 
 
-def _nudge_pd(s: np.ndarray, lam=None) -> np.ndarray:
-    """Push a nearly singular symmetric matrix strictly inside the SPD cone
-    so diagnostics objects can still be constructed."""
-    lam = np.linalg.eigvalsh(s) if lam is None else lam
-    if lam[0] > 0:
-        return s
-    bump = abs(lam[0]) + 1e-12 * max(lam[-1], 1.0)
-    return s + bump * np.eye(s.shape[0])
+def _nudge_pd(s: np.ndarray) -> np.ndarray:
+    """Lift every eigenvalue of a symmetric matrix to at least 1e-12 of the
+    largest magnitude (the identity stands in for the zero matrix), so the
+    last iterate of a failed fit still makes an ``SpdMatrix``."""
+    lam = np.linalg.eigvalsh(s)
+    floor = np.abs(lam).max() / _COND_LIMIT
+    if floor == 0.0:
+        return np.eye(s.shape[0])
+    return s if lam[0] >= floor else s + (floor - lam[0]) * np.eye(s.shape[0])
 
 
 # -- Hessian operator ------------------------------------------------------------
@@ -386,8 +417,9 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
     term1 = np.hstack([term1[:, :dim] @ dmap.T, term1[:, dim:]])
 
     h = HessianOperator(dim=dim, case_tag=f.case_tag, matrix=term1)
-    coords = h._coords(q.atoms)  # (m, p): tr(E_a M_i)
-    h.matrix += (coords.T * second) @ coords
+    for lo, atoms in q.atom_blocks(_HESSIAN_BLOCK):
+        coords = h._coords(atoms)  # (block, p): tr(E_a M_i)
+        h.matrix += (coords.T * second[lo:lo + len(atoms)]) @ coords
     return h
 
 

@@ -76,7 +76,7 @@ def distinct_witnesses(report):
 
 
 def dense_copy(q):
-    return MatrixDistribution(q.atoms, q.weights, source=q.source)
+    return MatrixDistribution(q.atoms, q.weights)
 
 
 def assert_same_distribution(q, f, rng, dense=None):

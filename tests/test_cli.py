@@ -63,6 +63,25 @@ class TestReadCsv:
         with pytest.raises(InputError, match="non-numeric"):
             read_csv(str(p))
 
+    @pytest.mark.parametrize("text", ["1,,2\n3,4,5\n6,7,8\n9,1,2\n2,2,7\n", "1,2 # c\n3,4\n"])
+    def test_first_row_with_a_number_is_data(self, tmp_path, text):
+        # Only a first row without any numeric cell is a header; a data row
+        # with an empty cell or a comment is an error, not a dropped header.
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(InputError, match="non-numeric cell in row 1"):
+            read_csv(str(p))
+
+    def test_fast_path_matches_python_floats(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
+        p = tmp_path / "a.csv"
+        text = "".join(",".join(f" {float(v)!r}" for v in row) + "\n" for row in x)
+        p.write_text("w,x,y,z\n" + text)
+        got, names = read_csv(str(p))
+        assert names == ["w", "x", "y", "z"]
+        assert got.tobytes() == x.tobytes()
+
     def test_missing_file(self):
         with pytest.raises(InputError):
             read_csv("/nonexistent/file.csv")
@@ -177,6 +196,38 @@ class TestScatterCommand:
         assert code == 2
         assert doc["status"] == "existence_violated"
         assert doc["existence"]["verdict"] == "violated"
+
+    @pytest.mark.parametrize("flags", [["--estimator", "tyler"], ["--estimator", "t", "--nu", "1"]])
+    def test_plane_rows_violated_by_witness(self, tmp_path, capsys, flags):
+        # 2,000 rows with x3 = 0: past the fit's budget, the plane that Psi
+        # collapses onto is recounted and carries all the mass.
+        rng = np.random.default_rng(0)
+        x = np.hstack([rng.standard_normal((2000, 2)), np.zeros((2000, 1))])
+        path = tmp_path / "plane.csv"
+        np.savetxt(path, x, delimiter=",", fmt="%.17g")
+        code = run(["scatter", "--input", str(path)] + flags)
+        doc = read_json(capsys)
+        assert code == 2
+        assert doc["status"] == "existence_violated"
+        assert doc["existence"]["verdict"] == "violated"
+        assert doc["existence"]["method"] == "witness"
+        (w,) = doc["existence"]["witnesses"]
+        assert w["dim"] == 2 and w["mass"] == pytest.approx(1.0)
+
+    def test_nearly_singular_iterate_exits_two(self, tmp_path, capsys):
+        # Rank-two rows in R^3: the t fit's last iterate has a tiny positive
+        # smallest eigenvalue, which the reported Sigma must lift.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((200, 2)) @ rng.standard_normal((2, 3))
+        path = tmp_path / "x.csv"
+        np.savetxt(path, x, delimiter=",", fmt="%.17g")
+        code = run(["scatter", "--estimator", "t", "--nu", "1.5", "--input", str(path)])
+        doc = read_json(capsys)
+        assert code == 2
+        assert doc["status"] == "diverged"
+        assert doc["existence"]["verdict"] == "violated"
+        assert doc["existence"]["method"] == "witness"
+        np.linalg.cholesky(np.asarray(doc["sigma"]))
 
     def test_se_block(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -590,7 +641,7 @@ FUZZ_FLAGS = {
 def csv_texts(draw):
     n = draw(st.integers(1, 6))
     q = draw(st.integers(1, 3))
-    cell = st.sampled_from(["0", "1", "-2", "0.5", "3e2", "7e9", "-3e-9", "1e160", "-1e-160",
+    cell = st.sampled_from(["0", "1", "-2", "0.5", "3e2", "7e9", "-3e-9", "1e150", "1e160", "-1e-160",
                             "1e-300", "nan", "-inf"])
     rows = [[draw(cell) for _ in range(q)] for _ in range(n)]
     if draw(st.booleans()):

@@ -4,7 +4,8 @@ column spaces.
 For a finite distribution a critical subspace, if there is one, is spanned
 by the column spaces of some atoms.  With at most about ten distinct column
 spaces every such span can be listed, which decides the existence conditions
-independently of the breadth-first search in ``check_existence``.
+independently of the breadth-first search in ``check_existence``.  The
+same recount checks the witnesses that failed fits report.
 """
 
 import itertools
@@ -13,7 +14,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mscatter import augment, build_kstat, check_existence, from_observations, gaussian, t_dist, tyler
+from mscatter import (
+    SolverConfig,
+    augment,
+    build_kstat,
+    check_existence,
+    fixed_point_solve,
+    from_observations,
+    gaussian,
+    t_dist,
+    tyler,
+    weibull,
+)
 from mscatter.distribution import MatrixDistribution
 from mscatter.rho import CASE0
 
@@ -93,7 +105,7 @@ def problems(draw):
         dist = from_observations(x) if kind == "observations" else build_kstat(x, int(kind[1]))
         f = LOSSES[draw(st.sampled_from(sorted(LOSSES)))](q)
     if draw(st.booleans()):
-        dist = MatrixDistribution(dist.atoms, dist.weights, source=dist.source)
+        dist = MatrixDistribution(dist.atoms, dist.weights)
     return dist, f
 
 
@@ -108,6 +120,46 @@ def test_search_agrees_with_every_subset_span(problem):
     for i, w in enumerate(rep.witnesses):
         assert not any(p.shape == projectors[i].shape and np.allclose(p, projectors[i], atol=1e-8)
                        for p in projectors[:i])
+        mass = mass_inside(q, w.basis) if w.subspace_dim else column_spaces(q)[1]
+        assert abs(mass - w.mass) <= 1e-10
+        assert mass >= w.threshold - 1e-12
+
+
+FIT_LOSSES = {"tyler": tyler, "t": lambda q: t_dist(1.0, q), "gaussian": lambda q: gaussian(),
+              "weibull": lambda q: weibull(0.5)}
+
+
+@st.composite
+def degenerate_fits(draw):
+    """Rows of which a drawn fraction lies in a random proper subspace, a
+    loss and an existence budget small enough to stop the search."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(q + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, q))
+    d = draw(st.integers(1, q - 1))
+    planar = int(round(draw(st.sampled_from([0.25, 0.5, 0.75, 0.9, 1.0])) * n))
+    x[:planar] = x[:planar, :d] @ rng.standard_normal((d, q))
+    dist = from_observations(x)
+    if draw(st.booleans()):
+        dist = MatrixDistribution(dist.atoms, dist.weights)
+    budget = draw(st.sampled_from([5, 50, 1000]))
+    return dist, FIT_LOSSES[draw(st.sampled_from(sorted(FIT_LOSSES)))](q), budget
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(problem=degenerate_fits())
+def test_fit_verdict_agrees_with_status(problem):
+    q, f, budget = problem
+    est = fixed_point_solve(q, f, SolverConfig(existence_budget=budget))
+    rep = est.existence
+    if est.status in ("existence_violated", "diverged"):
+        assert rep.verdict != "satisfied"
+    if rep.verdict == "violated":
+        assert est.status in ("existence_violated", "diverged")
+    if rep.method == "sufficient_condition":
+        assert est.status == "converged" and rep.verdict == "satisfied"
+    for w in rep.witnesses:
         mass = mass_inside(q, w.basis) if w.subspace_dim else column_spaces(q)[1]
         assert abs(mass - w.mass) <= 1e-10
         assert mass >= w.threshold - 1e-12

@@ -231,8 +231,9 @@ class TestFixedPointSolve:
 
     def test_divergence_detected(self):
         # 9 of 10 directions inside the e1-e2 plane: plane mass 0.9 is past
-        # the 2/3 threshold, but a tiny budget and stripped provenance leave
-        # the check undecided, so the solver must catch the blowup itself.
+        # the 2/3 threshold, but a tiny budget leaves the check undecided, so
+        # the solver must catch the blowup itself and the plane its iterates
+        # collapse onto is the witness.
         ang = np.linspace(0.1, 1.4, 9)
         pts = np.stack([np.cos(ang), np.sin(ang), np.zeros(9)], axis=1)
         x = np.vstack([pts, [[0.3, 0.2, 1.0]]])
@@ -241,7 +242,12 @@ class TestFixedPointSolve:
             q, tyler(3), SolverConfig(max_iter=5000, existence_budget=5)
         )
         assert est.status == "diverged"
-        assert est.existence.verdict == "undecided"
+        assert est.existence.verdict == "violated"
+        assert est.existence.method == "witness"
+        (w,) = est.existence.witnesses
+        assert w.subspace_dim == 2
+        assert w.mass == pytest.approx(0.9)
+        assert np.allclose(w.basis @ w.basis.T, np.diag([1.0, 1.0, 0.0]), atol=1e-6)
 
     def test_mean_atom_start(self):
         rng = np.random.default_rng(9)
