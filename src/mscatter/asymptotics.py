@@ -31,7 +31,7 @@ from .errors import DomainError, InvalidInputError, InvalidRegimeError
 from .location import LocationScatterEstimate, augmented_rho
 from .rho import CASE0, RhoFunction
 from .solver import HessianOperator, ScatterEstimate, _evaluate, hessian
-from .symmat import SymMatrix
+from .symmat import SymMatrix, spectral
 
 
 @dataclass
@@ -245,6 +245,15 @@ def _scatter_se(z_orig: np.ndarray):
     return acov, se_sigma
 
 
+def _whitening(estimate):
+    """(S^-1/2, S^1/2) of a converged fit's scatter S from one decomposition."""
+    if not estimate.converged:
+        raise InvalidInputError("influence analysis requires a converged estimate")
+    dec = spectral(estimate.sigma.mat)
+    u, root = dec.eigenvectors, np.sqrt(dec.eigenvalues)
+    return (u / root) @ u.T, (u * root) @ u.T
+
+
 def acov_scatter(
     x,
     estimate: ScatterEstimate,
@@ -261,12 +270,8 @@ def acov_scatter(
     maps them back by congruence and reports the empirical covariance and
     entrywise standard errors sqrt(diag(acov)/n).
     """
-    if not estimate.converged:
-        raise InvalidInputError("influence analysis requires a converged estimate")
-    x = np.asarray(x, dtype=float)
-    white = estimate.sigma.inv_sqrt()
-    root = estimate.sigma.sqrt()
-    x_std = x @ white
+    white, root = _whitening(estimate)
+    x_std = np.asarray(x, dtype=float) @ white
 
     if k == 1:
         h = hessian(from_observations(x_std), f)
@@ -303,13 +308,9 @@ def location_influence(x, nu: float, estimate: LocationScatterEstimate) -> Influ
     matrices, applies the nu = 1 trace correction, and reads the location
     and scatter blocks off the corrected matrices.
     """
-    if not estimate.converged:
-        raise InvalidInputError("influence analysis requires a converged estimate")
-    x = np.asarray(x, dtype=float)
-    n, q = x.shape
-    white = estimate.sigma.inv_sqrt()
-    root = estimate.sigma.sqrt()
-    x_std = (x - estimate.mu) @ white
+    white, root = _whitening(estimate)
+    x_std = (np.asarray(x, dtype=float) - estimate.mu) @ white
+    n, q = x_std.shape
 
     y = np.hstack([x_std, np.ones((n, 1))])
     q_aug = from_observations(y)

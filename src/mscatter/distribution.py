@@ -160,6 +160,16 @@ class MatrixDistribution:
 # -- constructors --------------------------------------------------------------
 
 
+def _observations(x) -> np.ndarray:
+    """``x`` as a float array after checking it is a finite (n, q) matrix."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise InvalidInputError(f"observations must form an (n, q) matrix, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("observations contain non-finite entries")
+    return x
+
+
 def from_observations(x, center=None) -> MatrixDistribution:
     """Distribution of outer products x_i x_i^T with equal weights.
 
@@ -170,11 +180,7 @@ def from_observations(x, center=None) -> MatrixDistribution:
     center : (q,) array-like, optional
         Subtracted from every row first.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise InvalidInputError(f"observations must form an (n, q) matrix, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("observations contain non-finite entries")
+    x = _observations(x)
     if center is not None:
         center = np.asarray(center, dtype=float)
         if center.shape != (x.shape[1],):
@@ -241,16 +247,12 @@ def build_kstat(x, k: int, cap: int = 200_000, seed: int = 0) -> MatrixDistribut
     ``cap``; otherwise ``cap`` subsets are drawn uniformly without
     replacement using ``seed``, giving an incomplete U-statistic.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InvalidInputError(f"observations must form an (n, q) matrix, got {x.shape}")
+    x = _observations(x)
     n = x.shape[0]
     if not 2 <= k <= n:
         raise InvalidInputError(f"symmetrization order k must satisfy 2 <= k <= n, got k={k}, n={n}")
     if cap < 1:
         raise InvalidInputError("cap must be positive")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("observations contain non-finite entries")
 
     subsets = _subsets(n, k, cap, seed)
     return _subset_covariances(x[subsets])
@@ -329,12 +331,13 @@ class ExistenceReport:
 def _atom_groups(q: MatrixDistribution):
     """Distinct atom column spaces with aggregated masses.
 
-    Returns (bases, masses, zero_mass) where ``bases`` is a list of (q, d)
+    Returns (bases, masses) where ``bases`` is a list of (q, d)
     orthonormal bases with 1 <= d < q: the deduplicated lines first, then
     the higher-rank spaces in order of first appearance.  Atoms of full
     column rank cannot lie inside any proper subspace and are dropped (their
-    mass never counts); zero atoms lie inside every subspace.  The spectra
-    come from one batched SVD of the factors or ``eigh`` of the dense stack.
+    mass never counts); zero atoms lie inside every subspace and are
+    counted by ``_zero_mass``.  The spectra come from one batched SVD of
+    the factors or ``eigh`` of the dense stack.
     """
     dim, w = q.dim, q.weights
     if q._factors is None:
@@ -368,24 +371,25 @@ def _atom_groups(q: MatrixDistribution):
             i = spaces[first[g]]
             bases.append(vec[i][:, keep[i]])
             masses.append(float(mass[g]))
-    return bases, masses, float(w[rank == 0].sum())
+    return bases, np.asarray(masses)
 
 
-def _union_basis(u: np.ndarray, blocks: np.ndarray):
-    """Orthonormal bases of span(U) + span(B) for each (q, r) block B of a
-    stack, zero columns padding the lower ranks: (m, q, q') left singular
-    vectors and the rank of each union."""
-    stacked = np.concatenate([np.broadcast_to(u, (len(blocks),) + u.shape), blocks], axis=2)
-    w, sv, _ = np.linalg.svd(stacked, full_matrices=False)
-    return w, np.sum(sv > 1e-10 * sv[:, :1], axis=1)
+def _zero_mass(q: MatrixDistribution) -> float:
+    """Weight of the zero atoms: a PSD atom is zero exactly when its trace is."""
+    return float(q.weights[q.traces == 0.0].sum())
 
 
-def _threshold(case_tag: str, psi_inf: float, dim_v: int, q: int) -> float:
-    if case_tag == CASE0:
-        return dim_v / q
-    if math.isinf(psi_inf):
-        return 1.0
-    return (psi_inf - q + dim_v) / psi_inf
+def _critical(f: RhoFunction, dim_v: int, dim: int, mass):
+    """(threshold, critical) of a dim_v-dimensional subspace under ``f``: its
+    ``mass`` (a float or an array) is critical when it reaches the threshold
+    up to a 1e-12 slack."""
+    if f.case_tag == CASE0:
+        thr = dim_v / dim
+    elif math.isinf(f.psi_infinity):
+        thr = 1.0
+    else:
+        thr = (f.psi_infinity - dim + dim_v) / f.psi_infinity
+    return thr, mass >= thr - 1e-12
 
 
 def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000) -> ExistenceReport:
@@ -405,46 +409,36 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
         raise DimensionMismatchError(
             f"loss is for dimension {f.dim}, distribution has dimension {q.dim}"
         )
-    dim = q.dim
-    psi_inf = f.psi_infinity
-    case = f.case_tag
-    witnesses = []
+    dim, witnesses = q.dim, []
+    unbounded = f.case_tag != CASE0 and math.isinf(f.psi_infinity)
 
-    bases, masses, zero_mass = _atom_groups(q)
-
-    # Zero space first: under Case 0 any mass at the zero matrix is fatal,
-    # under Case 1 it faces the dim(V) = 0 threshold.
-    if zero_mass > 0:
-        if case == CASE0:
-            return ExistenceReport(
-                "violated",
-                (ExistenceWitness(np.zeros((dim, 0)), zero_mass, 0.0),),
-                "exact_enumeration",
-            )
-        thr0 = _threshold(case, psi_inf, 0, dim)
-        if zero_mass >= thr0 - 1e-12:
-            witnesses.append(ExistenceWitness(np.zeros((dim, 0)), zero_mass, thr0))
+    # Zero space first: under Case 0 any mass at the zero matrix is fatal
+    # (threshold 0), under Case 1 it faces the dim(V) = 0 threshold.
+    zero_mass = _zero_mass(q)
+    thr, critical = _critical(f, 0, dim, zero_mass)
+    if zero_mass > 0 and critical:
+        witnesses.append(ExistenceWitness(np.zeros((dim, 0)), zero_mass, thr))
+        if f.case_tag == CASE0 or unbounded:
+            return ExistenceReport("violated", tuple(witnesses), "exact_enumeration")
 
     # Unbounded psi: the only way to reach threshold 1 is to carry all mass,
     # so the single candidate is the span of every atom column space, read
     # off the mean atom down to 1/_COND_LIMIT of its largest eigenvalue (the
-    # Gaussian fit is the mean atom).  Atoms of full column rank were dropped
-    # from the groups, so their mass is missing from the sum and prevents a
-    # violation.
-    if case != CASE0 and math.isinf(psi_inf):
-        if witnesses:
-            return ExistenceReport("violated", tuple(witnesses), "exact_enumeration")
+    # Gaussian fit is the mean atom); only a proper span needs the groups.
+    # Atoms of full column rank are missing from them, so their mass is
+    # missing from the sum and prevents a violation.
+    if unbounded:
         lam, vec = np.linalg.eigh(q.mean_atom())
         span = vec[:, lam > lam[-1] / _COND_LIMIT]
-        total_contained = zero_mass + sum(masses)
-        if span.shape[1] < dim and total_contained >= 1.0 - 1e-12:
-            w = ExistenceWitness(span, total_contained, 1.0)
-            return ExistenceReport("violated", (w,), "exact_enumeration")
-        return ExistenceReport("satisfied", (), "exact_enumeration")
-
-    exhausted = not bases or _enumerate(
-        bases, np.asarray(masses), zero_mass, case, psi_inf, dim, budget, witnesses
-    )
+        if span.shape[1] < dim:
+            contained = zero_mass + sum(_atom_groups(q)[1].tolist())
+            thr, critical = _critical(f, span.shape[1], dim, contained)
+            if critical:
+                witnesses.append(ExistenceWitness(span, contained, thr))
+        exhausted = True
+    else:
+        bases, masses = _atom_groups(q)
+        exhausted = not bases or _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses)
     if witnesses:
         return ExistenceReport("violated", tuple(witnesses), "exact_enumeration")
     if exhausted:
@@ -452,15 +446,22 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
     return ExistenceReport("undecided", (), "budget_exceeded")
 
 
-def span_witness(q: MatrixDistribution, f: RhoFunction, basis: np.ndarray):
-    """The witness that span(basis), orthonormal columns, carries its critical
-    mass under ``f``, or None.  The mass is recounted with the containment
-    test of the search, which needs some atom of Q below full rank."""
-    bases, masses, mass = _atom_groups(q)
-    mass += float(np.asarray(masses)[_containment(bases)(basis)].sum())
-    thr = _threshold(f.case_tag, f.psi_infinity, basis.shape[1], q.dim)
-    critical = basis.shape[1] < q.dim and mass >= thr - 1e-12
-    return ExistenceWitness(basis, mass, thr) if critical else None
+def span_witness(q: MatrixDistribution, f: RhoFunction, vectors: np.ndarray):
+    """The witness of the smallest critical span of the top d eigenvectors,
+    d = 1 .. q-1, of a symmetric matrix (``vectors`` in the ascending order of
+    ``np.linalg.eigh``), or None; a larger nested span adds nothing.  Masses
+    are recounted with the search's containment test, which needs some atom
+    of Q below full rank."""
+    dim, zero_mass = q.dim, _zero_mass(q)
+    bases, masses = _atom_groups(q)
+    inside = _containment(bases)
+    for d in range(1, dim):
+        basis = vectors[:, dim - d:]
+        mass = zero_mass + float(masses[inside(basis)].sum())
+        thr, critical = _critical(f, d, dim, mass)
+        if critical:
+            return ExistenceWitness(basis, mass, thr)
+    return None
 
 
 def _containment(bases):
@@ -476,7 +477,7 @@ def _containment(bases):
     return inside
 
 
-def _enumerate(bases, masses, zero_mass, case, psi_inf, dim, budget, witnesses) -> bool:
+def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
     """Breadth-first search over the spans of unions of groups.
 
     Appends every critical candidate to ``witnesses``; returns False when the
@@ -493,8 +494,9 @@ def _enumerate(bases, masses, zero_mass, case, psi_inf, dim, budget, witnesses) 
     if ranks.max() == 1 and (dim == 2 or n + math.comb(n, 2) > budget):
         # A line contains no other group, so depth one needs no containment
         # test; in the plane it is the whole search.
-        mass, thr = zero_mass + masses, _threshold(case, psi_inf, 1, dim)
-        for g in np.flatnonzero(mass >= thr - 1e-12):
+        mass = zero_mass + masses
+        thr, critical = _critical(f, 1, dim, mass)
+        for g in np.flatnonzero(critical):
             witnesses.append(ExistenceWitness(bases[g], float(mass[g]), thr))
         return dim == 2 and n <= budget
 
@@ -511,7 +513,12 @@ def _enumerate(bases, masses, zero_mass, case, psi_inf, dim, budget, witnesses) 
             return False
         if u.shape[1] == dim - 1:  # every union with it is the whole space
             continue
-        w, rank = _union_basis(u, padded[~inside(u)])
+        # Orthonormal bases of span(U) + span(B) for the padded basis B of
+        # each group not inside U: left singular vectors and union ranks.
+        blocks = padded[~inside(u)]
+        stacked = np.concatenate([np.broadcast_to(u, (len(blocks),) + u.shape), blocks], axis=2)
+        w, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+        rank = np.sum(sv > 1e-10 * sv[:, :1], axis=1)
         for v in (w[i, :, :r] for i, r in enumerate(rank) if r < dim):
             mask = inside(v)
             key = np.packbits(mask).tobytes()
@@ -522,8 +529,8 @@ def _enumerate(bases, masses, zero_mass, case, psi_inf, dim, budget, witnesses) 
             if charged > budget and u.shape[1]:  # past depth one
                 return False
             mass = zero_mass + float(masses[mask].sum())
-            thr = _threshold(case, psi_inf, v.shape[1], dim)
-            if mass >= thr - 1e-12:
+            thr, critical = _critical(f, v.shape[1], dim, mass)
+            if critical:
                 witnesses.append(ExistenceWitness(v, mass, thr))
             queue.append(v)
     return True

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distribution import ExistenceReport, MatrixDistribution, check_existence, from_observations
+from .distribution import ExistenceReport, MatrixDistribution, _observations, check_existence, from_observations
 from .errors import InternalConsistencyError, InvalidInputError, NotPositiveDefiniteError
 from .rho import RhoFunction, t_dist, tyler
 from .solver import (
@@ -71,15 +71,6 @@ def _check_nu(nu: float) -> float:
     return float(nu)
 
 
-def _check_data(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise InvalidInputError(f"observations must form an (n, q) matrix, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("observations contain non-finite entries")
-    return x
-
-
 def augmented_rho(nu: float, q: int) -> RhoFunction:
     """Loss of the augmented problem: shifting the t loss of order (nu, q)
     by one gives the t loss of order (nu - 1, q + 1), or the scale-invariant
@@ -92,7 +83,7 @@ def augmented_rho(nu: float, q: int) -> RhoFunction:
 
 def augment(x, nu: float) -> AugmentedProblem:
     """Map observations to y(x) = [x; 1] and build the augmented problem."""
-    x = _check_data(x)
+    x = _observations(x)
     nu = _check_nu(nu)
     n, q = x.shape
     y = np.hstack([x, np.ones((n, 1))])
@@ -165,7 +156,7 @@ def location_criterion(mu, sigma, x, nu: float) -> float:
     log det Sigma, with the t loss of order (nu, q).  Agrees exactly with
     the augmented scatter criterion at the corresponding Gamma.
     """
-    x = _check_data(x)
+    x = _observations(x)
     nu = _check_nu(nu)
     q = x.shape[1]
     sigma = sigma if isinstance(sigma, SpdMatrix) else SpdMatrix(sigma)

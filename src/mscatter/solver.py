@@ -195,9 +195,9 @@ def fixed_point_solve(
     at its fitted point; the criterion is geodesically convex, so a
     positive definite Hessian certifies the unique minimizer and the report
     becomes ``satisfied`` by ``sufficient_condition``.  A fit that ends
-    ``diverged`` or ``existence_violated`` recounts the mass of the span of
-    its last Psi, down to 1e-12 of the largest eigenvalue; if that span is
-    critical the report becomes ``violated`` by ``witness``.
+    ``diverged`` or ``existence_violated`` scans the nested eigenspaces of
+    its last Psi (:func:`span_witness`); the smallest critical one is the
+    witness of a report ``violated`` by ``witness``.
     """
     cfg = cfg or SolverConfig()
     _check_compat(q, f)
@@ -267,8 +267,7 @@ def fixed_point_solve(
             except np.linalg.LinAlgError:
                 pass
         elif failed:
-            lam, vec = np.linalg.eigh(psi)
-            witness = span_witness(q, f, vec[:, lam > lam[-1] / _COND_LIMIT])
+            witness = span_witness(q, f, np.linalg.eigh(psi)[1])
             if witness is not None:
                 existence = ExistenceReport("violated", (witness,), "witness")
 

@@ -344,6 +344,7 @@ class TestAcovScatter:
         q = from_observations(x) if k == 1 else build_kstat(x, 2, cap=1000)
         est = fixed_point_solve(q, f, TIGHT)
         rep = acov_scatter(x, est, f, k=k, inner_cap=5, seed=3)
+        assert np.array_equal(rep.whitening, est.sigma.inv_sqrt())
         x_std = x @ rep.whitening
         q_std = from_observations(x_std) if k == 1 else build_kstat(x_std, 2, cap=200_000, seed=3)
         h = hessian(q_std, f)
@@ -368,6 +369,7 @@ class TestLocationInfluence:
             est = estimate_location_scatter(pts, nu, TIGHT)
             assert est.converged
             rep = location_influence(pts, nu, est)
+            assert np.array_equal(rep.whitening, est.sigma.inv_sqrt())
             x_std = (pts - est.mu) @ est.sigma.inv_sqrt()
             r = np.einsum("ni,ni->n", x_std, x_std)
             sc = spherical_constants(r, nu, 2)

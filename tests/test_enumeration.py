@@ -9,8 +9,10 @@ same recount checks the witnesses that failed fits report.
 """
 
 import itertools
+import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +28,8 @@ from mscatter import (
     tyler,
     weibull,
 )
-from mscatter.distribution import MatrixDistribution
+from mscatter.cli import run
+from mscatter.distribution import MatrixDistribution, span_witness
 from mscatter.rho import CASE0
 
 LOSSES = {"tyler": tyler, "t": lambda q: t_dist(1.5, q), "gaussian": lambda q: gaussian()}
@@ -163,3 +166,57 @@ def test_fit_verdict_agrees_with_status(problem):
         mass = mass_inside(q, w.basis) if w.subspace_dim else column_spaces(q)[1]
         assert abs(mass - w.mass) <= 1e-10
         assert mass >= w.threshold - 1e-12
+
+
+def test_scan_returns_the_smallest_critical_nested_span():
+    # Six of ten rows on e1 and two on e2: the line e1 (0.6 against 1/3) and
+    # the plane e1-e2 (0.8 against 2/3) are both critical; the line is given.
+    x = np.repeat(np.eye(3), [6, 2, 2], axis=0)
+    q = from_observations(x)
+    w = span_witness(q, tyler(3), np.eye(3)[:, ::-1])
+    assert w.subspace_dim == 1 and abs(w.basis[0, 0]) == 1.0
+    assert w.mass == pytest.approx(0.6) and mass_inside(q, w.basis) == pytest.approx(w.mass)
+    # No nested span of e3, e3-e2 is critical (0.2 and 0.4).
+    assert span_witness(q, tyler(3), np.eye(3)) is None
+
+
+def rows_in_3d_subspace(n, inside):
+    """n seeded rows in R^5 of which the first ``inside`` lie in a random
+    3-D subspace."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, 5))
+    x[:inside] = rng.standard_normal((inside, 3)) @ rng.standard_normal((3, 5))
+    return x
+
+
+def test_codimension_two_collapse_is_the_witness():
+    # Two eigenvalues of the last Psi collapse at different rates (about
+    # 1e-11 of the largest each), so no single spectral cut separates them;
+    # the nested eigenspaces of Psi include the 3-D span of the 29 rows.
+    x = rows_in_3d_subspace(39, 29)
+    q = from_observations(x)
+    est = fixed_point_solve(q, t_dist(1.5, 5), SolverConfig(existence_budget=5))
+    assert (est.status, est.iterations) == ("diverged", 118)
+    assert (est.existence.verdict, est.existence.method) == ("violated", "witness")
+    (w,) = est.existence.witnesses
+    assert w.subspace_dim == 3
+    assert w.mass == pytest.approx(29 / 39, abs=1e-12)
+    assert abs(mass_inside(q, w.basis) - w.mass) <= 1e-10
+    assert w.threshold == pytest.approx(4.5 / 6.5) and w.mass >= w.threshold
+    rows = np.linalg.svd(x[:29].T, full_matrices=False)[0][:, :3]
+    assert np.allclose(w.basis @ w.basis.T, rows @ rows.T, atol=1e-6)
+
+
+@pytest.mark.parametrize("flags", [["--estimator", "tyler"], ["--estimator", "t", "--nu", "1.5"]])
+def test_cli_codimension_two_collapse_is_the_witness(tmp_path, capsys, flags):
+    x = rows_in_3d_subspace(60, 45)
+    path = tmp_path / "x.csv"
+    np.savetxt(path, x, delimiter=",", fmt="%.17g")
+    code = run(["scatter", "--input", str(path)] + flags)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["status"] == "diverged"
+    assert (doc["existence"]["verdict"], doc["existence"]["method"]) == ("violated", "witness")
+    (w,) = doc["existence"]["witnesses"]
+    assert w["dim"] == 3 and w["mass"] == pytest.approx(0.75, abs=1e-12)
+    assert abs(mass_inside(from_observations(x), np.asarray(w["basis"])) - w["mass"]) <= 1e-10
