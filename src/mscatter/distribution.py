@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError, RangeError
+from .errors import DimensionMismatchError, DomainError, InvalidInputError, RangeError
 from .rho import CASE0, RhoFunction
 from .symmat import PsdAtom, as_array, clip_psd_dust, helmert
 
@@ -27,8 +27,8 @@ _RANK_RTOL = 1e-9
 # Containment slack for "column space lies inside subspace" tests.
 _CONTAIN_TOL = 1e-8
 
-# Largest condition number a fitted scatter may have: the solver stops as
-# diverged beyond it, and the unbounded-psi check reads the span of the mean
+# Largest condition number of a fitted scatter relative to the mean atom: the
+# solver stops as diverged beyond it, and the frame reads the rank of the mean
 # atom down to its reciprocal, so both draw the line in one place.
 _COND_LIMIT = 1e12
 
@@ -292,9 +292,33 @@ def transform(q: MatrixDistribution, b, direction: str = "forward") -> MatrixDis
         t = np.linalg.inv(b)
     else:
         raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return _congruence(q, t)
+
+
+def _congruence(q: MatrixDistribution, t: np.ndarray) -> MatrixDistribution:
+    """Every atom M replaced by T M T^T, with T taken as given."""
     if q._factors is not None:
         return MatrixDistribution._from_factors(q._factors @ t.T, q.weights)
     return MatrixDistribution(t @ q.atoms @ t.T, q.weights, clip=False)
+
+
+def _frame(q: MatrixDistribution):
+    """The frame of Q, in which its mean atom A (the Gaussian fit) is I.
+
+    The rank of A is judged without units, on R = D^-1/2 A D^-1/2 with
+    D = diag(A), down to 1/_COND_LIMIT of its largest eigenvalue.  Returns
+    (L, L^-1) with A = L L^T, L = D^1/2 chol(R), or (None, an orthonormal
+    basis of the span of A) when A is singular."""
+    a = q.mean_atom()
+    d = np.sqrt(np.diag(a))
+    d[d == 0.0] = 1.0  # a zero row of A stays a zero row of R
+    r = a / np.outer(d, d)
+    lam, vec = np.linalg.eigh(r)
+    keep = lam > lam[-1] / _COND_LIMIT
+    if not keep.all():
+        return None, np.linalg.qr(d[:, None] * vec[:, keep])[0]
+    c = np.linalg.cholesky(r)
+    return d[:, None] * c, np.linalg.inv(c) / d
 
 
 # -- existence diagnostics ------------------------------------------------------
@@ -392,25 +416,41 @@ def _critical(f: RhoFunction, dim_v: int, dim: int, mass):
     return thr, mass >= thr - 1e-12
 
 
+def _check_compat(q: MatrixDistribution, f: RhoFunction):
+    """Refuse a loss of another dimension, or with Case 1 thresholds outside (0, 1]."""
+    if f.dim is not None and f.dim != q.dim:
+        raise DimensionMismatchError(
+            f"loss is for dimension {f.dim}, distribution has dimension {q.dim}"
+        )
+    if f.case_tag != CASE0 and not f.psi_infinity > q.dim:
+        raise DomainError(f"a {f.case_tag} loss needs psi(inf) > q = {q.dim}, got {f.psi_infinity}")
+
+
+def _to_data(l: np.ndarray, w: ExistenceWitness) -> ExistenceWitness:
+    """A witness of the frame with its basis mapped back by L, re-orthonormalized."""
+    return ExistenceWitness(np.linalg.qr(l @ w.basis)[0], w.mass, w.threshold)
+
+
 def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000) -> ExistenceReport:
     """Decide the subspace-mass conditions for a unique minimizer.
 
     A proper subspace V is critical when the mass of atoms whose column
     space lies inside V reaches dim(V)/q (Case 0) or
     (psi(inf) - q + dim(V))/psi(inf) (Case 1, threshold 1 when psi(inf) is
-    infinite).  For finite Q it suffices to enumerate subspaces spanned by
-    unions of atom column spaces; ``budget`` caps how many candidates are
-    examined; a search it stops answers ``undecided``, which only a fit can
-    settle (see :func:`fixed_point_solve`).
+    infinite).  The check runs in the frame of Q, where a singular mean atom
+    is the one witness (its span holds every atom); otherwise it suffices to
+    enumerate subspaces spanned by unions of atom column spaces; ``budget``
+    caps how many candidates are examined; a search it stops answers
+    ``undecided``, which only a fit can settle (see :func:`fixed_point_solve`).
     """
     if budget < 1:
         raise InvalidInputError("budget must be positive")
-    if f.dim is not None and f.dim != q.dim:
-        raise DimensionMismatchError(
-            f"loss is for dimension {f.dim}, distribution has dimension {q.dim}"
-        )
+    _check_compat(q, f)
     dim, witnesses = q.dim, []
-    unbounded = f.case_tag != CASE0 and math.isinf(f.psi_infinity)
+    l, l_inv = _frame(q)
+    if l is None:  # l_inv is the span of A: all of the mass, critical for every loss
+        thr, _ = _critical(f, l_inv.shape[1], dim, 1.0)
+        return ExistenceReport("violated", (ExistenceWitness(l_inv, 1.0, thr),), "exact_enumeration")
 
     # Zero space first: under Case 0 any mass at the zero matrix is fatal
     # (threshold 0), under Case 1 it faces the dim(V) = 0 threshold.
@@ -418,29 +458,17 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
     thr, critical = _critical(f, 0, dim, zero_mass)
     if zero_mass > 0 and critical:
         witnesses.append(ExistenceWitness(np.zeros((dim, 0)), zero_mass, thr))
-        if f.case_tag == CASE0 or unbounded:
+        if f.case_tag == CASE0:
             return ExistenceReport("violated", tuple(witnesses), "exact_enumeration")
 
-    # Unbounded psi: the only way to reach threshold 1 is to carry all mass,
-    # so the single candidate is the span of every atom column space, read
-    # off the mean atom down to 1/_COND_LIMIT of its largest eigenvalue (the
-    # Gaussian fit is the mean atom); only a proper span needs the groups.
-    # Atoms of full column rank are missing from them, so their mass is
-    # missing from the sum and prevents a violation.
-    if unbounded:
-        lam, vec = np.linalg.eigh(q.mean_atom())
-        span = vec[:, lam > lam[-1] / _COND_LIMIT]
-        if span.shape[1] < dim:
-            contained = zero_mass + sum(_atom_groups(q)[1].tolist())
-            thr, critical = _critical(f, span.shape[1], dim, contained)
-            if critical:
-                witnesses.append(ExistenceWitness(span, contained, thr))
-        exhausted = True
-    else:
-        bases, masses = _atom_groups(q)
+    # A proper subspace misses some atom, so it carries at most 1 - min w;
+    # below a line's threshold (1 when psi(inf) is infinite) none is critical.
+    exhausted = True
+    if _critical(f, 1, dim, 1.0 - q.weights.min())[1]:
+        bases, masses = _atom_groups(_congruence(q, l_inv))
         exhausted = not bases or _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses)
     if witnesses:
-        return ExistenceReport("violated", tuple(witnesses), "exact_enumeration")
+        return ExistenceReport("violated", tuple(_to_data(l, w) for w in witnesses), "exact_enumeration")
     if exhausted:
         return ExistenceReport("satisfied", (), "exact_enumeration")
     return ExistenceReport("undecided", (), "budget_exceeded")

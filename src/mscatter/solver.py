@@ -28,16 +28,18 @@ from .distribution import (
     ExistenceReport,
     MatrixDistribution,
     WishartGroup,
+    _check_compat,
+    _congruence,
+    _frame,
+    _to_data,
     check_existence,
     from_wishart_groups,
     span_witness,
-    transform,
 )
 from .errors import (
     DimensionMismatchError,
     DomainError,
     InvalidInputError,
-    NotPositiveDefiniteError,
     UnsupportedOperationError,
 )
 from .rho import CASE0, RhoFunction, tyler, validate
@@ -92,31 +94,23 @@ class ScatterEstimate:
         return self.status == STATUS_CONVERGED
 
 
-def _check_compat(q: MatrixDistribution, f: RhoFunction):
-    if f.dim is not None and f.dim != q.dim:
-        raise DimensionMismatchError(
-            f"loss is for dimension {f.dim}, distribution has dimension {q.dim}"
-        )
+def _spd(s, q: MatrixDistribution) -> np.ndarray:
+    """The lower Cholesky factor of S, checked positive definite and matching Q."""
+    s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
+    if s.dim != q.dim:
+        raise DimensionMismatchError(f"S is {s.dim}-dimensional, Q is {q.dim}-dimensional")
+    return np.linalg.cholesky(s.mat)
+
+
+def _evaluate(chol: np.ndarray, q: MatrixDistribution, f: RhoFunction):
+    """(L(S, Q), Psi(S, Q), L^-1) in one pass over the atoms, for S = L L^T
+    given by its lower Cholesky factor L, so S^-1 = L^-T L^-1; atoms at the
+    zero matrix contribute to neither, which the scale-invariant log loss
+    does not allow."""
     if f.case_tag == CASE0 and not q.case0_ready:
         raise DomainError(
             "Case 0 requires every atom to have positive trace (no mass at the zero matrix)"
         )
-
-
-def _spd(s, q: MatrixDistribution) -> np.ndarray:
-    """The entries of S after checking it is positive definite and matches Q."""
-    s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
-    if s.dim != q.dim:
-        raise DimensionMismatchError(f"S is {s.dim}-dimensional, Q is {q.dim}-dimensional")
-    return s.mat
-
-
-def _evaluate(s: np.ndarray, q: MatrixDistribution, f: RhoFunction):
-    """(L(S, Q), Psi(S, Q), L^-1) in one pass over the atoms, with L the lower
-    Cholesky factor of S, so S^-1 = L^-T L^-1; atoms at the zero matrix
-    contribute to neither.  Raises ``LinAlgError`` when S is not positive
-    definite."""
-    chol = np.linalg.cholesky(s)
     l_inv = np.linalg.inv(chol)
     nz = q.traces > 0.0
     t = q.traces_under(l_inv.T @ l_inv)[nz]
@@ -153,26 +147,17 @@ def gradient(s, q: MatrixDistribution, f: RhoFunction) -> SymMatrix:
     return SymMatrix(r @ (s.mat - psi.mat) @ r)
 
 
-def _start_matrix(q: MatrixDistribution, cfg: SolverConfig) -> np.ndarray:
+def _start_factor(q: MatrixDistribution, cfg: SolverConfig, l_inv: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the configured start in the frame A = L L^T: L^-1 times
+    that of the identity or of a given matrix; the identity for ``"mean_atom"``."""
     if isinstance(cfg.start, SpdMatrix):
         if cfg.start.dim != q.dim:
             raise DimensionMismatchError("start matrix has the wrong dimension")
-        return np.array(cfg.start.mat)
+        return l_inv @ np.linalg.cholesky(cfg.start.mat)
     if cfg.start == "identity":
-        return np.eye(q.dim)
+        return l_inv
     if cfg.start == "mean_atom":
-        m = q.mean_atom()
-        tr = np.trace(m)
-        if tr <= 0:
-            raise InvalidInputError("mean atom is zero; cannot start from it")
-        m = m * (q.dim / tr)
-        try:
-            SpdMatrix(m)
-        except NotPositiveDefiniteError as exc:
-            raise InvalidInputError(
-                "mean atom is singular; use the identity start instead"
-            ) from exc
-        return m
+        return np.eye(q.dim)
     raise InvalidInputError(f"unknown start {cfg.start!r}")
 
 
@@ -186,18 +171,19 @@ def fixed_point_solve(
     The loss must pass :func:`mscatter.rho.validate`; the existence
     conditions are checked first and a violated report stops the fit with
     status ``existence_violated`` once the start matrix is evaluated, so the
-    residual and gradient norm describe the start.  An iterate whose
-    condition number exceeds 1e12 ends the fit as ``diverged``; no rule looks
-    at the scale of S, so the fit is equivariant under a change of units.
+    residual and gradient norm describe the start.  The fit iterates in the
+    frame of Q, where the mean atom A is the identity, from the image of the
+    start; an iterate whose condition number there exceeds 1e12 ends the fit
+    as ``diverged``.  The reported values are in the data's coordinates.
 
     A check the budget leaves ``undecided`` is settled by the fit when it
     can be proven.  A converged fit whose loss has rho'' builds the Hessian
     at its fitted point; the criterion is geodesically convex, so a
     positive definite Hessian certifies the unique minimizer and the report
     becomes ``satisfied`` by ``sufficient_condition``.  A fit that ends
-    ``diverged`` or ``existence_violated`` scans the nested eigenspaces of
-    its last Psi (:func:`span_witness`); the smallest critical one is the
-    witness of a report ``violated`` by ``witness``.
+    ``diverged`` scans the nested eigenspaces of its last Psi
+    (:func:`span_witness`); the smallest critical one is the witness of a
+    report ``violated`` by ``witness``.
     """
     cfg = cfg or SolverConfig()
     _check_compat(q, f)
@@ -210,36 +196,32 @@ def fixed_point_solve(
 
     case0 = f.case_tag == CASE0
     existence = check_existence(q, f, cfg.existence_budget)
-    s = _start_matrix(q, cfg)
-    if case0:
-        s = _det_normalize(s)
+    l, l_inv = _frame(q)
+    if l is None:  # the report is violated: the fit stops at its start
+        l = l_inv = np.eye(q.dim)
+    qf = _congruence(q, l_inv)
+    chol = _start_factor(q, cfg, l_inv)
+    if case0:  # det S = 1 in the frame and det L = 1, so det Sigma = 1
+        chol = chol / np.exp(np.mean(np.log(np.diag(chol))))
+        l = l / np.exp(np.mean(np.log(np.diag(l))))
+    s = chol @ chol.T
 
     log_values = []
-    status = STATUS_MAX_ITER
     iterations = 0
-    crit = math.nan
-    gnorm = math.nan
-    fp_resid = math.inf
-    psi = s  # stands in for the last Psi should the first evaluation fail
-
-    for _ in range(cfg.max_iter + 1):
-        try:
-            crit, psi, l_inv = _evaluate(s, q, f)
-        except np.linalg.LinAlgError:
-            status = STATUS_DIVERGED
-            break
+    while True:
+        crit, psi, w = _evaluate(chol, qf, f)
         log_values.append(crit)
 
         diff = psi - s
-        fp_resid = _frobenius(diff) / _frobenius(s)
-        gnorm = _frobenius(l_inv @ diff @ l_inv.T)
+        gnorm = _frobenius(w @ diff @ w.T)
 
         # Checked before convergence: a start matrix can be an exact fixed
         # point of Psi even though no unique minimizer exists.
         if existence.verdict == "violated":
             status = STATUS_EXISTENCE
             break
-        if fp_resid <= cfg.tol_fixed_point and gnorm <= cfg.tol_gradient:
+        if gnorm <= cfg.tol_gradient and (
+                _frobenius(l @ diff @ l.T) / _frobenius(l @ s @ l.T) <= cfg.tol_fixed_point):
             status = STATUS_CONVERGED
             break
         if iterations >= cfg.max_iter:
@@ -247,38 +229,44 @@ def fixed_point_solve(
             break
 
         lam = np.linalg.eigvalsh(psi)
-        if lam[0] <= 0.0:
-            status = STATUS_EXISTENCE
-            s = psi
-            iterations += 1
-            break
-        s = _det_normalize(psi, lam) if case0 else psi
         iterations += 1
-        if lam[-1] / lam[0] > _COND_LIMIT:
+        if lam[0] <= 0.0 or lam[-1] / lam[0] > _COND_LIMIT:
             status = STATUS_DIVERGED
             break
+        s = psi / np.exp(np.mean(np.log(lam))) if case0 else psi
+        chol = np.linalg.cholesky(s)  # positive definite within the condition limit
 
-    failed = status in (STATUS_DIVERGED, STATUS_EXISTENCE)
     if existence.verdict == "undecided":
         if status == STATUS_CONVERGED and f.has_second:
             try:
-                np.linalg.cholesky(hessian(transform(q, l_inv), f).matrix)
+                np.linalg.cholesky(hessian(_congruence(qf, w), f).matrix)
                 existence = ExistenceReport("satisfied", (), "sufficient_condition")
             except np.linalg.LinAlgError:
                 pass
-        elif failed:
-            witness = span_witness(q, f, np.linalg.eigh(psi)[1])
+        elif status == STATUS_DIVERGED:
+            witness = span_witness(qf, f, np.linalg.eigh(psi)[1])
             if witness is not None:
-                existence = ExistenceReport("violated", (witness,), "witness")
+                existence = ExistenceReport("violated", (_to_data(l, witness),), "witness")
 
-    sigma = SpdMatrix(_nudge_pd(s) if failed else s)
+    # Sigma = L S L^T, lifted where a collapse left it indefinite: the spectrum of
+    # the unit-free D^-1/2 Sigma D^-1/2 (D = diag Sigma) is kept above 1e-12 of its top.
+    sigma = (l @ chol) @ (l @ chol).T
+    d = np.sqrt(np.diag(sigma))
+    lam = np.linalg.eigvalsh(sigma / np.outer(d, d))
+    sigma = SpdMatrix(sigma + max(lam[-1] / _COND_LIMIT - lam[0], 0.0) * np.diag(d * d))
+    # Report the returned iterate as ``check --sigma`` recomputes it; the
+    # frame's criterion differs from the data's by a constant.
+    crit, psi, w = _evaluate(np.linalg.cholesky(sigma.mat), q, f)
+    diff = psi - sigma.mat
+    fp_resid = _frobenius(diff) / _frobenius(sigma.mat)
+    gnorm = _frobenius(w @ diff @ w.T)
     return ScatterEstimate(
         sigma=sigma,
         iterations=iterations,
         criterion=crit,
         gradient_norm=gnorm,
         status=status,
-        descent_log=np.asarray(log_values),
+        descent_log=np.asarray(log_values) + (crit - log_values[-1]),
         fixed_point_residual=fp_resid,
         existence=existence,
     )
@@ -291,23 +279,6 @@ def _frobenius(a: np.ndarray) -> float:
     e = math.frexp(np.abs(v).max())[1]
     w = np.ldexp(v, -e)
     return float(np.ldexp(math.sqrt(w @ w), e))
-
-
-def _det_normalize(s: np.ndarray, lam=None) -> np.ndarray:
-    lam = np.linalg.eigvalsh(s) if lam is None else lam
-    scale = np.exp(np.sum(np.log(lam)) / s.shape[0])
-    return s / scale
-
-
-def _nudge_pd(s: np.ndarray) -> np.ndarray:
-    """Lift every eigenvalue of a symmetric matrix to at least 1e-12 of the
-    largest magnitude (the identity stands in for the zero matrix), so the
-    last iterate of a failed fit still makes an ``SpdMatrix``."""
-    lam = np.linalg.eigvalsh(s)
-    floor = np.abs(lam).max() / _COND_LIMIT
-    if floor == 0.0:
-        return np.eye(s.shape[0])
-    return s if lam[0] >= floor else s + (floor - lam[0]) * np.eye(s.shape[0])
 
 
 # -- Hessian operator ------------------------------------------------------------

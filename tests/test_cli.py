@@ -199,8 +199,8 @@ class TestScatterCommand:
 
     @pytest.mark.parametrize("flags", [["--estimator", "tyler"], ["--estimator", "t", "--nu", "1"]])
     def test_plane_rows_violated_by_witness(self, tmp_path, capsys, flags):
-        # 2,000 rows with x3 = 0: past the fit's budget, the plane that Psi
-        # collapses onto is recounted and carries all the mass.
+        # 2,000 rows with x3 = 0: the mean atom is singular, so its span, the
+        # plane, carries all the mass and is the witness before the loop.
         rng = np.random.default_rng(0)
         x = np.hstack([rng.standard_normal((2000, 2)), np.zeros((2000, 1))])
         path = tmp_path / "plane.csv"
@@ -210,13 +210,13 @@ class TestScatterCommand:
         assert code == 2
         assert doc["status"] == "existence_violated"
         assert doc["existence"]["verdict"] == "violated"
-        assert doc["existence"]["method"] == "witness"
+        assert doc["existence"]["method"] == "exact_enumeration"
         (w,) = doc["existence"]["witnesses"]
         assert w["dim"] == 2 and w["mass"] == pytest.approx(1.0)
 
     def test_nearly_singular_iterate_exits_two(self, tmp_path, capsys):
-        # Rank-two rows in R^3: the t fit's last iterate has a tiny positive
-        # smallest eigenvalue, which the reported Sigma must lift.
+        # Rank-two rows in R^3: the mean atom is singular, so the t fit stops
+        # at its start with the span of the rows as the witness.
         rng = np.random.default_rng(6)
         x = rng.standard_normal((200, 2)) @ rng.standard_normal((2, 3))
         path = tmp_path / "x.csv"
@@ -224,9 +224,9 @@ class TestScatterCommand:
         code = run(["scatter", "--estimator", "t", "--nu", "1.5", "--input", str(path)])
         doc = read_json(capsys)
         assert code == 2
-        assert doc["status"] == "diverged"
+        assert doc["status"] == "existence_violated"
         assert doc["existence"]["verdict"] == "violated"
-        assert doc["existence"]["method"] == "witness"
+        assert doc["existence"]["method"] == "exact_enumeration"
         np.linalg.cholesky(np.asarray(doc["sigma"]))
 
     def test_se_block(self, tmp_path, capsys):
@@ -531,6 +531,17 @@ class TestUnits:
         assert code == 0
         self.assert_close(centi["mu"], 100.0 * np.asarray(unit["mu"]))
         self.assert_close(centi["sigma"], 1e4 * np.asarray(unit["sigma"]))
+
+    def test_location_shifted_rows(self, tmp_path, capsys):
+        # Rows far from the origin: the fit runs where the augmented mean
+        # atom is the identity, so the shift does not stop it.
+        x = np.random.default_rng(0).standard_normal((50, 3))
+        code, unit = self.fit(tmp_path, capsys, ["locscatter", "--nu", "3"], x)
+        assert code == 0
+        code, shifted = self.fit(tmp_path, capsys, ["locscatter", "--nu", "3"], x + 1000.0)
+        assert code == 0
+        self.assert_close(shifted["mu"], np.asarray(unit["mu"]) + 1000.0)
+        self.assert_close(shifted["sigma"], unit["sigma"])
 
     # Squared row norms of 1e+-160 leave the normal float range.
     @pytest.mark.parametrize("scale,code", [(1e-160, 3), (1e-150, 0), (1e150, 0), (1e160, 3)])

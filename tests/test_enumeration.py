@@ -190,13 +190,13 @@ def rows_in_3d_subspace(n, inside):
 
 
 def test_codimension_two_collapse_is_the_witness():
-    # Two eigenvalues of the last Psi collapse at different rates (about
-    # 1e-11 of the largest each), so no single spectral cut separates them;
-    # the nested eigenspaces of Psi include the 3-D span of the 29 rows.
+    # Two eigenvalues of the last Psi collapse at different rates, so no
+    # single spectral cut separates them; the nested eigenspaces of Psi
+    # include the 3-D span of the 29 rows.
     x = rows_in_3d_subspace(39, 29)
     q = from_observations(x)
     est = fixed_point_solve(q, t_dist(1.5, 5), SolverConfig(existence_budget=5))
-    assert (est.status, est.iterations) == ("diverged", 118)
+    assert (est.status, est.iterations) == ("diverged", 143)
     assert (est.existence.verdict, est.existence.method) == ("violated", "witness")
     (w,) = est.existence.witnesses
     assert w.subspace_dim == 3

@@ -204,3 +204,41 @@ class TestAugmentedRhoShift:
             lhs = np.asarray(aug.rho(grid))
             rhs = np.asarray(base.rho(grid - 1.0))
             assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestShiftAndScale:
+    """Location fits run where the augmented mean atom is the identity, so a
+    shift of the origin or a change of units does not stop them."""
+
+    def test_shifted_rows_converge_and_are_certified(self):
+        x = np.random.default_rng(0).standard_normal((50, 3)) + 1000.0
+        est = estimate_location_scatter(x, 3.0)
+        assert est.converged
+        assert (est.inner.existence.verdict, est.inner.existence.method) == (
+            "satisfied", "sufficient_condition")
+
+    def test_shifted_rows_give_no_witness(self):
+        x = np.random.default_rng(0).standard_normal((50, 3)) + 1e4
+        assert check_location_existence(x, 3.0).witnesses == ()
+
+    @pytest.mark.parametrize("shift, scale", [(1e3, 1.0), (0.0, 1e-6)], ids=["+1e3", "x1e-6"])
+    def test_identity_start_follows_the_unit_fit(self, shift, scale):
+        x = np.random.default_rng(1).standard_normal((300, 20))
+        base = estimate_location_scatter(x, 3.0)
+        est = estimate_location_scatter(scale * x + shift, 3.0)
+        assert base.converged and est.converged
+        assert rel(est.sigma.mat, scale**2 * base.sigma.mat) <= 1e-8
+
+    def test_mean_atom_start_is_unit_free(self):
+        x = np.random.default_rng(1).standard_normal((300, 20))
+        cfg = SolverConfig(start="mean_atom")
+        base = estimate_location_scatter(x, 3.0, cfg)
+        assert base.converged
+        for scale in (1e6, 1e-6, 1e-9, 1e-10):
+            est = estimate_location_scatter(scale * x, 3.0, cfg)
+            assert est.converged and est.iterations == base.iterations
+            assert rel(est.sigma.mat, scale**2 * base.sigma.mat) <= 1e-12

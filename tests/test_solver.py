@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mscatter import (
     DomainError,
@@ -14,9 +16,11 @@ from mscatter import (
     SpdMatrix,
     UnsupportedOperationError,
     WishartGroup,
+    check_existence,
     criterion,
     custom,
     directional_scan,
+    estimate_location_scatter,
     fixed_point_solve,
     from_observations,
     from_wishart_groups,
@@ -29,11 +33,12 @@ from mscatter import (
     t_dist,
     transform,
     tyler,
+    validate,
     weibull,
     wishart,
 )
 from mscatter import build_kstat
-from mscatter.rho import CASE0
+from mscatter.rho import CASE0, CASE1, CASE1_PRIME
 from mscatter.samplers import SeededStream
 from mscatter.solver import _frobenius
 
@@ -440,6 +445,72 @@ class TestSolverInvariants:
             a /= np.linalg.norm(a)
             vals = directional_scan(b, a, q, f, grid)
             assert np.argmin(vals) == 10
+
+
+@st.composite
+def affine_maps(draw):
+    """Rows, a loss kind, a nonsingular B of condition number up to 1e6 and a
+    shift of norm up to 1e3 (applied to location fits only)."""
+    kind = draw(st.sampled_from(["tyler", "t", "gaussian", "locscatter"]))
+    q = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((draw(st.integers(3 * q, 40)), q))
+    u, v = (np.linalg.qr(rng.standard_normal((q, q)))[0] for _ in range(2))
+    b = (u * np.logspace(0.0, draw(st.floats(0.0, 6.0)), q)) @ v.T
+    m = rng.standard_normal(q)
+    return kind, x, b, m * draw(st.floats(0.0, 1e3)) / np.linalg.norm(m)
+
+
+class TestFrame:
+    """Fits iterate where the mean atom is the identity, and existence is
+    decided there."""
+
+    @pytest.mark.parametrize("f", [t_dist(3.0, 20), tyler(20), gaussian()],
+                             ids=["t3", "tyler", "gaussian"])
+    def test_column_scales_converge(self, f):
+        x = np.random.default_rng(1).standard_normal((300, 20)) * np.logspace(-3, 3, 20)
+        est = fixed_point_solve(from_observations(x), f)
+        assert est.converged
+        assert est.existence.verdict != "violated"
+
+    @pytest.mark.parametrize("entry", [check_existence, fixed_point_solve],
+                             ids=["check_existence", "fixed_point_solve"])
+    @pytest.mark.parametrize("case_tag, psi_inf", [(CASE1, 2.0), (CASE1_PRIME, 3.0)],
+                             ids=["case1", "case1prime"])
+    def test_case1_loss_needs_psi_infinity_above_q(self, entry, case_tag, psi_inf):
+        # rho'(s) = c/(1+s) passes validate, but with psi(inf) = c <= q = 3
+        # the threshold of a line is c - 2 <= 1/3 of the mass.
+        c = psi_inf
+        f = custom(rho=lambda s: c * np.log1p(s), rho_prime=lambda s: c / (1.0 + s),
+                   rho_second=lambda s: -c / (1.0 + s) ** 2, psi_infinity=c, case_tag=case_tag)
+        assert validate(f).passed
+        q = from_observations(np.random.default_rng(0).standard_normal((200, 3)))
+        with pytest.raises(DomainError):
+            entry(q, f)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(problem=affine_maps())
+    def test_mean_atom_start_is_equivariant(self, problem):
+        kind, x, b, m = problem
+        q, cfg = x.shape[1], SolverConfig(start="mean_atom")
+        if kind == "locscatter":
+            base, est = (estimate_location_scatter(y, 3.0, cfg) for y in (x, x @ b.T + m))
+            reports = (base.inner.existence, est.inner.existence)
+        else:
+            f = {"tyler": tyler(q), "t": t_dist(3.0, q), "gaussian": gaussian()}[kind]
+            base, est = (fixed_point_solve(from_observations(y), f, cfg) for y in (x, x @ b.T))
+            reports = (base.existence, est.existence)
+        assert est.status == base.status
+        assert reports[1].verdict == reports[0].verdict
+        event(f"{kind}: iterations moved by {abs(est.iterations - base.iterations)}")
+        if base.converged:
+            expected = b @ base.sigma.mat @ b.T
+            if kind == "tyler":
+                # Up to scale: at condition numbers near 1e10 a determinant
+                # is good to about 1e-6, so det-1 matrices differ by that much.
+                expected *= np.trace(est.sigma.mat) / np.trace(expected)
+            rel = np.linalg.norm(est.sigma.mat - expected) / np.linalg.norm(expected)
+            assert rel <= 1e-8
 
 
 class TestHessian:
