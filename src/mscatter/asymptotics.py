@@ -15,6 +15,7 @@ plug-in average over (k-1)-subsets of the observed sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,7 +23,6 @@ import numpy as np
 
 from .distribution import (
     MatrixDistribution,
-    _subset_covariances,
     _subsets,
     build_kstat,
     from_observations,
@@ -30,8 +30,8 @@ from .distribution import (
 from .errors import DomainError, InvalidInputError, InvalidRegimeError
 from .location import LocationScatterEstimate, augmented_rho
 from .rho import CASE0, RhoFunction
-from .solver import HessianOperator, ScatterEstimate, _evaluate, hessian
-from .symmat import SymMatrix, spectral
+from .solver import HessianOperator, ScatterEstimate, hessian
+from .symmat import SymMatrix, helmert, spectral, stack_blocks
 
 
 @dataclass
@@ -83,22 +83,47 @@ def _scores_k1(x_std: np.ndarray, f: RhoFunction) -> np.ndarray:
     return np.einsum("n,ni,nj->nij", rho_p, x_std, x_std) - np.eye(x_std.shape[1])
 
 
-def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, x: np.ndarray,
-                   inner_cap: int, seed: int, exclude: Optional[int]) -> np.ndarray:
-    """Plug-in average of rho'(tr S(x, X_J)) S(x, X_J) - I over (k-1)-subsets
-    J of the sample (excluding index ``exclude``), capped at inner_cap."""
+def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, points: np.ndarray,
+                   inner_cap: int, seeds, exclude: Optional[np.ndarray] = None) -> np.ndarray:
+    """Plug-in averages mean(rho'(tr S) S) - I = Psi(I, .) - I over the sample
+    covariances S = S(x, X_J), one (q, q) matrix for each row x of ``points``.
+
+    For row b, J runs over the (k-1)-subsets of the sample without index
+    ``exclude[b]`` (of the whole sample when ``exclude`` is None): all of
+    them in lexicographic order, the same for every row, when there are at
+    most ``inner_cap``; otherwise ``inner_cap`` of them drawn from
+    ``seeds[b]``.  The rows are evaluated a block at a time, at most
+    ``_BLOCK_ENTRIES`` factor entries a block.  As in Psi, zero covariances
+    (coincident points) raise ``DomainError`` under Case 0 and contribute
+    nothing under Case 1.
+    """
     n, q = x_std.shape
-    idx = np.arange(n)
-    if exclude is not None:
-        idx = idx[idx != exclude]
-    n_eff = idx.shape[0]
+    n_eff = n if exclude is None else n - 1
     if n_eff < k - 1:
         raise InvalidInputError(f"need at least {k - 1} other observations, have {n_eff}")
-    pts = x_std[idx[_subsets(n_eff, k - 1, inner_cap, seed)]]  # (m, k-1, q)
-    xs = np.broadcast_to(x, (pts.shape[0], 1, q))
-    # The average is Psi(I, .) over the subset covariances S(x, X_J).
-    covs = _subset_covariances(np.concatenate([xs, pts], axis=1))
-    return _evaluate(np.eye(q), covs, f)[1] - np.eye(q)
+    total = math.comb(n_eff, k - 1)
+    m = min(total, inner_cap)
+    shared = _subsets(n_eff, k - 1, inner_cap, int(seeds[0]))[None] if total <= inner_cap else None
+    contrasts = helmert(k)[:, 1:] / math.sqrt(k - 1)
+    out = np.empty((len(points), q, q))
+    for lo, hi in stack_blocks(len(points), m * (k - 1) * q):
+        sub = shared if shared is not None else np.stack(
+            [_subsets(n_eff, k - 1, inner_cap, int(s)) for s in seeds[lo:hi]])
+        if exclude is not None:  # subset indices skip the excluded row
+            sub = sub + (sub >= np.asarray(exclude[lo:hi])[:, None, None])
+        # S(x, X_J) = Y^T Y with Y the k-1 Helmert contrasts of X_J - x.
+        y = (contrasts @ (x_std[sub] - points[lo:hi, None, None])).reshape(hi - lo, -1, q)
+        t = np.einsum("bni,bni->bn", y, y).reshape(hi - lo, m, k - 1).sum(axis=2)
+        nz = t > 0.0
+        if f.case_tag == CASE0 and not nz.all():
+            raise DomainError(
+                "Case 0 requires every atom to have positive trace (no mass at the zero matrix)"
+            )
+        coeff = np.zeros(t.shape)
+        coeff[nz] = (1.0 / m) * np.asarray(f.rho_prime(t[nz]))
+        psi = np.swapaxes(y, 1, 2) @ (np.repeat(coeff, k - 1, axis=1)[..., None] * y)
+        out[lo:hi] = (psi + np.swapaxes(psi, 1, 2)) / 2.0 - np.eye(q)
+    return out
 
 
 def influence_kge2(
@@ -127,8 +152,9 @@ def influence_kge2(
     x = np.asarray(x_point, dtype=float).ravel()
     if hess is None:
         hess = hessian(build_kstat(x_std, k, seed=seed), f)
-    avg = _inner_average(x_std, f, k, x, inner_cap, seed, exclude)
-    return SymMatrix(k * hess.solve(avg))
+    avg = _inner_average(x_std, f, k, x[None], inner_cap, [seed],
+                         None if exclude is None else [exclude])
+    return SymMatrix(k * hess.solve(avg[0]))
 
 
 @dataclass(frozen=True)
@@ -268,7 +294,11 @@ def acov_scatter(
     scatter (making the standardized estimate the identity exactly, by
     equivariance), computes the per-observation influence matrices there,
     maps them back by congruence and reports the empirical covariance and
-    entrywise standard errors sqrt(diag(acov)/n).
+    entrywise standard errors sqrt(diag(acov)/n).  For k >= 2 the inner
+    averages of all observations come from one blocked pass of
+    :func:`_inner_average`, observation i leaving itself out of its
+    (k-1)-subsets and drawing them from ``seed + 1 + i`` when they are
+    capped.
     """
     white, root = _whitening(estimate)
     x_std = np.asarray(x, dtype=float) @ white
@@ -278,10 +308,8 @@ def acov_scatter(
         z_std = h.solve(_scores_k1(x_std, f))
     else:
         h = hessian(build_kstat(x_std, k, seed=seed), f)
-        avgs = np.stack([
-            _inner_average(x_std, f, k, xi, inner_cap, seed + 1 + i, i)
-            for i, xi in enumerate(x_std)
-        ])
+        n = x_std.shape[0]
+        avgs = _inner_average(x_std, f, k, x_std, inner_cap, seed + 1 + np.arange(n), np.arange(n))
         z_std = k * h.solve(avgs)
 
     centering = float(np.linalg.norm(z_std.mean(axis=0)))

@@ -99,6 +99,19 @@ def read_csv(path):
     return np.asarray(rows, dtype=float), names
 
 
+def _scatter_array(obj):
+    """``json`` object hook: a group's scatter becomes an array as soon as the
+    group is parsed, so the float objects of all groups never coexist.  A
+    scatter that does not convert is left for ``read_groups`` to report."""
+    scatter = obj.get("scatter")
+    if isinstance(scatter, list):
+        try:
+            obj["scatter"] = np.asarray(scatter, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    return obj
+
+
 def read_groups(path):
     """Read Wishart groups from JSON: an array of {"dof": int, "scatter": [[..]]}.
 
@@ -108,7 +121,7 @@ def read_groups(path):
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=_scatter_array)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

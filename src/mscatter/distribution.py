@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, InvalidInputError, RangeError
 from .rho import CASE0, RhoFunction
-from .symmat import PsdAtom, as_array, clip_psd_dust, helmert
+from .symmat import PsdAtom, as_array, clip_psd_dust, helmert, unscreened_blocks
 
 # Eigenvalues below this relative size do not count toward an atom's column
 # space when enumerating candidate subspaces.
@@ -58,6 +58,13 @@ class MatrixDistribution:
     stack (built from the factors on first use), ``atom_blocks`` yields it a
     block at a time without keeping it, and ``atom(i)`` recovers a single
     ``PsdAtom``.  Weights are positive and sum to one.
+
+    Dense atoms are clipped of eigenvalue dust by :func:`clip_psd_dust`, which
+    decomposes only the blocks that its Cholesky screen cannot prove free of
+    dust.  For the existence check, the rank of a rank-one factor is read off
+    its trace, other factors get a batched SVD, and a dense atom that passes
+    a Cholesky screen is full rank without being decomposed (see
+    ``_atom_groups``).
     """
 
     __slots__ = ("dim", "weights", "traces", "case0_ready", "_factors", "_atoms")
@@ -360,15 +367,12 @@ def _atom_groups(q: MatrixDistribution):
     the higher-rank spaces in order of first appearance.  Atoms of full
     column rank cannot lie inside any proper subspace and are dropped (their
     mass never counts); zero atoms lie inside every subspace and are
-    counted by ``_zero_mass``.  The spectra come from one batched SVD of
-    the factors or ``eigh`` of the dense stack.
+    counted by ``_zero_mass``.  The spectra come from :func:`_spectra`:
+    rank-one factors need no decomposition, and a dense stack is decomposed
+    only where a Cholesky screen cannot prove its atoms full rank.
     """
     dim, w = q.dim, q.weights
-    if q._factors is None:
-        lam, vec = np.linalg.eigh(q.atoms)
-    else:
-        _, sv, vt = np.linalg.svd(q._factors, full_matrices=False)
-        lam, vec = sv**2, np.swapaxes(vt, 1, 2)
+    idx, lam, vec = _spectra(q)
     keep = lam > _RANK_RTOL * np.maximum(lam.max(axis=1), 1e-300)[:, None]
     rank = keep.sum(axis=1)
     bases, masses = [], []
@@ -383,19 +387,41 @@ def _atom_groups(q: MatrixDistribution):
         _, first, inverse = np.unique(np.round(u, 9), axis=0, return_index=True,
                                       return_inverse=True)
         bases += list(u[first][:, :, None])
-        masses += np.bincount(inverse.ravel(), w[lines], first.size).tolist()
+        masses += np.bincount(inverse.ravel(), w[idx[lines]], first.size).tolist()
 
     spaces = np.nonzero((rank >= 2) & (rank < dim))[0]
     if spaces.size:
         kept = vec[spaces] * keep[spaces][:, None, :]
         keys = np.round(kept @ np.swapaxes(kept, 1, 2), 9).reshape(spaces.size, -1)
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        mass = np.bincount(inverse.ravel(), w[spaces])
+        mass = np.bincount(inverse.ravel(), w[idx[spaces]])
         for g in np.argsort(first):
             i = spaces[first[g]]
             bases.append(vec[i][:, keep[i]])
             masses.append(float(mass[g]))
     return bases, np.asarray(masses)
+
+
+def _spectra(q: MatrixDistribution):
+    """(indices, eigenvalues, eigenvectors as columns) of the atoms that may
+    lie in a proper subspace.  A rank-one factor y has the eigenvalue
+    tr = |y|^2 and the direction y / |y| (zero when tr is); other factor
+    stacks get one batched SVD.  Of a dense stack only the blocks in which
+    some M fails the screen M - 2 _RANK_RTOL tr(M) I = L L^T get ``eigh``: a
+    passing M has lambda_min > 2 _RANK_RTOL lambda_max, full rank under the
+    rank cut by a margin far above rounding."""
+    if q._factors is not None and q._factors.shape[1] == 1:
+        norm = np.sqrt(np.where(q.traces > 0.0, q.traces, 1.0))
+        return np.arange(q.n_atoms), q.traces[:, None], (q._factors[:, 0] / norm[:, None])[:, :, None]
+    if q._factors is not None:
+        _, sv, vt = np.linalg.svd(q._factors, full_matrices=False)
+        return np.arange(q.n_atoms), sv**2, np.swapaxes(vt, 1, 2)
+    dim = q.dim
+    parts = [(lo + np.arange(len(block)),) + tuple(np.linalg.eigh(block))
+             for lo, block in unscreened_blocks(q.atoms, 2 * _RANK_RTOL)]
+    if not parts:
+        return np.empty(0, np.int64), np.empty((0, dim)), np.empty((0, dim, dim))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _zero_mass(q: MatrixDistribution) -> float:

@@ -17,6 +17,7 @@ is renormalized to determinant one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -348,6 +349,34 @@ class HessianOperator:
         return np.linalg.eigvalsh(self.matrix)
 
 
+@functools.lru_cache(maxsize=None)
+def _first_term_pattern(dim: int):
+    """Where P enters the Hessian's first term, once per dimension.
+
+    On the coordinate matrices E_(i,j) = s_ij (e_i e_j^T + e_j e_i^T), s = 1/2
+    on the diagonal and 1/sqrt(2) off it, the first term at a = (i, j),
+    b = (k, l) is s_a s_b (d_jk P_il + d_jl P_ik + d_ik P_jl + d_il P_jk), d
+    the Kronecker delta.  Returns the factors s (a (p, 1) column) and, for
+    each of the four terms in that order, the flat positions (a, b) of the
+    (p, p) term where its delta holds with the flat indices of the P entries
+    added there.  Adding the entries term by term from zero and scaling by
+    s s^T gives the p x p broadcast of this formula bit for bit.
+    """
+    iu, ju = np.triu_indices(dim, 1)
+    i = np.concatenate([np.arange(dim), iu])[:, None]
+    j = np.concatenate([np.arange(dim), ju])[:, None]
+    k, l = i.T, j.T
+    p = i.shape[0]
+    terms = []
+    for delta, row, col in ((j == k, i, l), (j == l, i, k), (i == k, j, l), (i == l, j, k)):
+        a, b = np.nonzero(delta)
+        terms += [(a * p + b).astype(np.int32), (row * dim + col)[a, b].astype(np.int32)]
+    s = np.where(i == j, 0.5, 1.0 / math.sqrt(2.0))
+    for arr in (*terms, s):
+        arr.flags.writeable = False  # the cache hands the same arrays to every call
+    return s, tuple(zip(terms[::2], terms[1::2]))
+
+
 def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
     """Materialize the Hessian operator of L(., Q) at the identity.
 
@@ -366,20 +395,14 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
     second[nz] = q.weights[nz] * np.asarray(f.rho_second(q.traces[nz]))
 
     # <E_a, H E_b> = tr(E_a E_b P)/sym + sum_i w_i rho''_i tr(E_a M_i) tr(E_b M_i)
-    # with P = sum_i w_i rho'_i M_i.  On the coordinate matrices
-    # E_(i,j) = s_ij (e_i e_j^T + e_j e_i^T), s = 1/2 on the diagonal and
-    # 1/sqrt(2) off it, the first term at a = (i, j), b = (k, l) is
-    # s_a s_b (d_jk P_il + d_jl P_ik + d_ik P_jl + d_il P_jk), d the Kronecker delta.
-    pmat = _evaluate(np.eye(dim), q, f)[1]
-    iu, ju = np.triu_indices(dim, 1)
-    i = np.concatenate([np.arange(dim), iu])[:, None]
-    j = np.concatenate([np.arange(dim), ju])[:, None]
-    k, l = i.T, j.T
-    s = np.where(i == j, 0.5, 1.0 / math.sqrt(2.0))
-    term1 = s * s.T * (
-        (j == k) * pmat[i, l] + (j == l) * pmat[i, k]
-        + (i == k) * pmat[j, l] + (i == l) * pmat[j, k]
-    )
+    # with P = sum_i w_i rho'_i M_i; the first term scatters P into the
+    # pattern of :func:`_first_term_pattern`.
+    pmat = _evaluate(np.eye(dim), q, f)[1].ravel()
+    s, terms = _first_term_pattern(dim)
+    term1 = np.zeros(s.size ** 2)
+    for dst, src in terms:
+        term1[dst] += pmat[src]
+    term1 = s * s.T * term1.reshape(s.size, s.size)
     # Change the diagonal block of rows and columns to the operator's
     # diagonal coordinates (a no-op outside Case 0).
     dmap = _diagonal_map(dim, f.case_tag)

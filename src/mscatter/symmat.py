@@ -27,6 +27,14 @@ from .errors import (
 # matrix is clipped to zero.
 PSD_DUST_RTOL = 1e-10
 
+# A matrix M for which M - 1e-12 tr(M) I has a Cholesky factor has its
+# smallest eigenvalue above zero by far more than rounding: it has no dust.
+_DUST_SCREEN_RTOL = 1e-12
+
+# Entries of a stack per block when it is screened or evaluated a block at a
+# time, so no temporary of the size of the whole stack is built.
+_BLOCK_ENTRIES = 1 << 16
+
 # exp(x) overflows double precision just above 709.
 _EXP_OVERFLOW = 709.0
 
@@ -134,31 +142,67 @@ def helmert(k: int) -> np.ndarray:
     return ((col < j) - j * (col == j)) / np.sqrt(j * (j + 1.0))
 
 
+def stack_blocks(m: int, per_item: int):
+    """(lo, hi) bounds of consecutive blocks of ``m`` items of ``per_item``
+    entries each, at most ``_BLOCK_ENTRIES`` entries (and one item at least)
+    a block."""
+    size = max(1, _BLOCK_ENTRIES // max(per_item, 1))
+    return [(lo, min(lo + size, m)) for lo in range(0, m, size)]
+
+
+def unscreened_blocks(a: np.ndarray, rtol: float):
+    """Yield (start, block) for each block of an (m, q, q) stack of symmetric
+    matrices in which some M fails the Cholesky screen: M - rtol tr(M) I has
+    no Cholesky factor.
+
+    Every M of the other blocks has lambda_min > rtol tr(M) >= rtol
+    lambda_max up to a rounding error of order q eps lambda_max, so those
+    blocks need no eigen-decomposition for any eigenvalue cut well below
+    ``rtol``.  A failing block is yielded whole: the factorization names no
+    matrix.
+    """
+    q = a.shape[-1]
+    for lo, hi in stack_blocks(a.shape[0], q * q):
+        block = a[lo:hi]
+        shift = rtol * np.einsum("mii->m", block)
+        try:
+            np.linalg.cholesky(block - shift[:, None, None] * np.eye(q))
+        except np.linalg.LinAlgError:
+            yield lo, block
+
+
 def clip_psd_dust(a: np.ndarray) -> np.ndarray:
     """Clip tiny negative eigenvalues of a symmetric matrix, or of each matrix
     of an (m, q, q) stack, to zero.
 
     Raises ``NotPositiveDefiniteError`` if an eigenvalue is more negative than
     ``PSD_DUST_RTOL`` relative to the largest one of its matrix; for a stack
-    the message names the index of the first such matrix.  Only the matrices
-    with negative dust are decomposed a second time.
+    the message names the index of the first such matrix.  A block of the
+    stack whose every M passes the Cholesky screen of
+    :func:`unscreened_blocks` at ``_DUST_SCREEN_RTOL`` has no dust and is
+    returned as it is; only the other blocks get ``eigvalsh``, and only their
+    matrices with negative dust are decomposed a second time and clipped.
     """
-    lam = np.linalg.eigvalsh(a)
-    lo, hi = lam[..., 0], lam[..., -1]
-    bad = lo < -PSD_DUST_RTOL * np.maximum(hi, 1e-300)
-    if np.any(bad):
-        i = np.argmax(bad)
-        raise NotPositiveDefiniteError(
-            f"matrix{f' {i}' if a.ndim == 3 else ''} is not positive semidefinite: "
-            f"min eigenvalue {np.ravel(lo)[i]:.3e} vs max {np.ravel(hi)[i]:.3e}"
-        )
-    dust = lo < 0.0
-    if not np.any(dust):
+    stack = a if a.ndim == 3 else a[None]
+    out = stack
+    for start, block in unscreened_blocks(stack, _DUST_SCREEN_RTOL):
+        lam = np.linalg.eigvalsh(block)
+        lo, hi = lam[:, 0], lam[:, -1]
+        bad = lo < -PSD_DUST_RTOL * np.maximum(hi, 1e-300)
+        if np.any(bad):
+            i = np.argmax(bad)
+            raise NotPositiveDefiniteError(
+                f"matrix{f' {start + i}' if a.ndim == 3 else ''} is not positive semidefinite: "
+                f"min eigenvalue {lo[i]:.3e} vs max {hi[i]:.3e}"
+            )
+        dust = np.flatnonzero(lo < 0.0)
+        if dust.size:
+            out = stack.copy() if out is stack else out
+            lam_full, u = np.linalg.eigh(block[dust])
+            out[start + dust] = (u * np.maximum(lam_full, 0.0)[:, None, :]) @ np.swapaxes(u, 1, 2)
+    if out is stack:
         return a
-    lam_full, u = np.linalg.eigh(a[dust])
-    out = a.copy()
-    out[dust] = (u * np.maximum(lam_full, 0.0)[..., None, :]) @ np.swapaxes(u, -1, -2)
-    return out
+    return out if a.ndim == 3 else out[0]
 
 
 class SpdMatrix:

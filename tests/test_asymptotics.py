@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mscatter import (
+    DomainError,
     InvalidInputError,
     InvalidRegimeError,
     MatrixDistribution,
@@ -23,10 +25,13 @@ from mscatter import (
     mvn,
     mvt,
     orth_hessian_coeffs,
+    sample_covariance,
     spherical_constants,
     t_dist,
     tyler,
 )
+from mscatter import symmat
+from mscatter.asymptotics import _inner_average
 
 TIGHT = SolverConfig(tol_fixed_point=1e-13, tol_gradient=1e-12, max_iter=8000)
 
@@ -355,6 +360,83 @@ class TestAcovScatter:
                 z = influence_kge2(x_std, f, 2, x_std[i], inner_cap=5, seed=4 + i,
                                    hess=h, exclude=i)
             assert np.max(np.abs(rep.influence[i] - z.mat)) <= 1e-12 * np.max(np.abs(z.mat))
+
+
+def plugin_average(x_std, f, k, x, exclude):
+    """Psi(I, .) - I over the sample covariances S(x, X_J), one subset J at a
+    time over all (k-1)-subsets of the rows other than ``exclude``; a zero S
+    adds nothing but still counts in the mean."""
+    others = np.delete(x_std, exclude, axis=0) if exclude is not None else x_std
+    subsets = list(itertools.combinations(range(len(others)), k - 1))
+    acc = np.zeros((len(x), len(x)))
+    for j in subsets:
+        s = sample_covariance(np.vstack([x, others[list(j)]])).mat
+        if np.trace(s) > 0.0:
+            acc += float(f.rho_prime(np.trace(s))) * s
+    return acc / len(subsets) - np.eye(len(x))
+
+
+class TestBatchedInnerAverages:
+    def coincident_rows(self, copies):
+        x = np.random.default_rng(31).standard_normal((9, 3))
+        x[1:copies] = x[0]
+        return x
+
+    def test_case0_zero_covariance_raises(self):
+        f = tyler(3)
+        x = self.coincident_rows(3)  # the triple of copies has covariance zero
+        est = fixed_point_solve(build_kstat(self.coincident_rows(1), 3), f, TIGHT)
+        with pytest.raises(DomainError):
+            acov_scatter(x, est, f, k=3)
+        # Two copies: S(x_0, x_0, x_1) is zero once x_0 itself is not excluded.
+        x = self.coincident_rows(2)
+        h = hessian(build_kstat(x, 3), f)
+        with pytest.raises(DomainError):
+            influence_kge2(x, f, 3, x[0], hess=h)
+        influence_kge2(x, f, 3, x[0], hess=h, exclude=0)
+
+    def test_case1_drops_zero_covariances(self):
+        f = t_dist(3.0, 3)
+        x = self.coincident_rows(3)
+        est = fixed_point_solve(build_kstat(x, 3), f, TIGHT)
+        rep = acov_scatter(x, est, f, k=3)
+        assert np.all(np.isfinite(rep.se_sigma))
+        x_std = x @ rep.whitening
+        got = _inner_average(x_std, f, 3, x_std, 5000, [0] * len(x), np.arange(len(x)))
+        for i in range(len(x)):
+            want = plugin_average(x_std, f, 3, x_std[i], i)
+            assert np.max(np.abs(got[i] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("inner_cap, entries", [(5000, None), (40, 400)])
+    def test_blocks_match_single_points(self, inner_cap, entries, monkeypatch):
+        # 120 rows in R^3, k = 2: 119 inner subsets of 3 entries each a row.
+        # Uncapped, the default block holds 183 rows, so the 120 rows take one
+        # block; 400 entries take 3 rows a block, and with a cap of 40 inner
+        # subsets drawn per row, a block of 3 rows needs 3 seeds.
+        if entries is not None:
+            monkeypatch.setattr(symmat, "_BLOCK_ENTRIES", entries)
+        x = np.random.default_rng(32).standard_normal((120, 3)) * [1.0, 2.0, 0.5]
+        n, f = len(x), tyler(3)
+        m = min(n - 1, inner_cap)
+        assert len(symmat.stack_blocks(n, m * 3)) == (1 if entries is None else 40)
+        est = fixed_point_solve(build_kstat(x, 2), f, TIGHT)
+        rep = acov_scatter(x, est, f, k=2, inner_cap=inner_cap, seed=5)
+        x_std = x @ rep.whitening
+        h = hessian(build_kstat(x_std, 2, seed=5), f)
+        for i in range(0, n, 7):
+            z = influence_kge2(x_std, f, 2, x_std[i], inner_cap=inner_cap, seed=6 + i,
+                               hess=h, exclude=i)
+            assert np.max(np.abs(rep.influence[i] - z.mat)) <= 1e-12 * np.max(np.abs(z.mat))
+
+    def test_rows_span_several_default_blocks(self):
+        # 300 rows in R^3, k = 2: 897 entries a row, 73 rows a block.
+        x = np.random.default_rng(33).standard_normal((300, 3))
+        assert len(symmat.stack_blocks(300, 299 * 3)) == 5
+        f = t_dist(3.0, 3)
+        got = _inner_average(x, f, 2, x, 5000, [0] * 300, np.arange(300))
+        for i in (0, 72, 73, 299):
+            want = plugin_average(x, f, 2, x[i], i)
+            assert np.max(np.abs(got[i] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestLocationInfluence:

@@ -37,7 +37,7 @@ from mscatter import (
     weibull,
     wishart,
 )
-from mscatter import build_kstat
+from mscatter import build_kstat, solver
 from mscatter.rho import CASE0, CASE1, CASE1_PRIME
 from mscatter.samplers import SeededStream
 from mscatter.solver import _frobenius
@@ -785,3 +785,29 @@ class TestHessianCoordinates:
             looped = np.stack([method(a) for a in stack])
             assert batched.shape == stack.shape
             assert np.max(np.abs(batched - looped)) <= 1e-12 * np.max(np.abs(looped))
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 7])
+    @pytest.mark.parametrize("loss", ["tyler", "t", "weibull"])
+    def test_first_term_pattern_is_the_broadcast_bit_for_bit(self, dim, loss):
+        # Case 0 (Tyler), Case 1' (t) and Case 1 (Weibull) against the p x p
+        # broadcast of index comparisons that the pattern replaced.
+        rng = np.random.default_rng(42 + dim)
+        q = from_observations(rng.standard_normal((40, dim)) * np.linspace(0.5, 2.0, dim))
+        f = {"tyler": tyler(dim), "t": t_dist(2.5, dim), "weibull": weibull(0.5)}[loss]
+        pmat = solver._evaluate(np.eye(dim), q, f)[1]
+        iu, ju = np.triu_indices(dim, 1)
+        i = np.concatenate([np.arange(dim), iu])[:, None]
+        j = np.concatenate([np.arange(dim), ju])[:, None]
+        k, l = i.T, j.T
+        s = np.where(i == j, 0.5, 1.0 / math.sqrt(2.0))
+        ref = s * s.T * (
+            (j == k) * pmat[i, l] + (j == l) * pmat[i, k]
+            + (i == k) * pmat[j, l] + (i == l) * pmat[j, k]
+        )
+        dmap = solver._diagonal_map(dim, f.case_tag)
+        ref = np.vstack([dmap @ ref[:dim], ref[dim:]])
+        ref = np.hstack([ref[:, :dim] @ dmap.T, ref[:, dim:]])
+        second = q.weights * np.asarray(f.rho_second(q.traces))
+        coords = solver.HessianOperator(dim, f.case_tag, ref)._coords(q.atoms)
+        ref += (coords.T * second) @ coords  # one block: 40 atoms
+        assert np.array_equal(hessian(q, f).matrix, ref)
