@@ -30,7 +30,7 @@ from .distribution import (
 from .errors import DomainError, InvalidInputError, InvalidRegimeError
 from .location import LocationScatterEstimate, augmented_rho
 from .rho import CASE0, RhoFunction
-from .solver import HessianOperator, ScatterEstimate, hessian
+from .solver import HessianOperator, ScatterEstimate, _off_zero, hessian
 from .symmat import SymMatrix, helmert, spectral, stack_blocks
 
 
@@ -94,8 +94,7 @@ def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, points: np.ndarray
     most ``inner_cap``; otherwise ``inner_cap`` of them drawn from
     ``seeds[b]``.  The rows are evaluated a block at a time, at most
     ``_BLOCK_ENTRIES`` factor entries a block.  As in Psi, zero covariances
-    (coincident points) raise ``DomainError`` under Case 0 and contribute
-    nothing under Case 1.
+    (coincident points) follow :func:`mscatter.solver._off_zero`.
     """
     n, q = x_std.shape
     n_eff = n if exclude is None else n - 1
@@ -114,11 +113,7 @@ def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, points: np.ndarray
         # S(x, X_J) = Y^T Y with Y the k-1 Helmert contrasts of X_J - x.
         y = (contrasts @ (x_std[sub] - points[lo:hi, None, None])).reshape(hi - lo, -1, q)
         t = np.einsum("bni,bni->bn", y, y).reshape(hi - lo, m, k - 1).sum(axis=2)
-        nz = t > 0.0
-        if f.case_tag == CASE0 and not nz.all():
-            raise DomainError(
-                "Case 0 requires every atom to have positive trace (no mass at the zero matrix)"
-            )
+        nz = _off_zero(t, f)
         coeff = np.zeros(t.shape)
         coeff[nz] = (1.0 / m) * np.asarray(f.rho_prime(t[nz]))
         psi = np.swapaxes(y, 1, 2) @ (np.repeat(coeff, k - 1, axis=1)[..., None] * y)
@@ -247,7 +242,7 @@ def orth_hessian_coeffs(q_dist: MatrixDistribution, f: RhoFunction):
     q = q_dist.dim
     if q < 2:
         raise InvalidInputError("orthogonal-invariance coefficients need q >= 2")
-    nz = q_dist.traces > 0.0
+    nz = _off_zero(q_dist.traces, f)
     w = q_dist.weights[nz]
     tr = q_dist.traces[nz]
     fro2 = np.einsum("mij,mij->m", q_dist.atoms[nz], q_dist.atoms[nz])

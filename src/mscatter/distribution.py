@@ -27,6 +27,9 @@ _RANK_RTOL = 1e-9
 # Containment slack for "column space lies inside subspace" tests.
 _CONTAIN_TOL = 1e-8
 
+# Index marks per block of k-subsets drawn by Floyd's algorithm.
+_FLOYD_ENTRIES = 1 << 20
+
 # Largest condition number of a fitted scatter relative to the mean atom: the
 # solver stops as diverged beyond it, and the frame reads the rank of the mean
 # atom down to its reciprocal, so both draw the line in one place.
@@ -67,7 +70,7 @@ class MatrixDistribution:
     ``_atom_groups``).
     """
 
-    __slots__ = ("dim", "weights", "traces", "case0_ready", "_factors", "_atoms")
+    __slots__ = ("dim", "weights", "traces", "case0_ready", "_factors", "_atoms", "_framed")
 
     def __init__(self, atoms, weights=None, *, clip: bool = True):
         if isinstance(atoms, (list, tuple)):
@@ -114,7 +117,7 @@ class MatrixDistribution:
         for a in (w, traces, self._factors, self._atoms):
             if a is not None:
                 a.flags.writeable = False
-        self.weights, self.traces = w, traces
+        self.weights, self.traces, self._framed = w, traces, None
         self.dim = (self._atoms if self._factors is None else self._factors).shape[-1]
         self.case0_ready = bool(np.all(traces > 0.0))
 
@@ -223,7 +226,13 @@ def _subset_covariances(pts: np.ndarray) -> MatrixDistribution:
 def _subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
     """k-subsets of range(n) as sorted index rows: all C(n, k) of them in
     lexicographic order when there are at most ``cap``, otherwise ``cap``
-    distinct ones drawn uniformly and reproducibly from ``seed``."""
+    distinct ones drawn uniformly and reproducibly from ``seed``.
+
+    A drawn row is k uniform indices, kept when they are distinct, where that
+    happens at least half the time (n!/(n-k)! >= n^k / 2); otherwise rows
+    come from :func:`_floyd`, k-subsets by construction, in blocks of at most
+    ``_FLOYD_ENTRIES`` marks.  The distinct rows drawn, in lexicographic
+    order, are trimmed to ``cap`` by a seeded permutation."""
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
     total = math.comb(n, k)
@@ -236,15 +245,33 @@ def _subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
         everything = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
         keep = rng.permutation(total)[:cap]
         return everything[np.sort(keep)]
+    distinct, block = 2 * math.perm(n, k) >= n**k, max(_FLOYD_ENTRIES // n, 1)
     chosen = np.empty((0, k), dtype=np.int64)
     while chosen.shape[0] < cap:
-        batch = rng.integers(0, n, size=(2 * (cap - chosen.shape[0]) + 16, k))
-        batch.sort(axis=1)
-        ok = np.all(np.diff(batch, axis=1) > 0, axis=1)
-        chosen = np.unique(np.vstack([chosen, batch[ok]]), axis=0)
+        rows = 2 * (cap - chosen.shape[0]) + 16
+        if distinct:
+            batch = rng.integers(0, n, size=(rows, k))
+            batch.sort(axis=1)
+            batch = batch[np.all(np.diff(batch, axis=1) > 0, axis=1)]
+        else:
+            batch = np.vstack([_floyd(rng, n, k, min(block, rows - lo))
+                               for lo in range(0, rows, block)])
+        chosen = np.unique(np.vstack([chosen, batch]), axis=0)
     # Deterministic trim: keep a random but seed-determined selection of cap rows.
     keep = rng.permutation(chosen.shape[0])[:cap]
     return chosen[np.sort(keep)]
+
+
+def _floyd(rng, n: int, k: int, rows: int) -> np.ndarray:
+    """``rows`` uniform k-subsets of range(n) as sorted index rows, by Floyd's
+    algorithm in every row at once: for j = n-k .. n-1 a row takes a uniform
+    index up to j, or j itself when it holds that index already."""
+    marks, r = np.zeros((rows, n), dtype=bool), np.arange(rows)
+    for j in range(n - k, n):
+        t = rng.integers(0, j + 1, size=rows)
+        t[marks[r, t]] = j
+        marks[r, t] = True
+    return np.nonzero(marks)[1].reshape(rows, k)
 
 
 def build_kstat(x, k: int, cap: int = 200_000, seed: int = 0) -> MatrixDistribution:
@@ -310,22 +337,25 @@ def _congruence(q: MatrixDistribution, t: np.ndarray) -> MatrixDistribution:
 
 
 def _frame(q: MatrixDistribution):
-    """The frame of Q, in which its mean atom A (the Gaussian fit) is I.
-
-    The rank of A is judged without units, on R = D^-1/2 A D^-1/2 with
-    D = diag(A), down to 1/_COND_LIMIT of its largest eigenvalue.  Returns
-    (L, L^-1) with A = L L^T, L = D^1/2 chol(R), or (None, an orthonormal
-    basis of the span of A) when A is singular."""
-    a = q.mean_atom()
-    d = np.sqrt(np.diag(a))
-    d[d == 0.0] = 1.0  # a zero row of A stays a zero row of R
-    r = a / np.outer(d, d)
-    lam, vec = np.linalg.eigh(r)
-    keep = lam > lam[-1] / _COND_LIMIT
-    if not keep.all():
-        return None, np.linalg.qr(d[:, None] * vec[:, keep])[0]
-    c = np.linalg.cholesky(r)
-    return d[:, None] * c, np.linalg.inv(c) / d
+    """The frame of Q, kept on Q once built, where its mean atom A (the Gaussian fit)
+    is I.  The rank of A is judged without units, on R = D^-1/2 A D^-1/2 (D = diag A),
+    to 1/_COND_LIMIT of its top eigenvalue.  Returns (L, L^-1, Q' = L^-1 Q L^-T), A = L L^T,
+    L = D^1/2 chol(R), or for a singular A (None, an orthonormal basis of its span, None)."""
+    if q._framed is None:
+        a = q.mean_atom()
+        d = np.sqrt(np.diag(a))
+        d[d == 0.0] = 1.0  # a zero row of A stays a zero row of R
+        r = a / np.outer(d, d)
+        lam, vec = np.linalg.eigh(r)
+        keep = lam > lam[-1] / _COND_LIMIT
+        if keep.all():
+            c = np.linalg.cholesky(r)
+            l_inv = np.linalg.inv(c) / d
+            q._framed = d[:, None] * c, l_inv, _congruence(q, l_inv)
+        else:
+            q._framed = None, np.linalg.qr(d[:, None] * vec[:, keep])[0], None
+        q._framed[1].flags.writeable = False  # kept on Q, and a witness basis when A is singular
+    return q._framed
 
 
 # -- existence diagnostics ------------------------------------------------------
@@ -473,7 +503,7 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
         raise InvalidInputError("budget must be positive")
     _check_compat(q, f)
     dim, witnesses = q.dim, []
-    l, l_inv = _frame(q)
+    l, l_inv, qf = _frame(q)
     if l is None:  # l_inv is the span of A: all of the mass, critical for every loss
         thr, _ = _critical(f, l_inv.shape[1], dim, 1.0)
         return ExistenceReport("violated", (ExistenceWitness(l_inv, 1.0, thr),), "exact_enumeration")
@@ -491,7 +521,7 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
     # below a line's threshold (1 when psi(inf) is infinite) none is critical.
     exhausted = True
     if _critical(f, 1, dim, 1.0 - q.weights.min())[1]:
-        bases, masses = _atom_groups(_congruence(q, l_inv))
+        bases, masses = _atom_groups(qf)
         exhausted = not bases or _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses)
     if witnesses:
         return ExistenceReport("violated", tuple(_to_data(l, w) for w in witnesses), "exact_enumeration")

@@ -103,17 +103,20 @@ def _spd(s, q: MatrixDistribution) -> np.ndarray:
     return np.linalg.cholesky(s.mat)
 
 
+def _off_zero(traces: np.ndarray, f: RhoFunction) -> np.ndarray:
+    """Mask of the atoms off the zero matrix by their traces; Case 0 refuses the rest."""
+    nz = traces > 0.0
+    if f.case_tag == CASE0 and not nz.all():
+        raise DomainError("Case 0 requires every atom to have positive trace "
+                          "(no mass at the zero matrix)")
+    return nz
+
+
 def _evaluate(chol: np.ndarray, q: MatrixDistribution, f: RhoFunction):
-    """(L(S, Q), Psi(S, Q), L^-1) in one pass over the atoms, for S = L L^T
-    given by its lower Cholesky factor L, so S^-1 = L^-T L^-1; atoms at the
-    zero matrix contribute to neither, which the scale-invariant log loss
-    does not allow."""
-    if f.case_tag == CASE0 and not q.case0_ready:
-        raise DomainError(
-            "Case 0 requires every atom to have positive trace (no mass at the zero matrix)"
-        )
+    """(L(S, Q), Psi(S, Q), L^-1) in one pass over the atoms off zero (see
+    :func:`_off_zero`), for S = L L^T by its lower Cholesky factor L."""
+    nz = _off_zero(q.traces, f)
     l_inv = np.linalg.inv(chol)
-    nz = q.traces > 0.0
     t = q.traces_under(l_inv.T @ l_inv)[nz]
     w = q.weights[nz]
     crit = float(w @ (np.asarray(f.rho(t)) - np.asarray(f.rho(q.traces[nz]))))
@@ -197,10 +200,9 @@ def fixed_point_solve(
 
     case0 = f.case_tag == CASE0
     existence = check_existence(q, f, cfg.existence_budget)
-    l, l_inv = _frame(q)
-    if l is None:  # the report is violated: the fit stops at its start
-        l = l_inv = np.eye(q.dim)
-    qf = _congruence(q, l_inv)
+    l, l_inv, qf = _frame(q)  # the check has built it
+    if l is None:  # the report is violated: the fit stops at its start, in Q itself
+        l, l_inv, qf = np.eye(q.dim), np.eye(q.dim), q
     chol = _start_factor(q, cfg, l_inv)
     if case0:  # det S = 1 in the frame and det L = 1, so det Sigma = 1
         chol = chol / np.exp(np.mean(np.log(np.diag(chol))))
@@ -390,7 +392,7 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
             f"{f.kind} loss has no second derivative; Hessian is unavailable"
         )
     dim = q.dim
-    nz = q.traces > 0.0
+    nz = _off_zero(q.traces, f)
     second = np.zeros(q.n_atoms)
     second[nz] = q.weights[nz] * np.asarray(f.rho_second(q.traces[nz]))
 

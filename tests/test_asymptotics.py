@@ -14,6 +14,7 @@ from mscatter import (
     SpdMatrix,
     acov_scatter,
     build_kstat,
+    criterion,
     estimate_location_scatter,
     fixed_point_solve,
     from_observations,
@@ -25,6 +26,7 @@ from mscatter import (
     mvn,
     mvt,
     orth_hessian_coeffs,
+    psi_map,
     sample_covariance,
     spherical_constants,
     t_dist,
@@ -437,6 +439,49 @@ class TestBatchedInnerAverages:
         for i in (0, 72, 73, 299):
             want = plugin_average(x, f, 2, x[i], i)
             assert np.max(np.abs(got[i] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestZeroAtomRule:
+    """Atoms at the zero matrix follow one rule: Case 0 refuses them with one
+    error, Case 1 drops them."""
+
+    def test_case0_refusals_agree(self):
+        f = tyler(3)
+        x = np.random.default_rng(33).standard_normal((12, 3))
+        q = from_observations(np.vstack([x, np.zeros((1, 3))]))
+        est = fixed_point_solve(build_kstat(x, 2), f, TIGHT)
+        h = hessian(build_kstat(x, 2), f)
+        calls = {
+            "criterion": lambda: criterion(np.eye(3), q, f),
+            "hessian": lambda: hessian(q, f),
+            "orth_hessian_coeffs": lambda: orth_hessian_coeffs(q, f),
+            # A repeated row: the pair of copies has covariance zero.
+            "acov_scatter": lambda: acov_scatter(np.vstack([x, x[:1]]), est, f, k=2),
+            # x_0 paired with itself when it is not excluded.
+            "influence_kge2": lambda: influence_kge2(x, f, 2, x[0], hess=h),
+        }
+        messages = set()
+        for call in calls.values():
+            with pytest.raises(DomainError) as err:
+                call()
+            assert type(err.value) is DomainError
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    def test_case1_drops_zero_atoms(self):
+        # A zero row only dilutes the weights of the others by n / (n + 1).
+        f, n = t_dist(3.0, 3), 12
+        x = np.random.default_rng(33).standard_normal((n, 3))
+        q, q0 = from_observations(x), from_observations(np.vstack([x, np.zeros((1, 3))]))
+        s, scale = np.diag([2.0, 1.0, 0.5]), n / (n + 1.0)
+        logdet = math.log(np.linalg.det(s))
+        assert criterion(s, q0, f) == pytest.approx(scale * (criterion(s, q, f) - logdet) + logdet,
+                                                    rel=1e-13)
+        assert np.allclose(psi_map(s, q0, f).mat, scale * psi_map(s, q, f).mat, rtol=1e-13, atol=0)
+        assert np.allclose(hessian(q0, f).matrix, scale * hessian(q, f).matrix, rtol=1e-12,
+                           atol=1e-15)
+        d, d_zero = np.array(orth_hessian_coeffs(q, f)), np.array(orth_hessian_coeffs(q0, f))
+        assert np.allclose(d_zero - 1.0, scale * (d - 1.0), rtol=1e-12, atol=0)
 
 
 class TestLocationInfluence:

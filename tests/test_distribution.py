@@ -284,7 +284,7 @@ class TestExistence:
         dims = {w.subspace_dim for w in rep.witnesses}
         assert 2 in dims
 
-    def test_budget_fallback_uses_sample_size(self):
+    def test_budget_stopped_check_is_settled_by_the_fit(self):
         # The check stopped by its budget stays undecided; the fit settles
         # the verdict with the Hessian at its fitted point.
         rng = np.random.default_rng(14)
@@ -297,7 +297,7 @@ class TestExistence:
         assert est.existence.verdict == "satisfied"
         assert est.existence.method == "sufficient_condition"
 
-    def test_budget_fallback_undecided_without_provenance(self):
+    def test_budget_stopped_check_of_dense_atoms_is_undecided(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((40, 3))
         q = MatrixDistribution(from_observations(x).atoms)  # dense storage
@@ -334,7 +334,7 @@ def both_storages(q):
     return [q, MatrixDistribution(q.atoms, q.weights)]
 
 
-class TestUnboundedPsiSpan:
+class TestMeanAtomSpan:
     """Gaussian and Weibull fits need the atoms to span R^q as far as the
     solver resolves it; rows of a plane rounded to 8 digits do not."""
 
@@ -390,6 +390,46 @@ class TestSubsetSamplingNearFullCoverage:
         assert np.array_equal(a.atoms, b.atoms)
         flat = a.atoms.reshape(40, -1)
         assert np.unique(flat, axis=0).shape[0] == 40
+
+
+class TestCappedSubsetDraws:
+    """A capped draw keeps k uniform indices when they are distinct at least
+    half the time, and otherwise draws k-subsets by construction, so every
+    valid (n, k, cap) returns."""
+
+    @staticmethod
+    def assert_valid(rows, n, k, cap):
+        assert rows.shape == (cap, k) and rows.dtype == np.int64
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert rows.min() >= 0 and rows.max() < n
+        assert len({r.tobytes() for r in rows}) == cap
+
+    @pytest.mark.parametrize("n, k, cap", [(40, 39, 3), (7, 6, 3), (12, 5, 100), (100, 3, 50)])
+    def test_rows_are_valid_and_reproducible(self, n, k, cap):
+        rows = _subsets(n, k, cap, 0)
+        self.assert_valid(rows, n, k, cap)
+        assert np.array_equal(rows, _subsets(n, k, cap, 0))
+        assert not np.array_equal(rows, _subsets(n, k, cap, 1))
+
+    def test_half_of_thirty_at_the_default_cap(self):
+        # What ``scatter --k 15`` draws on 30 rows: distinct uniform indices
+        # would turn up once in about 10^6 draws.
+        self.assert_valid(_subsets(30, 15, 200_000, 0), 30, 15, 200_000)
+
+    def test_kstat_of_half_the_rows(self):
+        x = np.random.default_rng(18).standard_normal((100, 3))
+        assert build_kstat(x, 50, cap=100).n_atoms == 100
+
+    def test_subsets_by_construction_are_uniform(self):
+        # 4 distinct indices out of 6 turn up 28% of the time, so these rows
+        # are built as subsets; each of the 15 subsets should be one of the 7
+        # kept for 7/15 of the seeds: 140 of 300, standard deviation 8.6.
+        counts = {}
+        for seed in range(300):
+            for row in _subsets(6, 4, 7, seed):
+                counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+        assert len(counts) == 15
+        assert 100 <= min(counts.values()) and max(counts.values()) <= 180
 
 
 class TestWitnessVerification:

@@ -37,7 +37,7 @@ from mscatter import (
     weibull,
     wishart,
 )
-from mscatter import build_kstat, solver
+from mscatter import build_kstat, distribution, solver
 from mscatter.rho import CASE0, CASE1, CASE1_PRIME
 from mscatter.samplers import SeededStream
 from mscatter.solver import _frobenius
@@ -511,6 +511,70 @@ class TestFrame:
                 expected *= np.trace(est.sigma.mat) / np.trace(expected)
             rel = np.linalg.norm(est.sigma.mat - expected) / np.linalg.norm(expected)
             assert rel <= 1e-8
+
+    FITS = {
+        "tyler": lambda x: fixed_point_solve(from_observations(x), tyler(4)),
+        "t": lambda x: fixed_point_solve(from_observations(x), t_dist(3.0, 4)),
+        "gaussian": lambda x: fixed_point_solve(from_observations(x), gaussian()),
+        "order2": lambda x: fixed_point_solve(build_kstat(x[:30], 2), tyler(4)),
+        "location": lambda x: estimate_location_scatter(x, 3.0),
+        "procov": lambda x: solve_procov([WishartGroup(PsdAtom(y.T @ y), 10)
+                                          for y in x.reshape(20, 10, 4)]),
+    }
+
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_one_whitening_before_the_loop(self, fit, monkeypatch):
+        # Every congruence is recorded by the distribution it transforms, at
+        # both places the package looks it up: the fit's Q is whitened once,
+        # for its check and its loop alike; a certificate whitens Q' besides.
+        sources, congruence = [], distribution._congruence
+
+        def recorded(q, t):
+            sources.append(q)
+            return congruence(q, t)
+
+        monkeypatch.setattr(distribution, "_congruence", recorded)
+        monkeypatch.setattr(solver, "_congruence", recorded)
+        est = self.FITS[fit](np.random.default_rng(40).standard_normal((200, 4)))
+        assert est.status == "converged"
+        q = sources[0]
+        assert sum(s is q for s in sources) == 1
+        qf = distribution._frame(q)[2]  # kept on Q: no new congruence
+        assert all(s is qf for s in sources[1:]) and len(sources) <= 2
+
+    @staticmethod
+    def assert_same_report(a, b):
+        assert (a.verdict, a.method, len(a.witnesses)) == (b.verdict, b.method, len(b.witnesses))
+        for u, v in zip(a.witnesses, b.witnesses):
+            assert np.array_equal(u.basis, v.basis)
+            assert (u.mass, u.threshold) == (v.mass, v.threshold)
+
+    @pytest.mark.parametrize("rows, budget", [("general", 1000), ("general", 10), ("line", 1000),
+                                              ("plane", 1000), ("groups", 1000)])
+    def test_check_then_fit_matches_fresh_copies(self, rows, budget):
+        # Satisfied, undecided then certified, violated by a line, violated
+        # by a singular mean atom, and dense atoms.
+        def build():
+            rng = np.random.default_rng(41)
+            x = rng.standard_normal((40, 3))
+            if rows == "line":
+                x[:20] = rng.standard_normal((20, 1)) * [1.0, 2.0, 3.0]
+            elif rows == "plane":
+                x[:, 2] = 0.0
+            elif rows == "groups":
+                return from_wishart_groups([WishartGroup(PsdAtom(y.T @ y), 8)
+                                            for y in x.reshape(5, 8, 3)])
+            return from_observations(x)
+
+        f, cfg = tyler(3), SolverConfig(existence_budget=budget)
+        q = build()
+        report, est = check_existence(q, f, budget), fixed_point_solve(q, f, cfg)
+        self.assert_same_report(report, check_existence(build(), f, budget))
+        fresh = fixed_point_solve(build(), f, cfg)
+        assert (est.status, est.iterations, est.criterion) == (fresh.status, fresh.iterations,
+                                                               fresh.criterion)
+        assert np.array_equal(est.sigma.mat, fresh.sigma.mat)
+        self.assert_same_report(est.existence, fresh.existence)
 
 
 class TestHessian:
