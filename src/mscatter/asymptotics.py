@@ -23,6 +23,7 @@ import numpy as np
 
 from .distribution import (
     MatrixDistribution,
+    _covariance_factors,
     _subsets,
     build_kstat,
     from_observations,
@@ -31,7 +32,7 @@ from .errors import DomainError, InvalidInputError, InvalidRegimeError
 from .location import LocationScatterEstimate, augmented_rho
 from .rho import CASE0, RhoFunction
 from .solver import HessianOperator, ScatterEstimate, _off_zero, hessian
-from .symmat import SymMatrix, helmert, spectral, stack_blocks
+from .symmat import SymMatrix, spectral, stack_blocks
 
 
 @dataclass
@@ -103,15 +104,13 @@ def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, points: np.ndarray
     total = math.comb(n_eff, k - 1)
     m = min(total, inner_cap)
     shared = _subsets(n_eff, k - 1, inner_cap, int(seeds[0]))[None] if total <= inner_cap else None
-    contrasts = helmert(k)[:, 1:] / math.sqrt(k - 1)
     out = np.empty((len(points), q, q))
     for lo, hi in stack_blocks(len(points), m * (k - 1) * q):
         sub = shared if shared is not None else np.stack(
             [_subsets(n_eff, k - 1, inner_cap, int(s)) for s in seeds[lo:hi]])
         if exclude is not None:  # subset indices skip the excluded row
             sub = sub + (sub >= np.asarray(exclude[lo:hi])[:, None, None])
-        # S(x, X_J) = Y^T Y with Y the k-1 Helmert contrasts of X_J - x.
-        y = (contrasts @ (x_std[sub] - points[lo:hi, None, None])).reshape(hi - lo, -1, q)
+        y = _covariance_factors(points[lo:hi, None, None], x_std[sub]).reshape(hi - lo, -1, q)
         t = np.einsum("bni,bni->bn", y, y).reshape(hi - lo, m, k - 1).sum(axis=2)
         nz = _off_zero(t, f)
         coeff = np.zeros(t.shape)

@@ -26,15 +26,7 @@ from .distribution import WishartGroup, build_kstat, check_existence, from_obser
 from .errors import MScatterError, NotPositiveDefiniteError
 from .location import augment, estimate_location_scatter
 from .rho import gaussian, t_dist, tyler, weibull
-from .solver import (
-    STATUS_CONVERGED,
-    SolverConfig,
-    _frobenius,
-    criterion,
-    fixed_point_solve,
-    psi_map,
-    solve_procov,
-)
+from .solver import STATUS_CONVERGED, SolverConfig, _measure, fixed_point_solve, solve_procov
 from .symmat import PsdAtom, SpdMatrix, clip_psd_dust
 
 EXIT_OK = 0
@@ -50,17 +42,19 @@ def read_csv(path):
     """Read a numeric CSV: rows are observations, columns are variables.
 
     A single header row is auto-detected: a first row none of whose cells
-    is a number.  Ragged rows and non-numeric cells anywhere else are errors
-    that name their row.
+    is a number.  Blank lines are skipped.  Ragged rows and non-numeric
+    cells anywhere else are errors that name their row by its line in the
+    file.
 
     Returns (matrix, column_names) with names None when there is no header.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln.strip() for ln in fh]  # blank lines kept as "" for the line numbers
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if not lines:
+    first = next((i for i, text in enumerate(lines) if text), None)
+    if first is None:
         raise InputError(f"{path} is empty")
 
     def number(cell):
@@ -70,31 +64,25 @@ def read_csv(path):
             return None
 
     names = None
-    body = lines
-    cells = [c.strip() for c in lines[0].split(",")]
+    cells = [c.strip() for c in lines[first].split(",")]
     if all(number(c) is None for c in cells):
-        names = cells
-        body = lines[1:]
-        if not body:
+        names, first = cells, first + 1
+        if not any(lines[first:]):
             raise InputError(f"{path} has a header but no data rows")
-    try:
-        return np.loadtxt(body, delimiter=",", comments=None, ndmin=2), names
+    try:  # np.loadtxt skips the empty lines
+        return np.loadtxt(lines[first:], delimiter=",", comments=None, ndmin=2), names
     except ValueError:
         pass  # parse row by row to word the error
 
     rows = []
-    width = None
-    for offset, line in enumerate(body):
-        row = [number(c.strip()) for c in line.split(",")]
-        rownum = offset + (2 if names else 1)
+    for num, text in enumerate(lines[first:], first + 1):
+        if not text:
+            continue
+        row = [number(c.strip()) for c in text.split(",")]
         if None in row:
-            raise InputError(f"{path}: non-numeric cell in row {rownum}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InputError(
-                f"{path}: ragged row {rownum} has {len(row)} cells, expected {width}"
-            )
+            raise InputError(f"{path}: non-numeric cell in row {num}")
+        if rows and len(row) != len(rows[0]):
+            raise InputError(f"{path}: ragged row {num} has {len(row)} cells, expected {len(rows[0])}")
         rows.append(row)
     return np.asarray(rows, dtype=float), names
 
@@ -343,11 +331,8 @@ def _cmd_check(args):
             sig_rows = np.asarray(prev[key] if isinstance(prev, dict) else prev, dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"sigma document {args.sigma} holds no numeric {key!r} matrix") from exc
-        sigma = SpdMatrix(sig_rows)
-        psi = psi_map(sigma, qdist, f)
-        resid = _frobenius(psi.mat - sigma.mat) / _frobenius(sigma.mat)
-        doc["fixed_point_residual"] = resid
-        doc["criterion"] = criterion(sigma, qdist, f)
+        crit, resid, _, _ = _measure(SpdMatrix(sig_rows), qdist, f)
+        doc["fixed_point_residual"], doc["criterion"] = resid, crit
         ok = ok and resid <= args.tol
     _emit(doc, args.out)
     return EXIT_OK if ok else EXIT_NOT_CONVERGED

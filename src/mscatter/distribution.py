@@ -70,7 +70,7 @@ class MatrixDistribution:
     ``_atom_groups``).
     """
 
-    __slots__ = ("dim", "weights", "traces", "case0_ready", "_factors", "_atoms", "_framed")
+    __slots__ = ("dim", "weights", "traces", "_factors", "_atoms", "_framed")
 
     def __init__(self, atoms, weights=None, *, clip: bool = True):
         if isinstance(atoms, (list, tuple)):
@@ -119,7 +119,6 @@ class MatrixDistribution:
                 a.flags.writeable = False
         self.weights, self.traces, self._framed = w, traces, None
         self.dim = (self._atoms if self._factors is None else self._factors).shape[-1]
-        self.case0_ready = bool(np.all(traces > 0.0))
 
     @property
     def atoms(self) -> np.ndarray:
@@ -210,17 +209,17 @@ def sample_covariance(points) -> PsdAtom:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise InvalidInputError("sample covariance needs at least two points")
-    return PsdAtom(_subset_covariances(pts[None]).atoms[0])
+    y = _covariance_factors(pts[None, :1], pts[None, 1:])
+    return PsdAtom(MatrixDistribution._from_factors(y).atoms[0])
 
 
-def _subset_covariances(pts: np.ndarray) -> MatrixDistribution:
-    """Equal-weight sample covariances of the (k, q) point sets of an (m, k, q)
-    stack, each stored as its k-1 Helmert contrasts scaled by 1/sqrt(k-1).
-    The contrasts act on differences from the first point, so coincident
-    points give exactly zero factor rows."""
-    k = pts.shape[1]
-    factors = helmert(k)[:, 1:] @ (pts[:, 1:] - pts[:, :1]) / math.sqrt(k - 1)
-    return MatrixDistribution._from_factors(factors)
+def _covariance_factors(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The factor rows Y, S = Y^T Y, of every order-k atom: S is the sample
+    covariance of a point ``first`` and the k-1 points of ``rest`` (..., k-1, q),
+    and Y the k-1 Helmert contrasts of rest - first scaled by 1/sqrt(k-1), so
+    coincident points give exactly zero rows."""
+    k = rest.shape[-2] + 1
+    return helmert(k)[:, 1:] @ (rest - first) / math.sqrt(k - 1)
 
 
 def _subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
@@ -232,7 +231,8 @@ def _subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
     happens at least half the time (n!/(n-k)! >= n^k / 2); otherwise rows
     come from :func:`_floyd`, k-subsets by construction, in blocks of at most
     ``_FLOYD_ENTRIES`` marks.  The distinct rows drawn, in lexicographic
-    order, are trimmed to ``cap`` by a seeded permutation."""
+    order (:func:`_distinct_rows`), are trimmed to ``cap`` by a seeded
+    permutation."""
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
     total = math.comb(n, k)
@@ -256,10 +256,19 @@ def _subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
         else:
             batch = np.vstack([_floyd(rng, n, k, min(block, rows - lo))
                                for lo in range(0, rows, block)])
-        chosen = np.unique(np.vstack([chosen, batch]), axis=0)
+        chosen = _distinct_rows(np.vstack([chosen, batch]))
     # Deterministic trim: keep a random but seed-determined selection of cap rows.
     keep = rng.permutation(chosen.shape[0])[:cap]
     return chosen[np.sort(keep)]
+
+
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of an integer matrix in lexicographic order, as
+    ``np.unique(a, axis=0)`` gives them, by a sort and an adjacent-row compare."""
+    a = a[np.lexsort(a.T[::-1])]
+    new = np.ones(len(a), dtype=bool)  # empty for an empty stack
+    new[1:] = np.any(a[1:] != a[:-1], axis=1)
+    return a[new]
 
 
 def _floyd(rng, n: int, k: int, rows: int) -> np.ndarray:
@@ -288,8 +297,8 @@ def build_kstat(x, k: int, cap: int = 200_000, seed: int = 0) -> MatrixDistribut
     if cap < 1:
         raise InvalidInputError("cap must be positive")
 
-    subsets = _subsets(n, k, cap, seed)
-    return _subset_covariances(x[subsets])
+    pts = x[_subsets(n, k, cap, seed)]
+    return MatrixDistribution._from_factors(_covariance_factors(pts[:, :1], pts[:, 1:]))
 
 
 def from_wishart_groups(groups) -> MatrixDistribution:

@@ -142,26 +142,37 @@ def psi_map(s, q: MatrixDistribution, f: RhoFunction) -> SpdMatrix:
     return SpdMatrix(_evaluate(_spd(s, q), q, f)[1])
 
 
+def _measure(s: SpdMatrix, q: MatrixDistribution, f: RhoFunction):
+    """(L(S, Q), ||Psi - S||_F / ||S||_F, ||L^-1 (S - Psi) L^-T||_F, S - Psi) for
+    S = L L^T in the coordinates of Q, from one :func:`_evaluate`; Psi may be
+    singular.  A fit measures the matrix it returns, ``check --sigma`` a given
+    one, and :func:`gradient` whitens S - Psi."""
+    _check_compat(q, f)
+    crit, psi, w = _evaluate(_spd(s, q), q, f)
+    g = s.mat - psi
+    return crit, _frobenius(g) / _frobenius(s.mat), _frobenius(w @ g @ w.T), g
+
+
 def gradient(s, q: MatrixDistribution, f: RhoFunction) -> SymMatrix:
     """Whitened gradient B^-1 (S - Psi(S, Q)) B^-T with B the symmetric
-    square root of S; zero exactly at the fixed point."""
+    square root of S; zero exactly at the fixed point.  Its norm is that of
+    :func:`_measure`, whose whitening differs by a rotation."""
     s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
-    psi = psi_map(s, q, f)
     r = s.inv_sqrt()
-    return SymMatrix(r @ (s.mat - psi.mat) @ r)
+    return SymMatrix(r @ _measure(s, q, f)[3] @ r)
 
 
-def _start_factor(q: MatrixDistribution, cfg: SolverConfig, l_inv: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the configured start in the frame A = L L^T: L^-1 times
-    that of the identity or of a given matrix; the identity for ``"mean_atom"``."""
+def _start(q: MatrixDistribution, cfg: SolverConfig) -> Optional[np.ndarray]:
+    """The configured start in the data's coordinates: the identity or the
+    given matrix; None for ``"mean_atom"``, which is the identity of the frame."""
     if isinstance(cfg.start, SpdMatrix):
         if cfg.start.dim != q.dim:
             raise DimensionMismatchError("start matrix has the wrong dimension")
-        return l_inv @ np.linalg.cholesky(cfg.start.mat)
+        return cfg.start.mat
     if cfg.start == "identity":
-        return l_inv
-    if cfg.start == "mean_atom":
         return np.eye(q.dim)
+    if cfg.start == "mean_atom":
+        return None
     raise InvalidInputError(f"unknown start {cfg.start!r}")
 
 
@@ -173,12 +184,14 @@ def fixed_point_solve(
     """Run the descending fixed-point iteration S_k = Psi(S_{k-1}, Q).
 
     The loss must pass :func:`mscatter.rho.validate`; the existence
-    conditions are checked first and a violated report stops the fit with
-    status ``existence_violated`` once the start matrix is evaluated, so the
-    residual and gradient norm describe the start.  The fit iterates in the
-    frame of Q, where the mean atom A is the identity, from the image of the
-    start; an iterate whose condition number there exceeds 1e12 ends the fit
-    as ``diverged``.  The reported values are in the data's coordinates.
+    conditions are checked first.  A violated report stops the fit at its
+    start, returned as configured (the identity, the given matrix, or for
+    ``"mean_atom"`` the mean atom A, the identity when A is singular; scaled
+    to det 1 under Case 0), with status ``existence_violated`` and 0
+    iterations.  Otherwise the fit iterates in the frame of Q, where A is
+    the identity, from the image of the start; an iterate whose condition
+    number there exceeds 1e12 ends the fit as ``diverged``.  Either way the
+    returned matrix is measured in the data's coordinates (:func:`_measure`).
 
     A check the budget leaves ``undecided`` is settled by the fit when it
     can be proven.  A converged fit whose loss has rho'' builds the Hessian
@@ -201,29 +214,27 @@ def fixed_point_solve(
     case0 = f.case_tag == CASE0
     existence = check_existence(q, f, cfg.existence_budget)
     l, l_inv, qf = _frame(q)  # the check has built it
-    if l is None:  # the report is violated: the fit stops at its start, in Q itself
-        l, l_inv, qf = np.eye(q.dim), np.eye(q.dim), q
-    chol = _start_factor(q, cfg, l_inv)
+    start = _start(q, cfg)
+    if existence.verdict == "violated":  # no minimizer to seek: the start as configured
+        if start is None:
+            start = np.eye(q.dim) if l is None else q.mean_atom()
+        if case0:
+            start = start / np.exp(np.linalg.slogdet(start)[1] / q.dim)
+        return _estimate(SpdMatrix(start), q, f, 0, STATUS_EXISTENCE, [], existence)
+
+    chol = np.eye(q.dim) if start is None else l_inv @ np.linalg.cholesky(start)
     if case0:  # det S = 1 in the frame and det L = 1, so det Sigma = 1
         chol = chol / np.exp(np.mean(np.log(np.diag(chol))))
         l = l / np.exp(np.mean(np.log(np.diag(l))))
     s = chol @ chol.T
 
-    log_values = []
-    iterations = 0
+    log_values, iterations = [], 0
     while True:
         crit, psi, w = _evaluate(chol, qf, f)
         log_values.append(crit)
 
         diff = psi - s
-        gnorm = _frobenius(w @ diff @ w.T)
-
-        # Checked before convergence: a start matrix can be an exact fixed
-        # point of Psi even though no unique minimizer exists.
-        if existence.verdict == "violated":
-            status = STATUS_EXISTENCE
-            break
-        if gnorm <= cfg.tol_gradient and (
+        if _frobenius(w @ diff @ w.T) <= cfg.tol_gradient and (
                 _frobenius(l @ diff @ l.T) / _frobenius(l @ s @ l.T) <= cfg.tol_fixed_point):
             status = STATUS_CONVERGED
             break
@@ -257,22 +268,16 @@ def fixed_point_solve(
     d = np.sqrt(np.diag(sigma))
     lam = np.linalg.eigvalsh(sigma / np.outer(d, d))
     sigma = SpdMatrix(sigma + max(lam[-1] / _COND_LIMIT - lam[0], 0.0) * np.diag(d * d))
-    # Report the returned iterate as ``check --sigma`` recomputes it; the
-    # frame's criterion differs from the data's by a constant.
-    crit, psi, w = _evaluate(np.linalg.cholesky(sigma.mat), q, f)
-    diff = psi - sigma.mat
-    fp_resid = _frobenius(diff) / _frobenius(sigma.mat)
-    gnorm = _frobenius(w @ diff @ w.T)
-    return ScatterEstimate(
-        sigma=sigma,
-        iterations=iterations,
-        criterion=crit,
-        gradient_norm=gnorm,
-        status=status,
-        descent_log=np.asarray(log_values) + (crit - log_values[-1]),
-        fixed_point_residual=fp_resid,
-        existence=existence,
-    )
+    return _estimate(sigma, q, f, iterations, status, log_values, existence)
+
+
+def _estimate(sigma, q, f, iterations, status, log_values, existence) -> ScatterEstimate:
+    """The fit that returns ``sigma``, measured in the data's coordinates.  The
+    frame's criteria in ``log_values`` are shifted by the constant that separates
+    them from the data's; a fit that stopped at its start logs that one value."""
+    crit, resid, gnorm, _ = _measure(sigma, q, f)
+    log = np.asarray(log_values) + (crit - log_values[-1]) if log_values else np.array([crit])
+    return ScatterEstimate(sigma, iterations, crit, gnorm, status, log, resid, existence)
 
 
 def _frobenius(a: np.ndarray) -> float:

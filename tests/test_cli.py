@@ -57,6 +57,16 @@ class TestReadCsv:
         with pytest.raises(InputError, match="row 2"):
             read_csv(str(p))
 
+    @pytest.mark.parametrize("text, line", [
+        ("1,2\n\n3,4\n5,x\n", 4),
+        ("\n\na,b\n\n1,2\n3\n", 6),
+    ], ids=["blank_line", "blank_lines_and_header"])
+    def test_error_names_the_file_line_after_blank_lines(self, tmp_path, text, line):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(InputError, match=rf"row {line}\b"):
+            read_csv(str(p))
+
     def test_non_numeric_after_header(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("a,b\n1,2\nx,4\n")
@@ -346,6 +356,26 @@ class TestCheckCommand:
         err = capsys.readouterr().err.splitlines()
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("estimator", ["tyler", "gaussian"])
+    def test_singular_psi_is_measured(self, tmp_path, capsys, estimator):
+        # 200 rows with x3 = 0: Psi of the identity is singular.  The check
+        # measures it all the same, as the fit that stops at that start does.
+        p, eye = tmp_path / "plane.csv", tmp_path / "eye.json"
+        x = np.random.default_rng(0).standard_normal((200, 3))
+        x[:, 2] = 0.0
+        np.savetxt(p, x, delimiter=",")
+        eye.write_text(json.dumps({"sigma": np.eye(3).tolist()}))
+        fit = tmp_path / "fit.json"
+        assert run(["scatter", "--estimator", estimator, "--input", str(p), "--out", str(fit)]) == 2
+        code = run(["check", "--estimator", estimator, "--input", str(p), "--sigma", str(eye)])
+        doc, fitted = read_json(capsys), json.loads(fit.read_text())
+        assert code == 2
+        assert doc["existence"]["verdict"] == "violated"
+        assert math.isfinite(doc["fixed_point_residual"]) and math.isfinite(doc["criterion"])
+        assert fitted["sigma"] == np.eye(3).tolist()
+        for key in ("fixed_point_residual", "criterion"):
+            assert doc[key] == fitted[key]
 
     # Squared entries of sigma leave the float range at these scales.
     @pytest.mark.parametrize("flags,scale", [

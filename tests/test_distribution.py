@@ -5,6 +5,7 @@ import pytest
 
 from mscatter import (
     DimensionMismatchError,
+    DomainError,
     InvalidInputError,
     MatrixDistribution,
     PsdAtom,
@@ -13,6 +14,7 @@ from mscatter import (
     augment,
     build_kstat,
     check_existence,
+    criterion,
     fixed_point_solve,
     from_observations,
     from_wishart_groups,
@@ -42,7 +44,8 @@ class TestConstruction:
 
     def test_zero_row_blocks_case0(self):
         q = from_observations(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert not q.case0_ready
+        with pytest.raises(DomainError, match="positive trace"):
+            criterion(np.eye(2), q, tyler(2))
 
     def test_center_subtraction(self):
         q = from_observations(np.array([[2.0, 1.0]]), center=[1.0, 1.0])
@@ -410,6 +413,14 @@ class TestCappedSubsetDraws:
         self.assert_valid(rows, n, k, cap)
         assert np.array_equal(rows, _subsets(n, k, cap, 0))
         assert not np.array_equal(rows, _subsets(n, k, cap, 1))
+
+    def test_distinct_rows_match_unique(self):
+        rows = np.random.default_rng(19).integers(0, 4, size=(500, 3))
+        got = distribution._distinct_rows(rows)
+        assert np.array_equal(got, np.unique(rows, axis=0)) and got.dtype == rows.dtype
+        # A first rejection batch can hold no valid row at all.
+        empty = np.empty((0, 3), dtype=np.int64)
+        assert distribution._distinct_rows(empty).shape == (0, 3)
 
     def test_half_of_thirty_at_the_default_cap(self):
         # What ``scatter --k 15`` draws on 30 rows: distinct uniform indices

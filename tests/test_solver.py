@@ -186,9 +186,12 @@ class TestFixedPointSolve:
         )
         # Psi of the start is singular for the Gaussian loss on planar rows;
         # the diagnostics are measured all the same.
-        est = fixed_point_solve(from_observations(plane), gaussian())
+        q = from_observations(plane)
+        est = fixed_point_solve(q, gaussian())
         assert est.status == "existence_violated"
         assert math.isfinite(est.fixed_point_residual) and math.isfinite(est.gradient_norm)
+        assert np.linalg.norm(gradient(est.sigma, q, gaussian()).mat) == pytest.approx(
+            est.gradient_norm, rel=1e-12)
 
     @pytest.mark.parametrize("f, k", [
         (tyler(3), 1), (t_dist(2.0, 3), 1), (gaussian(), 1), (tyler(3), 2),
@@ -278,6 +281,64 @@ class TestFixedPointSolve:
         q = from_observations(np.eye(2) * 2.0)
         with pytest.raises(InvalidInputError):
             fixed_point_solve(q, f)
+
+
+class TestViolatedStart:
+    """A violated check stops the fit at its start, returned as configured
+    and measured once in Q."""
+
+    @staticmethod
+    def rows(scales=(1.0, 1.0, 1.0)):
+        # 8 of 10 rows in the plane x3 = 0: its mass 0.8 reaches the 2/3 of
+        # Tyler's loss and the 3/4 of t with nu = 1; the mean atom is nonsingular.
+        rng = np.random.default_rng(0)
+        plane = np.column_stack([rng.standard_normal((8, 2)), np.zeros(8)])
+        return np.vstack([plane, rng.standard_normal((2, 3))]) * scales
+
+    @pytest.mark.parametrize("rows", ["plane_and_two", "plane_only"])
+    def test_start_is_evaluated_once(self, rows, monkeypatch):
+        calls, evaluate = [], solver._evaluate
+
+        def counted(chol, q, f):
+            calls.append(q)
+            return evaluate(chol, q, f)
+
+        monkeypatch.setattr(solver, "_evaluate", counted)
+        x = self.rows()
+        q = from_observations(x if rows == "plane_and_two" else x[:8])
+        est = fixed_point_solve(q, tyler(3))
+        assert (est.status, est.iterations, len(est.descent_log)) == ("existence_violated", 0, 1)
+        assert len(calls) == 1 and calls[0] is q
+        assert est.descent_log[0] == est.criterion
+
+    @pytest.mark.parametrize("f", [tyler(3), t_dist(1.0, 3)], ids=["tyler", "t1"])
+    @pytest.mark.parametrize("start", ["identity", "given", "mean_atom"])
+    def test_sigma_is_the_configured_start(self, f, start):
+        q = from_observations(self.rows([1e3, 1.0, 1e-3]))
+        given = SpdMatrix([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
+        cfg = SolverConfig(start=given if start == "given" else start)
+        est = fixed_point_solve(q, f, cfg)
+        assert est.status == "existence_violated"
+        expected = {"identity": np.eye(3), "given": given.mat, "mean_atom": q.mean_atom()}[start]
+        if f.case_tag == CASE0 and start != "identity":  # scaled to det 1
+            assert est.sigma.logdet == pytest.approx(0.0, abs=1e-12)
+            expected = expected * (est.sigma.mat[0, 0] / expected[0, 0])
+            assert np.allclose(est.sigma.mat, expected, rtol=1e-14, atol=0.0)
+        else:
+            assert np.array_equal(est.sigma.mat, expected)
+        crit, resid, gnorm, _ = solver._measure(est.sigma, q, f)
+        assert (est.criterion, est.fixed_point_residual, est.gradient_norm) == (crit, resid, gnorm)
+
+    def test_singular_mean_atom_starts_at_the_identity(self):
+        q = from_observations(self.rows()[:8])
+        est = fixed_point_solve(q, gaussian(), SolverConfig(start="mean_atom"))
+        assert est.status == "existence_violated"
+        assert np.array_equal(est.sigma.mat, np.eye(3))
+
+    def test_unknown_start_is_refused_before_the_verdict(self):
+        q = from_observations(self.rows())
+        with pytest.raises(InvalidInputError, match="unknown start"):
+            fixed_point_solve(q, tyler(3), SolverConfig(start="median"))
 
 
 class TestSolverInvariants:
