@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,8 +28,9 @@ _RANK_RTOL = 1e-9
 # Containment slack for "column space lies inside subspace" tests.
 _CONTAIN_TOL = 1e-8
 
-# Index marks per block of k-subsets drawn by Floyd's algorithm.
-_FLOYD_ENTRIES = 1 << 20
+# Entries per block of a temporary array: the index marks of k-subsets drawn
+# by Floyd's algorithm, the squared factor rows summed into traces.
+_BLOCK_ENTRIES = 1 << 20
 
 # Largest condition number of a fitted scatter relative to the mean atom: the
 # solver stops as diverged beyond it, and the frame reads the rank of the mean
@@ -54,13 +56,15 @@ class WishartGroup:
 class MatrixDistribution:
     """A weighted finite collection of PSD atoms sharing one dimension.
 
-    Observations, k-subsets and their congruence transforms keep an (m, r, q)
-    stack of factor rows with M_i = Y_i^T Y_i; Wishart groups and atoms given
-    to this constructor keep the dense (m, q, q) stack.  ``traces_under`` and
-    ``weighted_sum`` evaluate either form, ``atoms`` is the read-only dense
-    stack (built from the factors on first use), ``atom_blocks`` yields it a
-    block at a time without keeping it, and ``atom(i)`` recovers a single
-    ``PsdAtom``.  Weights are positive and sum to one.
+    Observations, k-subsets and their congruence transforms keep factor rows
+    y with M_i = Y_i^T Y_i: the r rows of each Y_i are consecutive columns of
+    one C-contiguous (q, m r) array ``_rows`` (``_factors()`` views it as the
+    (m, r, q) stack).  Wishart groups and atoms given to this constructor keep
+    the dense (m, q, q) stack.  ``traces_under`` and ``weighted_sum`` evaluate
+    either form, ``atoms`` is the read-only dense stack (built from the
+    factors on first use), ``atom_blocks`` yields it a block at a time without
+    keeping it, and ``atom(i)`` recovers a single ``PsdAtom``.  Weights are
+    positive and sum to one.
 
     Dense atoms are clipped of eigenvalue dust by :func:`clip_psd_dust`, which
     decomposes only the blocks that its Cholesky screen cannot prove free of
@@ -70,7 +74,7 @@ class MatrixDistribution:
     ``_atom_groups``).
     """
 
-    __slots__ = ("dim", "weights", "traces", "_factors", "_atoms", "_framed")
+    __slots__ = ("dim", "weights", "traces", "_rows", "_r", "_atoms", "_framed")
 
     def __init__(self, atoms, weights=None, *, clip: bool = True):
         if isinstance(atoms, (list, tuple)):
@@ -89,15 +93,26 @@ class MatrixDistribution:
         arr = (arr + arr.transpose(0, 2, 1)) / 2.0
         if clip:
             arr = clip_psd_dust(arr)
-        self._factors, self._atoms = None, arr
-        self._finish(np.einsum("mii->m", arr), weights)
+        self._rows, self._r, self._atoms = None, None, arr
+        # Traces summed as traces_under sums tr(A M) at A = I.
+        self._finish(arr.reshape(arr.shape[0], -1) @ np.eye(arr.shape[1]).ravel(), weights)
 
     @classmethod
-    def _from_factors(cls, factors, weights=None):
-        """Distribution of the atoms Y_i^T Y_i of an (m, r, q) factor stack."""
+    def _from_rows(cls, rows: np.ndarray, r: int, weights=None):
+        """Distribution of the atoms whose factor rows are the columns of a
+        (q, m r) array, r columns per atom.  A C-contiguous ``rows`` is taken
+        as the distribution's own; any other is copied into that order."""
         self = cls.__new__(cls)
-        self._factors, self._atoms = np.array(factors, dtype=float), None
-        self._finish(np.einsum("mri,mri->m", self._factors, self._factors), weights)
+        rows = np.ascontiguousarray(rows, dtype=float)
+        self._rows, self._r, self._atoms = rows, r, None
+        # Column sums of Y * Y over each atom's rows, as traces_under sums
+        # (A Y) * Y at A = I, for a block of whole atoms at a time; _finish
+        # refuses the traces that overflow.
+        step = r * max(_BLOCK_ENTRIES // (r * rows.shape[0]), 1)
+        with np.errstate(over="ignore"):
+            traces = np.concatenate([self._per_atom(np.square(b).sum(axis=0))
+                                     for b in np.split(rows, range(step, rows.shape[1], step), axis=1)])
+        self._finish(traces, weights)
         return self
 
     def _finish(self, traces, weights):
@@ -114,17 +129,31 @@ class MatrixDistribution:
             if np.any(w <= 0) or not np.all(np.isfinite(w)):
                 raise InvalidInputError("weights must be positive and finite")
             w = w / w.sum()
-        for a in (w, traces, self._factors, self._atoms):
+        for a in (w, traces, self._rows, self._atoms):
             if a is not None:
                 a.flags.writeable = False
         self.weights, self.traces, self._framed = w, traces, None
-        self.dim = (self._atoms if self._factors is None else self._factors).shape[-1]
+        self.dim = self._atoms.shape[-1] if self._rows is None else self._rows.shape[0]
+
+    def _factors(self) -> np.ndarray:
+        """The factor rows as the (m, r, q) stack of the Y_i: a view of ``_rows``."""
+        return self._rows.T.reshape(-1, self._r, self.dim)
+
+    def _per_atom(self, col: np.ndarray) -> np.ndarray:
+        """One value per atom from one per factor row, summed over each atom's rows."""
+        return col if self._r == 1 else col.reshape(-1, self._r).sum(axis=1)
+
+    def _work_array(self) -> Optional[np.ndarray]:
+        """A new array for :meth:`traces_under` and :meth:`weighted_sum` to work
+        in, shaped like the factor rows; None for a dense stack."""
+        return None if self._rows is None else np.empty_like(self._rows)
 
     @property
     def atoms(self) -> np.ndarray:
         """The read-only (m, q, q) stack of atoms."""
         if self._atoms is None:
-            self._atoms = np.einsum("mri,mrj->mij", self._factors, self._factors)
+            y = self._factors()
+            self._atoms = np.einsum("mri,mrj->mij", y, y)
             self._atoms.flags.writeable = False
         return self._atoms
 
@@ -138,22 +167,30 @@ class MatrixDistribution:
             if self._atoms is not None:
                 yield lo, self._atoms[lo:lo + size]
             else:
-                y = self._factors[lo:lo + size]
+                y = self._factors()[lo:lo + size]
                 yield lo, np.einsum("mri,mrj->mij", y, y)
 
-    def traces_under(self, a: np.ndarray) -> np.ndarray:
-        """t_i = tr(A M_i) for every atom and a symmetric (q, q) matrix A."""
-        if self._factors is None:
+    def traces_under(self, a: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
+        """t_i = tr(A M_i) for every atom and a symmetric (q, q) matrix A.  Factor
+        rows Y give the column sums of (A Y) * Y over each atom's rows, formed in
+        ``work`` (from :meth:`_work_array`) when given, else in a new array."""
+        if self._rows is None:
             return self._atoms.reshape(self.n_atoms, -1) @ a.ravel()
-        y = self._factors.reshape(-1, self.dim)
-        return np.einsum("ni,ni->n", y @ a, y).reshape(self.n_atoms, -1).sum(axis=1)
+        b = np.matmul(a, self._rows, out=work)
+        b *= self._rows
+        return self._per_atom(b.sum(axis=0))
 
-    def weighted_sum(self, c) -> np.ndarray:
-        """sum_i c_i M_i for one coefficient per atom."""
-        if self._factors is None:
+    def weighted_sum(self, c, work: Optional[np.ndarray] = None) -> np.ndarray:
+        """sum_i c_i M_i for one coefficient per atom.  Factor rows Y give
+        (Y c) Y^T, with Y c, each atom's rows scaled by its c_i, formed in
+        ``work`` (from :meth:`_work_array`) when given, else in a new array."""
+        c = np.asarray(c, dtype=float)
+        if self._rows is None:
             return (c @ self._atoms.reshape(self.n_atoms, -1)).reshape(self.dim, self.dim)
-        y = self._factors.reshape(-1, self.dim)
-        return y.T @ (np.repeat(c, self._factors.shape[1])[:, None] * y)
+        by_atom = (self.dim, self.n_atoms, self._r)
+        b = np.multiply(self._rows.reshape(by_atom), c[:, None],
+                        out=None if work is None else work.reshape(by_atom))
+        return b.reshape(self.dim, -1) @ self._rows.T
 
     def atom(self, i: int) -> PsdAtom:
         return PsdAtom(self.atoms[i], _trusted=True)
@@ -197,7 +234,7 @@ def from_observations(x, center=None) -> MatrixDistribution:
                 f"center has shape {center.shape}, expected ({x.shape[1]},)"
             )
         x = x - center
-    return MatrixDistribution._from_factors(x[:, None, :])
+    return MatrixDistribution._from_rows(np.array(x.T, order="C"), 1)
 
 
 def sample_covariance(points) -> PsdAtom:
@@ -209,8 +246,8 @@ def sample_covariance(points) -> PsdAtom:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise InvalidInputError("sample covariance needs at least two points")
-    y = _covariance_factors(pts[None, :1], pts[None, 1:])
-    return PsdAtom(MatrixDistribution._from_factors(y).atoms[0])
+    y = _covariance_factors(pts[None, :1], pts[None, 1:])[0]
+    return PsdAtom(MatrixDistribution._from_rows(y.T, len(y)).atoms[0])
 
 
 def _covariance_factors(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -230,7 +267,7 @@ def _subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
     A drawn row is k uniform indices, kept when they are distinct, where that
     happens at least half the time (n!/(n-k)! >= n^k / 2); otherwise rows
     come from :func:`_floyd`, k-subsets by construction, in blocks of at most
-    ``_FLOYD_ENTRIES`` marks.  The distinct rows drawn, in lexicographic
+    ``_BLOCK_ENTRIES`` marks.  The distinct rows drawn, in lexicographic
     order (:func:`_distinct_rows`), are trimmed to ``cap`` by a seeded
     permutation."""
     if seed < 0:
@@ -245,7 +282,7 @@ def _subsets(n: int, k: int, cap: int, seed: int) -> np.ndarray:
         everything = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
         keep = rng.permutation(total)[:cap]
         return everything[np.sort(keep)]
-    distinct, block = 2 * math.perm(n, k) >= n**k, max(_FLOYD_ENTRIES // n, 1)
+    distinct, block = 2 * math.perm(n, k) >= n**k, max(_BLOCK_ENTRIES // n, 1)
     chosen = np.empty((0, k), dtype=np.int64)
     while chosen.shape[0] < cap:
         rows = 2 * (cap - chosen.shape[0]) + 16
@@ -298,7 +335,8 @@ def build_kstat(x, k: int, cap: int = 200_000, seed: int = 0) -> MatrixDistribut
         raise InvalidInputError("cap must be positive")
 
     pts = x[_subsets(n, k, cap, seed)]
-    return MatrixDistribution._from_factors(_covariance_factors(pts[:, :1], pts[:, 1:]))
+    y = _covariance_factors(pts[:, :1], pts[:, 1:])
+    return MatrixDistribution._from_rows(y.reshape(-1, x.shape[1]).T, k - 1)
 
 
 def from_wishart_groups(groups) -> MatrixDistribution:
@@ -340,8 +378,8 @@ def transform(q: MatrixDistribution, b, direction: str = "forward") -> MatrixDis
 
 def _congruence(q: MatrixDistribution, t: np.ndarray) -> MatrixDistribution:
     """Every atom M replaced by T M T^T, with T taken as given."""
-    if q._factors is not None:
-        return MatrixDistribution._from_factors(q._factors @ t.T, q.weights)
+    if q._rows is not None:
+        return MatrixDistribution._from_rows(t @ q._rows, q._r, q.weights)
     return MatrixDistribution(t @ q.atoms @ t.T, q.weights, clip=False)
 
 
@@ -449,11 +487,11 @@ def _spectra(q: MatrixDistribution):
     some M fails the screen M - 2 _RANK_RTOL tr(M) I = L L^T get ``eigh``: a
     passing M has lambda_min > 2 _RANK_RTOL lambda_max, full rank under the
     rank cut by a margin far above rounding."""
-    if q._factors is not None and q._factors.shape[1] == 1:
+    if q._r == 1:
         norm = np.sqrt(np.where(q.traces > 0.0, q.traces, 1.0))
-        return np.arange(q.n_atoms), q.traces[:, None], (q._factors[:, 0] / norm[:, None])[:, :, None]
-    if q._factors is not None:
-        _, sv, vt = np.linalg.svd(q._factors, full_matrices=False)
+        return np.arange(q.n_atoms), q.traces[:, None], (q._rows.T / norm[:, None])[:, :, None]
+    if q._rows is not None:
+        _, sv, vt = np.linalg.svd(q._factors(), full_matrices=False)
         return np.arange(q.n_atoms), sv**2, np.swapaxes(vt, 1, 2)
     dim = q.dim
     parts = [(lo + np.arange(len(block)),) + tuple(np.linalg.eigh(block))

@@ -103,33 +103,48 @@ def _spd(s, q: MatrixDistribution) -> np.ndarray:
     return np.linalg.cholesky(s.mat)
 
 
-def _off_zero(traces: np.ndarray, f: RhoFunction) -> np.ndarray:
-    """Mask of the atoms off the zero matrix by their traces; Case 0 refuses the rest."""
+def _off_zero(traces: np.ndarray, f: RhoFunction):
+    """Index of the atoms off the zero matrix by their traces: a mask, or the
+    full slice when every atom is off zero; Case 0 refuses mass at zero."""
     nz = traces > 0.0
-    if f.case_tag == CASE0 and not nz.all():
+    if nz.all():
+        return slice(None)
+    if f.case_tag == CASE0:
         raise DomainError("Case 0 requires every atom to have positive trace "
                           "(no mass at the zero matrix)")
     return nz
 
 
-def _evaluate(chol: np.ndarray, q: MatrixDistribution, f: RhoFunction):
-    """(L(S, Q), Psi(S, Q), L^-1) in one pass over the atoms off zero (see
-    :func:`_off_zero`), for S = L L^T by its lower Cholesky factor L."""
+def _evaluate(chol: np.ndarray, q: MatrixDistribution, f: RhoFunction, work=None):
+    """(L(S, Q) - C, Psi(S, Q), L^-1) for S = L L^T by its lower Cholesky factor L,
+    in one pass over the atoms off zero (see :func:`_off_zero`).  C = sum_i w_i
+    rho(tr M_i) is constant for Q, so only :func:`criterion` and :func:`_measure`
+    take it off (:func:`_offset`).  The solver loop passes the one ``work``
+    array (``q._work_array()``) of its fit to every call, so that factor rows
+    are evaluated without allocating an array of their size; one-shot callers
+    pass none."""
     nz = _off_zero(q.traces, f)
     l_inv = np.linalg.inv(chol)
-    t = q.traces_under(l_inv.T @ l_inv)[nz]
+    t = q.traces_under(l_inv.T @ l_inv, work)[nz]
     w = q.weights[nz]
-    crit = float(w @ (np.asarray(f.rho(t)) - np.asarray(f.rho(q.traces[nz]))))
+    crit = float(w @ np.asarray(f.rho(t))) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     coeff = np.zeros(q.n_atoms)
     coeff[nz] = w * np.asarray(f.rho_prime(t))
-    psi = q.weighted_sum(coeff)
-    return crit + 2.0 * float(np.sum(np.log(np.diag(chol)))), (psi + psi.T) / 2.0, l_inv
+    psi = q.weighted_sum(coeff, work)
+    return crit, (psi + psi.T) / 2.0, l_inv
+
+
+def _offset(q: MatrixDistribution, f: RhoFunction) -> float:
+    """sum_i w_i rho(tr M_i) over the atoms off zero: what separates the value of
+    :func:`_evaluate` from the criterion."""
+    nz = _off_zero(q.traces, f)
+    return float(q.weights[nz] @ np.asarray(f.rho(q.traces[nz])))
 
 
 def criterion(s, q: MatrixDistribution, f: RhoFunction) -> float:
     """Evaluate the criterion L(S, Q); exactly zero at S = I."""
     _check_compat(q, f)
-    return _evaluate(_spd(s, q), q, f)[0]
+    return _evaluate(_spd(s, q), q, f)[0] - _offset(q, f)
 
 
 def psi_map(s, q: MatrixDistribution, f: RhoFunction) -> SpdMatrix:
@@ -145,21 +160,28 @@ def psi_map(s, q: MatrixDistribution, f: RhoFunction) -> SpdMatrix:
 def _measure(s: SpdMatrix, q: MatrixDistribution, f: RhoFunction):
     """(L(S, Q), ||Psi - S||_F / ||S||_F, ||L^-1 (S - Psi) L^-T||_F, S - Psi) for
     S = L L^T in the coordinates of Q, from one :func:`_evaluate`; Psi may be
-    singular.  A fit measures the matrix it returns, ``check --sigma`` a given
-    one, and :func:`gradient` whitens S - Psi."""
+    singular.  A fit measures the matrix it returns and ``check --sigma`` a
+    given one.  Where :func:`_evaluate` refuses Q (Case 0 with mass at the
+    zero matrix) there is no criterion: all four are NaN."""
     _check_compat(q, f)
-    crit, psi, w = _evaluate(_spd(s, q), q, f)
+    chol = _spd(s, q)
+    try:
+        crit, psi, w = _evaluate(chol, q, f)
+    except DomainError:
+        return math.nan, math.nan, math.nan, np.full((q.dim, q.dim), math.nan)
     g = s.mat - psi
-    return crit, _frobenius(g) / _frobenius(s.mat), _frobenius(w @ g @ w.T), g
+    return crit - _offset(q, f), _frobenius(g) / _frobenius(s.mat), _frobenius(w @ g @ w.T), g
 
 
 def gradient(s, q: MatrixDistribution, f: RhoFunction) -> SymMatrix:
     """Whitened gradient B^-1 (S - Psi(S, Q)) B^-T with B the symmetric
     square root of S; zero exactly at the fixed point.  Its norm is that of
-    :func:`_measure`, whose whitening differs by a rotation."""
+    :func:`_measure`, whose whitening differs by a rotation.  Psi may be
+    singular; Case 0 refuses mass at the zero matrix, as :func:`criterion` does."""
+    _check_compat(q, f)
     s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
     r = s.inv_sqrt()
-    return SymMatrix(r @ _measure(s, q, f)[3] @ r)
+    return SymMatrix(r @ (s.mat - _evaluate(_spd(s, q), q, f)[1]) @ r)
 
 
 def _start(q: MatrixDistribution, cfg: SolverConfig) -> Optional[np.ndarray]:
@@ -228,9 +250,9 @@ def fixed_point_solve(
         l = l / np.exp(np.mean(np.log(np.diag(l))))
     s = chol @ chol.T
 
-    log_values, iterations = [], 0
+    log_values, iterations, work = [], 0, qf._work_array()
     while True:
-        crit, psi, w = _evaluate(chol, qf, f)
+        crit, psi, w = _evaluate(chol, qf, f, work)
         log_values.append(crit)
 
         diff = psi - s
@@ -249,6 +271,7 @@ def fixed_point_solve(
             break
         s = psi / np.exp(np.mean(np.log(lam))) if case0 else psi
         chol = np.linalg.cholesky(s)  # positive definite within the condition limit
+    del work  # the fit's last uses of Q allocate their own
 
     if existence.verdict == "undecided":
         if status == STATUS_CONVERGED and f.has_second:

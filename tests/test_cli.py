@@ -377,6 +377,24 @@ class TestCheckCommand:
         for key in ("fixed_point_residual", "criterion"):
             assert doc[key] == fitted[key]
 
+    def test_zero_row_reports_the_check(self, tmp_path, capsys):
+        # Under Case 0 a zero row is mass at the zero matrix: no criterion,
+        # so the fit and check --sigma emit null measurements and the report.
+        p, eye = tmp_path / "zero.csv", tmp_path / "eye.json"
+        x = np.random.default_rng(0).standard_normal((6, 3))
+        x[0] = 0.0
+        np.savetxt(p, x, delimiter=",")
+        eye.write_text(json.dumps({"sigma": np.eye(3).tolist()}))
+        for argv in (["check"], ["scatter"], ["check", "--sigma", str(eye)]):
+            capsys.readouterr()
+            assert run([*argv, "--input", str(p)]) == 2
+            doc = read_json(capsys)
+            assert doc["existence"]["verdict"] == "violated"
+            if argv != ["check"]:
+                assert doc["fixed_point_residual"] is None and doc["criterion"] is None
+        with pytest.raises(mscatter.DomainError):
+            mscatter.gradient(np.eye(3), mscatter.from_observations(x), mscatter.tyler(3))
+
     # Squared entries of sigma leave the float range at these scales.
     @pytest.mark.parametrize("flags,scale", [
         (["--estimator", "gaussian"], 1e100),
