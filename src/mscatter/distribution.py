@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, InvalidInputError, RangeError
 from .rho import CASE0, RhoFunction
-from .symmat import PsdAtom, as_array, clip_psd_dust, helmert, unscreened_blocks
+from .symmat import (PsdAtom, as_array, cholesky_passes, clip_psd_dust, helmert, stack_blocks,
+                     unscreened_blocks)
 
 # Eigenvalues below this relative size do not count toward an atom's column
 # space when enumerating candidate subspaces.
@@ -28,8 +29,15 @@ _RANK_RTOL = 1e-9
 # Containment slack for "column space lies inside subspace" tests.
 _CONTAIN_TOL = 1e-8
 
+# A union whose Gram matrix G passes the Cholesky screen G - 1e-12 tr(G) I =
+# L L^T has lambda_min > 1e-12 lambda_max, far above rounding and above the
+# 1e-20 that the search's 1e-10 cut on singular values puts on lambda: it
+# fills the space for the SVD too.
+_UNION_SCREEN_RTOL = 1e-12
+
 # Entries per block of a temporary array: the index marks of k-subsets drawn
-# by Floyd's algorithm, the squared factor rows summed into traces.
+# by Floyd's algorithm, the squared factor rows summed into traces, and the
+# containment residuals of the existence search.
 _BLOCK_ENTRIES = 1 << 20
 
 # Largest condition number of a fitted scatter relative to the mean atom: the
@@ -585,27 +593,67 @@ def span_witness(q: MatrixDistribution, f: RhoFunction, vectors: np.ndarray):
     of Q below full rank."""
     dim, zero_mass = q.dim, _zero_mass(q)
     bases, masses = _atom_groups(q)
-    inside = _containment(bases)
+    ranks = np.array([b.shape[1] for b in bases])
+    inside = _containment(_padded(bases, ranks), ranks)
     for d in range(1, dim):
         basis = vectors[:, dim - d:]
-        mass = zero_mass + float(masses[inside(basis)].sum())
+        mass = zero_mass + float(masses[inside(basis[None])[0]].sum())
         thr, critical = _critical(f, d, dim, mass)
         if critical:
             return ExistenceWitness(basis, mass, thr)
     return None
 
 
-def _containment(bases):
-    """``inside(U)``: the mask of the groups whose column space lies inside
-    span(U), one product against all groups' basis columns reduced per group."""
-    ranks = np.array([b.shape[1] for b in bases])
-    cols, owner = np.hstack(bases), np.repeat(np.arange(len(bases)), ranks)
+def _padded(bases, ranks) -> np.ndarray:
+    """The (groups, q, max rank) stack of the group bases, each padded with zero columns."""
+    padded = np.zeros((len(bases), bases[0].shape[0], ranks.max()))
+    for g, b in enumerate(bases):
+        padded[g, :, : b.shape[1]] = b
+    return padded
+
+
+def _containment(padded, ranks):
+    """``inside(U)``: for a (c, q, w) stack of bases, orthonormal columns
+    padded with zero columns, the (c, groups) mask of the groups whose column
+    space lies inside each span(U).  One product against the padded columns
+    of all groups (a zero column lies in every span) per chunk of at most
+    ``_BLOCK_ENTRIES`` residual entries, summed per group."""
+    n, dim, width = padded.shape
+    cols, cut = padded.transpose(1, 0, 2).reshape(dim, -1), _CONTAIN_TOL**2 * ranks
 
     def inside(u):
-        resid = cols - u @ (u.T @ cols)
-        return np.bincount(owner, np.einsum("ij,ij->j", resid, resid), len(bases)) <= _CONTAIN_TOL**2 * ranks
+        mask = np.empty((len(u), n), dtype=bool)
+        for lo, hi in stack_blocks(len(u), cols.size, _BLOCK_ENTRIES):
+            resid = u[lo:hi] @ (np.swapaxes(u[lo:hi], 1, 2) @ cols)
+            np.subtract(cols, resid, out=resid)
+            sq = np.einsum("cij,cij->cj", resid, resid).reshape(hi - lo, n, width)
+            mask[lo:hi] = sum(sq[:, :, j] for j in range(width)) <= cut
+        return mask
 
     return inside
+
+
+def _unions(u, padded, ranks, groups):
+    """(groups, ranks, bases) of the proper spans span(U) + span(B_g) of the
+    orthonormal basis U with the padded basis B_g of each group g in
+    ``groups``, in that order; the bases are stacked, each padded with zero
+    columns.  A union with dim U + rank B_g >= q whose U U^T + B_g B_g^T
+    passes the Cholesky screen at ``_UNION_SCREEN_RTOL`` fills the space
+    unseen; every other union gets the batched SVD, whose left singular
+    vectors above its 1e-10 relative cut are the span's basis."""
+    dim, du = u.shape
+    full = du + ranks[groups] >= dim
+    if full.any():
+        b = padded[groups[full]]
+        full[full] = cholesky_passes(u @ u.T + b @ np.swapaxes(b, 1, 2), _UNION_SCREEN_RTOL)
+        groups = groups[~full]
+    stacked = np.concatenate([np.broadcast_to(u, (groups.size,) + u.shape), padded[groups]], axis=2)
+    w, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+    rank = np.sum(sv > 1e-10 * sv[:, :1], axis=1)
+    proper = rank < dim
+    rank = rank[proper]
+    width = rank.max(initial=0)
+    return groups[proper], rank, w[proper, :, :width] * (np.arange(width) < rank[:, None])[:, None, :]
 
 
 def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
@@ -619,6 +667,12 @@ def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
     When every group is a line and dim > 2, every pair of lines spans a
     proper plane, so the search stops at once if the lines and their pairs
     exceed the budget.
+
+    Only unions that may be proper are decomposed (:func:`_unions`), and a
+    depth-one node built from group g skips the groups j < g: that union was
+    built before as a child of the node of group j (or of the earlier node
+    with its key), is that node itself, or fills the space.  Neither changes
+    a candidate, key, charge or witness of the search.
     """
     n = len(bases)
     ranks = np.array([b.shape[1] for b in bases])
@@ -631,27 +685,23 @@ def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
             witnesses.append(ExistenceWitness(bases[g], float(mass[g]), thr))
         return dim == 2 and n <= budget
 
-    inside = _containment(bases)
-    padded = np.zeros((n, dim, ranks.max()))
-    for g, b in enumerate(bases):
-        padded[g, :, : b.shape[1]] = b
+    padded = _padded(bases, ranks)
+    inside = _containment(padded, ranks)
 
     # The search starts from the zero subspace, whose unions are the groups.
-    queue, visited, charged = deque([np.zeros((dim, 0))]), set(), 0
+    # A node is queued with its basis, the mask of the groups it holds (its
+    # key), and the first group it joins.
+    queue, visited, charged = deque([(np.zeros((dim, 0)), np.zeros(n, dtype=bool), 0)]), set(), 0
     while queue:
-        u = queue.popleft()
+        u, held, first = queue.popleft()
         if charged > budget:  # reached only once depth one is swept whole
             return False
         if u.shape[1] == dim - 1:  # every union with it is the whole space
             continue
-        # Orthonormal bases of span(U) + span(B) for the padded basis B of
-        # each group not inside U: left singular vectors and union ranks.
-        blocks = padded[~inside(u)]
-        stacked = np.concatenate([np.broadcast_to(u, (len(blocks),) + u.shape), blocks], axis=2)
-        w, sv, _ = np.linalg.svd(stacked, full_matrices=False)
-        rank = np.sum(sv > 1e-10 * sv[:, :1], axis=1)
-        for v in (w[i, :, :r] for i, r in enumerate(rank) if r < dim):
-            mask = inside(v)
+        join = ~held
+        join[:first] = False
+        groups, rank, w = _unions(u, padded, ranks, np.flatnonzero(join))
+        for g, r, v, mask in zip(groups, rank, w, inside(w)):
             key = np.packbits(mask).tobytes()
             if key in visited:
                 continue
@@ -659,9 +709,10 @@ def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
             charged += 1
             if charged > budget and u.shape[1]:  # past depth one
                 return False
+            v = v[:, :r].copy()
             mass = zero_mass + float(masses[mask].sum())
             thr, critical = _critical(f, v.shape[1], dim, mass)
             if critical:
                 witnesses.append(ExistenceWitness(v, mass, thr))
-            queue.append(v)
+            queue.append((v, mask.copy(), 0 if u.shape[1] else g))
     return True

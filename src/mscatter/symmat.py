@@ -142,11 +142,11 @@ def helmert(k: int) -> np.ndarray:
     return ((col < j) - j * (col == j)) / np.sqrt(j * (j + 1.0))
 
 
-def stack_blocks(m: int, per_item: int):
+def stack_blocks(m: int, per_item: int, entries: int = 0):
     """(lo, hi) bounds of consecutive blocks of ``m`` items of ``per_item``
-    entries each, at most ``_BLOCK_ENTRIES`` entries (and one item at least)
-    a block."""
-    size = max(1, _BLOCK_ENTRIES // max(per_item, 1))
+    entries each, at most ``entries`` (``_BLOCK_ENTRIES`` when 0) entries
+    (and one item at least) a block."""
+    size = max(1, (entries or _BLOCK_ENTRIES) // max(per_item, 1))
     return [(lo, min(lo + size, m)) for lo in range(0, m, size)]
 
 
@@ -169,6 +169,24 @@ def unscreened_blocks(a: np.ndarray, rtol: float):
             np.linalg.cholesky(block - shift[:, None, None] * np.eye(q))
         except np.linalg.LinAlgError:
             yield lo, block
+
+
+def cholesky_passes(a: np.ndarray, rtol: float) -> np.ndarray:
+    """The mask of the matrices M of an (m, q, q) stack of symmetric matrices
+    for which M - rtol tr(M) I has a Cholesky factor, as ``np.linalg.cholesky``
+    would find it but per matrix: the factorization runs a column at a time
+    over the whole stack, and a matrix fails at its first pivot that is not
+    positive (or NaN), without raising.  A passing M has lambda_min > rtol
+    lambda_max up to a rounding error of order q eps lambda_max."""
+    q = a.shape[-1]
+    s = a - (rtol * np.einsum("mii->m", a))[:, None, None] * np.eye(q)
+    ok = np.ones(a.shape[0], dtype=bool)
+    for j in range(q):
+        ok &= s[:, j, j] > 0.0
+        # Column j of the factor; a failed matrix takes zeros and stops changing.
+        col = np.where(ok[:, None], s[:, j + 1:, j], 0.0) / np.sqrt(np.where(ok, s[:, j, j], 1.0))[:, None]
+        s[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
+    return ok
 
 
 def clip_psd_dust(a: np.ndarray) -> np.ndarray:

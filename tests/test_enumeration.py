@@ -10,10 +10,13 @@ same recount checks the witnesses that failed fits report.
 
 import itertools
 import json
+import math
+from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mscatter import (
@@ -28,8 +31,18 @@ from mscatter import (
     tyler,
     weibull,
 )
+from mscatter import distribution
 from mscatter.cli import run
-from mscatter.distribution import MatrixDistribution, span_witness
+from mscatter.distribution import (
+    _CONTAIN_TOL,
+    ExistenceWitness,
+    MatrixDistribution,
+    _atom_groups,
+    _critical,
+    _frame,
+    _zero_mass,
+    span_witness,
+)
 from mscatter.rho import CASE0
 
 LOSSES = {"tyler": tyler, "t": lambda q: t_dist(1.5, q), "gaussian": lambda q: gaussian()}
@@ -220,3 +233,179 @@ def test_cli_codimension_two_collapse_is_the_witness(tmp_path, capsys, flags):
     (w,) = doc["existence"]["witnesses"]
     assert w["dim"] == 3 and w["mass"] == pytest.approx(0.75, abs=1e-12)
     assert abs(mass_inside(from_observations(x), np.asarray(w["basis"])) - w["mass"]) <= 1e-10
+
+
+# -- the search against its unscreened form ------------------------------------
+#
+# ``_containment`` and ``_enumerate`` below are the search as it was before
+# unions were screened, mirrored unions skipped and containment batched:
+# every union of a node with a group not inside it got an SVD, and every
+# child its own containment product.  The search must build the same
+# candidates in the same order, so it must charge the same budget and report
+# the same witnesses.
+
+
+def _containment(bases):
+    """``inside(U)``: the mask of the groups whose column space lies inside
+    span(U), one product against all groups' basis columns reduced per group."""
+    ranks = np.array([b.shape[1] for b in bases])
+    cols, owner = np.hstack(bases), np.repeat(np.arange(len(bases)), ranks)
+
+    def inside(u):
+        resid = cols - u @ (u.T @ cols)
+        return np.bincount(owner, np.einsum("ij,ij->j", resid, resid), len(bases)) <= _CONTAIN_TOL**2 * ranks
+
+    return inside
+
+
+def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
+    """Breadth-first search over the spans of unions of groups.
+
+    Appends every critical candidate to ``witnesses``; returns False when the
+    budget runs out.  A candidate is the span of the groups it contains, so
+    the boolean mask of those groups keys it exactly.  Each new distinct
+    candidate is charged when it is built, and depth one (the groups
+    themselves) is swept whole before the charge is compared with the budget.
+    When every group is a line and dim > 2, every pair of lines spans a
+    proper plane, so the search stops at once if the lines and their pairs
+    exceed the budget.
+    """
+    n = len(bases)
+    ranks = np.array([b.shape[1] for b in bases])
+    if ranks.max() == 1 and (dim == 2 or n + math.comb(n, 2) > budget):
+        # A line contains no other group, so depth one needs no containment
+        # test; in the plane it is the whole search.
+        mass = zero_mass + masses
+        thr, critical = _critical(f, 1, dim, mass)
+        for g in np.flatnonzero(critical):
+            witnesses.append(ExistenceWitness(bases[g], float(mass[g]), thr))
+        return dim == 2 and n <= budget
+
+    inside = _containment(bases)
+    padded = np.zeros((n, dim, ranks.max()))
+    for g, b in enumerate(bases):
+        padded[g, :, : b.shape[1]] = b
+
+    # The search starts from the zero subspace, whose unions are the groups.
+    queue, visited, charged = deque([np.zeros((dim, 0))]), set(), 0
+    while queue:
+        u = queue.popleft()
+        if charged > budget:  # reached only once depth one is swept whole
+            return False
+        if u.shape[1] == dim - 1:  # every union with it is the whole space
+            continue
+        # Orthonormal bases of span(U) + span(B) for the padded basis B of
+        # each group not inside U: left singular vectors and union ranks.
+        blocks = padded[~inside(u)]
+        stacked = np.concatenate([np.broadcast_to(u, (len(blocks),) + u.shape), blocks], axis=2)
+        w, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+        rank = np.sum(sv > 1e-10 * sv[:, :1], axis=1)
+        for v in (w[i, :, :r] for i, r in enumerate(rank) if r < dim):
+            mask = inside(v)
+            key = np.packbits(mask).tobytes()
+            if key in visited:
+                continue
+            visited.add(key)
+            charged += 1
+            if charged > budget and u.shape[1]:  # past depth one
+                return False
+            mass = zero_mass + float(masses[mask].sum())
+            thr, critical = _critical(f, v.shape[1], dim, mass)
+            if critical:
+                witnesses.append(ExistenceWitness(v, mass, thr))
+            queue.append(v)
+    return True
+
+
+def significant(x, digits):
+    """``x`` rounded to ``digits`` significant decimal digits."""
+    return np.array([[float(f"{v:.{digits - 1}e}") for v in row] for row in x])
+
+
+@st.composite
+def search_problems(draw):
+    """Observations, the augmented location problem or order-2 and order-3
+    atoms, from rows of which a part may lie in a subspace, with duplicates,
+    optionally rounded near that subspace; optionally as a dense stack; a
+    loss and a budget."""
+    kind = draw(st.sampled_from(["observations", "augmented", "k2", "k3"]))
+    q = draw(st.integers(2, 3 if kind == "augmented" else 4))
+    n = draw(st.integers(3, {"observations": 12, "augmented": 10, "k2": 8, "k3": 7}[kind]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, q))
+    inside = draw(st.integers(0, n))
+    if inside:
+        d = draw(st.integers(1, q - 1))
+        x[:inside] = rng.standard_normal((inside, d)) @ rng.standard_normal((d, q))
+    dup = draw(st.integers(0, n // 3))
+    x[n - dup:] = x[:dup]
+    digits = draw(st.sampled_from([None, 6, 8, 10]))
+    if digits:
+        x = significant(x, digits)
+    if kind == "augmented":
+        prob = augment(x, draw(st.sampled_from([1.0, 3.0])))
+        dist, f = prob.q_aug, prob.augmented_rho
+    else:
+        dist = from_observations(x) if kind == "observations" else build_kstat(x, int(kind[1]))
+        f = LOSSES[draw(st.sampled_from(sorted(LOSSES)))](q)
+    if draw(st.booleans()):
+        dist = MatrixDistribution(dist.atoms, dist.weights)
+    return dist, f, draw(st.sampled_from([5, 20, 50, 1000]))
+
+
+def assert_same_witnesses(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.basis.shape == b.basis.shape
+        assert a.mass == b.mass and a.threshold == b.threshold
+        assert np.max(np.abs(a.basis @ a.basis.T - b.basis @ b.basis.T), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problem=search_problems())
+def test_search_matches_the_unscreened_search(problem):
+    q, f, budget = problem
+    with mock.patch.object(distribution, "_enumerate", _enumerate):
+        want = check_existence(q, f, budget)
+    got = check_existence(q, f, budget)
+    event(f"{want.verdict} by {want.method}")
+    assert (got.verdict, got.method) == (want.verdict, want.method)
+    assert_same_witnesses(got.witnesses, want.witnesses)
+
+    # The search itself, also where check_existence would not start it.
+    l, _, qf = _frame(q)
+    bases, masses = _atom_groups(qf) if l is not None else ([], None)
+    if bases:
+        runs = [(search(bases, masses, _zero_mass(q), f, q.dim, budget, found), found)
+                for search, found in ((distribution._enumerate, []), (_enumerate, []))]
+        assert runs[0][0] == runs[1][0]
+        assert_same_witnesses(runs[0][1], runs[1][1])
+
+
+def test_order3_search_decomposes_only_proper_unions(monkeypatch):
+    # The 120 planes of all triples of 10 rows in R^4, as in the benchmark.
+    # Two planes span R^4 unless their triples share two rows: of the
+    # 120 x 119 unions of depth one the screen proves all others full, and
+    # the mirror skip halves the 2,520 that share two rows.  The search
+    # decomposes the 120 groups and those 1,260 unions (it took 14,400).
+    svd, count, searching = np.linalg.svd, [0], [False]
+
+    def counted_svd(a, *args, **kwargs):
+        if searching[0]:
+            count[0] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    def counted_search(*args):
+        searching[0] = True
+        try:
+            return search(*args)
+        finally:
+            searching[0] = False
+
+    search = distribution._enumerate
+    monkeypatch.setattr(distribution.np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(distribution, "_enumerate", counted_search)
+    x = np.random.default_rng(0).standard_normal((10, 4))
+    rep = check_existence(build_kstat(x, 3), tyler(4))
+    assert (rep.verdict, rep.method) == ("satisfied", "exact_enumeration")
+    assert count[0] <= 1_400

@@ -2,7 +2,9 @@
 
 ``clip_psd_dust`` and ``distribution._atom_groups`` decompose only the blocks
 of a dense stack that the Cholesky screen cannot settle, and take rank-one
-directions from the factor rows without an SVD.  The references below
+directions from the factor rows without an SVD.  The existence search's
+per-matrix screen ``symmat.cholesky_passes`` must answer as LAPACK's
+Cholesky does, and pass no union that the search's SVD cut calls singular.  The references below
 decompose every atom, as the decisions are defined; the screened versions
 must give the same clipped stack, the same error index, and the same groups
 and masses, also when the stacks cross block boundaries.
@@ -14,8 +16,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mscatter import MatrixDistribution, NotPositiveDefiniteError, from_observations, symmat
-from mscatter.distribution import _RANK_RTOL, _atom_groups
-from mscatter.symmat import PSD_DUST_RTOL, clip_psd_dust
+from mscatter.distribution import _RANK_RTOL, _UNION_SCREEN_RTOL, _atom_groups
+from mscatter.symmat import PSD_DUST_RTOL, cholesky_passes, clip_psd_dust
 
 
 def eigen_clip(a):
@@ -157,3 +159,38 @@ def test_rank_one_directions_match_the_svd(seed, q, n):
     assert np.array_equal(masses, ref_masses)
     for b, r in zip(bases, ref_bases):
         assert np.max(np.abs(b - r)) <= 1e-15
+
+
+def lapack_passes(m, rtol):
+    """Whether M - rtol tr(M) I has a Cholesky factor by ``np.linalg.cholesky``."""
+    try:
+        np.linalg.cholesky(m - rtol * np.trace(m) * np.eye(len(m)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_union_screen_matches_lapack_and_the_svd_cut(q):
+    """One stack of Gram matrices Y Y^T whose smallest eigenvalue is 1e-3 to
+    1e-15 of the largest, or zero, and of the zero, a singular and an
+    indefinite matrix."""
+    rng = np.random.default_rng(q)
+    factors, grams = [], []
+    for rel in [1.0, 1e-3, 1e-6, 1e-9, 1e-10, 1e-11, 1e-13, 1e-14, 1e-15, 0.0] * 3:
+        u = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        lam = np.concatenate([[1.0], rng.uniform(0.1, 1.0, q - 1)])
+        lam[-1] *= rel if q > 1 else 1.0
+        y = (u * np.sqrt(lam)) @ np.linalg.qr(rng.standard_normal((q + 2, q)))[0].T
+        factors.append(y)
+        grams.append(y @ y.T)
+    others = [np.zeros((q, q)), np.diag(np.arange(q, dtype=float)), -np.eye(q)]
+    stack = np.stack(grams + others)
+    passes = cholesky_passes(stack, _UNION_SCREEN_RTOL)  # raises for no member
+    assert passes.tolist() == [lapack_passes(m, _UNION_SCREEN_RTOL) for m in stack]
+    assert not passes[len(grams):].any()
+    assert passes.any() and (q == 1 or not passes[:len(grams)].all())
+    for y, ok in zip(factors, passes):
+        sv = np.linalg.svd(y, compute_uv=False)
+        if ok:
+            assert np.all(sv > 1e-10 * sv[0])
