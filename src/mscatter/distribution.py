@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, InvalidInputError, RangeError
 from .rho import CASE0, RhoFunction
-from .symmat import (PsdAtom, as_array, cholesky_passes, clip_psd_dust, helmert, stack_blocks,
-                     unscreened_blocks)
+from .symmat import PsdAtom, as_array, cholesky_passes, clip_psd_dust, helmert, unscreened_blocks
 
 # Eigenvalues below this relative size do not count toward an atom's column
 # space when enumerating candidate subspaces.
@@ -620,14 +619,16 @@ def _containment(padded, ranks):
     ``_BLOCK_ENTRIES`` residual entries, summed per group."""
     n, dim, width = padded.shape
     cols, cut = padded.transpose(1, 0, 2).reshape(dim, -1), _CONTAIN_TOL**2 * ranks
+    step = max(_BLOCK_ENTRIES // cols.size, 1)
 
     def inside(u):
         mask = np.empty((len(u), n), dtype=bool)
-        for lo, hi in stack_blocks(len(u), cols.size, _BLOCK_ENTRIES):
-            resid = u[lo:hi] @ (np.swapaxes(u[lo:hi], 1, 2) @ cols)
+        for lo in range(0, len(u), step):
+            v = u[lo:lo + step]
+            resid = v @ (np.swapaxes(v, 1, 2) @ cols)
             np.subtract(cols, resid, out=resid)
-            sq = np.einsum("cij,cij->cj", resid, resid).reshape(hi - lo, n, width)
-            mask[lo:hi] = sum(sq[:, :, j] for j in range(width)) <= cut
+            sq = np.einsum("cij,cij->cj", resid, resid).reshape(len(v), n, width)
+            mask[lo:lo + step] = sum(sq[:, :, j] for j in range(width)) <= cut
         return mask
 
     return inside

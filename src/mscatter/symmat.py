@@ -142,11 +142,11 @@ def helmert(k: int) -> np.ndarray:
     return ((col < j) - j * (col == j)) / np.sqrt(j * (j + 1.0))
 
 
-def stack_blocks(m: int, per_item: int, entries: int = 0):
+def stack_blocks(m: int, per_item: int):
     """(lo, hi) bounds of consecutive blocks of ``m`` items of ``per_item``
-    entries each, at most ``entries`` (``_BLOCK_ENTRIES`` when 0) entries
-    (and one item at least) a block."""
-    size = max(1, (entries or _BLOCK_ENTRIES) // max(per_item, 1))
+    entries each, at most ``_BLOCK_ENTRIES`` entries (and one item at least)
+    a block."""
+    size = max(1, _BLOCK_ENTRIES // max(per_item, 1))
     return [(lo, min(lo + size, m)) for lo in range(0, m, size)]
 
 

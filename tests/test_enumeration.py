@@ -372,14 +372,18 @@ def test_search_matches_the_unscreened_search(problem):
     assert (got.verdict, got.method) == (want.verdict, want.method)
     assert_same_witnesses(got.witnesses, want.witnesses)
 
-    # The search itself, also where check_existence would not start it.
+    # The search itself, also where check_existence would not start it, and
+    # with one basis per containment product.
     l, _, qf = _frame(q)
     bases, masses = _atom_groups(qf) if l is not None else ([], None)
     if bases:
-        runs = [(search(bases, masses, _zero_mass(q), f, q.dim, budget, found), found)
-                for search, found in ((distribution._enumerate, []), (_enumerate, []))]
-        assert runs[0][0] == runs[1][0]
-        assert_same_witnesses(runs[0][1], runs[1][1])
+        args, want = (bases, masses, _zero_mass(q), f, q.dim, budget), []
+        done = _enumerate(*args, want)
+        for entries in (distribution._BLOCK_ENTRIES, 1):
+            got = []
+            with mock.patch.object(distribution, "_BLOCK_ENTRIES", entries):
+                assert distribution._enumerate(*args, got) == done
+            assert_same_witnesses(got, want)
 
 
 def test_order3_search_decomposes_only_proper_unions(monkeypatch):
