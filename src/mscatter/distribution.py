@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, InvalidInputError, RangeError
 from .rho import CASE0, RhoFunction
+from . import symmat
 from .symmat import PsdAtom, as_array, cholesky_passes, clip_psd_dust, helmert, unscreened_blocks
 
 # Eigenvalues below this relative size do not count toward an atom's column
@@ -634,22 +635,27 @@ def _containment(padded, ranks):
     return inside
 
 
-def _unions(u, padded, ranks, groups):
-    """(groups, ranks, bases) of the proper spans span(U) + span(B_g) of the
-    orthonormal basis U with the padded basis B_g of each group g in
-    ``groups``, in that order; the bases are stacked, each padded with zero
-    columns.  A union with dim U + rank B_g >= q whose U U^T + B_g B_g^T
-    passes the Cholesky screen at ``_UNION_SCREEN_RTOL`` fills the space
-    unseen; every other union gets the batched SVD, whose left singular
-    vectors above its 1e-10 relative cut are the span's basis."""
-    dim, du = u.shape
+def _unions(nodes, padded, ranks):
+    """(group, rank, basis) of each proper span span(U) + span(B_g) of a
+    queued node (U, held, first) of ``nodes``, all of one dimension, with
+    the padded basis B_g of a group g >= first that U does not hold: node by
+    node, groups in order, the bases stacked and padded with zero columns.
+    A union with dim U + rank B_g >= q whose U U^T + B_g B_g^T passes the
+    Cholesky screen at ``_UNION_SCREEN_RTOL`` fills the space unseen; every
+    other union gets the batched SVD, whose left singular vectors above its
+    1e-10 relative cut are the span's basis."""
+    u = np.stack([node[0] for node in nodes])
+    dim, du = u.shape[1:]
+    join = ~np.stack([node[1] for node in nodes])
+    join &= np.arange(len(ranks)) >= np.array([node[2] for node in nodes])[:, None]
+    at, groups = np.nonzero(join)
     full = du + ranks[groups] >= dim
     if full.any():
         b = padded[groups[full]]
-        full[full] = cholesky_passes(u @ u.T + b @ np.swapaxes(b, 1, 2), _UNION_SCREEN_RTOL)
-        groups = groups[~full]
-    stacked = np.concatenate([np.broadcast_to(u, (groups.size,) + u.shape), padded[groups]], axis=2)
-    w, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+        gram = (u @ np.swapaxes(u, 1, 2))[at[full]] + b @ np.swapaxes(b, 1, 2)
+        full[full] = cholesky_passes(gram, _UNION_SCREEN_RTOL)
+        at, groups = at[~full], groups[~full]
+    w, sv, _ = np.linalg.svd(np.concatenate([u[at], padded[groups]], axis=2), full_matrices=False)
     rank = np.sum(sv > 1e-10 * sv[:, :1], axis=1)
     proper = rank < dim
     rank = rank[proper]
@@ -673,7 +679,8 @@ def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
     depth-one node built from group g skips the groups j < g: that union was
     built before as a child of the node of group j (or of the earlier node
     with its key), is that node itself, or fills the space.  Neither changes
-    a candidate, key, charge or witness of the search.
+    a candidate, key, charge or witness of the search, nor does building the
+    unions of several queued nodes at once.
     """
     n = len(bases)
     ranks = np.array([b.shape[1] for b in bases])
@@ -688,32 +695,38 @@ def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
 
     padded = _padded(bases, ranks)
     inside = _containment(padded, ranks)
+    # A run of nodes takes unions whose Gram matrices fill at most one block
+    # of symmat's screens, small enough to stay in cache.
+    run_nodes = max(symmat._BLOCK_ENTRIES // (n * dim * dim), 1)
 
     # The search starts from the zero subspace, whose unions are the groups.
     # A node is queued with its basis, the mask of the groups it holds (its
-    # key), and the first group it joins.
+    # key), and the first group it joins.  The unions of a run of queued
+    # nodes of one dimension are built at once; their children are then taken
+    # in the order of their nodes, as if each node were popped alone.
     queue, visited, charged = deque([(np.zeros((dim, 0)), np.zeros(n, dtype=bool), 0)]), set(), 0
     while queue:
-        u, held, first = queue.popleft()
         if charged > budget:  # reached only once depth one is swept whole
             return False
-        if u.shape[1] == dim - 1:  # every union with it is the whole space
+        du = queue[0][0].shape[1]
+        run = [queue.popleft()]
+        while queue and len(run) < run_nodes and queue[0][0].shape[1] == du:
+            run.append(queue.popleft())
+        if du == dim - 1:  # every union with them is the whole space
             continue
-        join = ~held
-        join[:first] = False
-        groups, rank, w = _unions(u, padded, ranks, np.flatnonzero(join))
+        groups, rank, w = _unions(run, padded, ranks)
         for g, r, v, mask in zip(groups, rank, w, inside(w)):
             key = np.packbits(mask).tobytes()
             if key in visited:
                 continue
             visited.add(key)
             charged += 1
-            if charged > budget and u.shape[1]:  # past depth one
+            if charged > budget and du:  # past depth one
                 return False
             v = v[:, :r].copy()
             mass = zero_mass + float(masses[mask].sum())
             thr, critical = _critical(f, v.shape[1], dim, mass)
             if critical:
                 witnesses.append(ExistenceWitness(v, mass, thr))
-            queue.append((v, mask.copy(), 0 if u.shape[1] else g))
+            queue.append((v, mask.copy(), 0 if du else g))
     return True

@@ -31,7 +31,7 @@ from mscatter import (
     tyler,
     weibull,
 )
-from mscatter import distribution
+from mscatter import distribution, symmat
 from mscatter.cli import run
 from mscatter.distribution import (
     _CONTAIN_TOL,
@@ -325,7 +325,7 @@ def significant(x, digits):
 @st.composite
 def search_problems(draw):
     """Observations, the augmented location problem or order-2 and order-3
-    atoms, from rows of which a part may lie in a subspace, with duplicates,
+    atoms, from rows of which half or more may lie in a subspace, with duplicates,
     optionally rounded near that subspace; optionally as a dense stack; a
     loss and a budget."""
     kind = draw(st.sampled_from(["observations", "augmented", "k2", "k3"]))
@@ -333,9 +333,8 @@ def search_problems(draw):
     n = draw(st.integers(3, {"observations": 12, "augmented": 10, "k2": 8, "k3": 7}[kind]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n, q))
-    inside = draw(st.integers(0, n))
-    if inside:
-        d = draw(st.integers(1, q - 1))
+    if draw(st.booleans()):
+        inside, d = draw(st.integers(n // 2, n)), draw(st.integers(1, q - 1))
         x[:inside] = rng.standard_normal((inside, d)) @ rng.standard_normal((d, q))
     dup = draw(st.integers(0, n // 3))
     x[n - dup:] = x[:dup]
@@ -373,15 +372,16 @@ def test_search_matches_the_unscreened_search(problem):
     assert_same_witnesses(got.witnesses, want.witnesses)
 
     # The search itself, also where check_existence would not start it, and
-    # with one basis per containment product.
+    # with one node per run and one basis per containment product.
     l, _, qf = _frame(q)
     bases, masses = _atom_groups(qf) if l is not None else ([], None)
     if bases:
         args, want = (bases, masses, _zero_mass(q), f, q.dim, budget), []
         done = _enumerate(*args, want)
-        for entries in (distribution._BLOCK_ENTRIES, 1):
+        for small in (False, True):
             got = []
-            with mock.patch.object(distribution, "_BLOCK_ENTRIES", entries):
+            with mock.patch.object(distribution, "_BLOCK_ENTRIES", 1 if small else distribution._BLOCK_ENTRIES), \
+                    mock.patch.object(symmat, "_BLOCK_ENTRIES", 1 if small else symmat._BLOCK_ENTRIES):
                 assert distribution._enumerate(*args, got) == done
             assert_same_witnesses(got, want)
 
