@@ -32,7 +32,7 @@ from .errors import DomainError, InvalidInputError, InvalidRegimeError
 from .location import LocationScatterEstimate, augmented_rho
 from .rho import CASE0, RhoFunction
 from .solver import HessianOperator, ScatterEstimate, _off_zero, hessian
-from .symmat import SymMatrix, spectral, stack_blocks
+from .symmat import SymMatrix, stack_blocks
 
 
 @dataclass
@@ -244,7 +244,7 @@ def orth_hessian_coeffs(q_dist: MatrixDistribution, f: RhoFunction):
     nz = _off_zero(q_dist.traces, f)
     w = q_dist.weights[nz]
     tr = q_dist.traces[nz]
-    fro2 = np.einsum("mij,mij->m", q_dist.atoms[nz], q_dist.atoms[nz])
+    fro2 = np.concatenate([np.einsum("ma,ma->m", c, c) for _, c in q_dist._svec_blocks()])[nz]
     rs = np.asarray(f.rho_second(tr))
     d0 = 1.0 + (2.0 / (q * (q + 2.0))) * float(w @ (rs * (fro2 + (tr**2 - fro2) / (q - 1.0))))
     d1 = 1.0 + (1.0 / q) * float(w @ (rs * tr**2))
@@ -266,12 +266,10 @@ def _scatter_se(z_orig: np.ndarray):
 
 
 def _whitening(estimate):
-    """(S^-1/2, S^1/2) of a converged fit's scatter S from one decomposition."""
+    """(S^-1/2, S^1/2) of a converged fit's scatter S."""
     if not estimate.converged:
         raise InvalidInputError("influence analysis requires a converged estimate")
-    dec = spectral(estimate.sigma.mat)
-    u, root = dec.eigenvectors, np.sqrt(dec.eigenvalues)
-    return (u / root) @ u.T, (u * root) @ u.T
+    return estimate.sigma.inv_sqrt(), estimate.sigma.sqrt()
 
 
 def acov_scatter(

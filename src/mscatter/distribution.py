@@ -68,11 +68,11 @@ class MatrixDistribution:
     y with M_i = Y_i^T Y_i: the r rows of each Y_i are consecutive columns of
     one C-contiguous (q, m r) array ``_rows`` (``_factors()`` views it as the
     (m, r, q) stack).  Wishart groups and atoms given to this constructor keep
-    the dense (m, q, q) stack.  ``traces_under`` and ``weighted_sum`` evaluate
-    either form, ``atoms`` is the read-only dense stack (built from the
-    factors on first use), ``atom_blocks`` yields it a block at a time without
-    keeping it, and ``atom(i)`` recovers a single ``PsdAtom``.  Weights are
-    positive and sum to one.
+    the dense (m, q, q) stack.  ``traces_under``, ``weighted_sum`` and
+    ``_svec_blocks`` read either form; only ``atoms``, the read-only dense
+    stack (built from the factors on first use), and ``atom(i)``, a single
+    ``PsdAtom``, expand factor rows into dense atoms.  Weights are positive
+    and sum to one.
 
     Dense atoms are clipped of eigenvalue dust by :func:`clip_psd_dust`, which
     decomposes only the blocks that its Cholesky screen cannot prove free of
@@ -148,8 +148,9 @@ class MatrixDistribution:
         return self._rows.T.reshape(-1, self._r, self.dim)
 
     def _per_atom(self, col: np.ndarray) -> np.ndarray:
-        """One value per atom from one per factor row, summed over each atom's rows."""
-        return col if self._r == 1 else col.reshape(-1, self._r).sum(axis=1)
+        """One value per atom from one per factor row (along the last axis),
+        summed over each atom's rows."""
+        return col if self._r == 1 else col.reshape(*col.shape[:-1], -1, self._r).sum(axis=-1)
 
     def _work_array(self) -> Optional[np.ndarray]:
         """A new array for :meth:`traces_under` and :meth:`weighted_sum` to work
@@ -168,15 +169,6 @@ class MatrixDistribution:
     @property
     def n_atoms(self) -> int:
         return self.weights.shape[0]
-
-    def atom_blocks(self, size: int):
-        """(start, dense atoms) of consecutive blocks of at most ``size``."""
-        for lo in range(0, self.n_atoms, size):
-            if self._atoms is not None:
-                yield lo, self._atoms[lo:lo + size]
-            else:
-                y = self._factors()[lo:lo + size]
-                yield lo, np.einsum("mri,mrj->mij", y, y)
 
     def traces_under(self, a: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
         """t_i = tr(A M_i) for every atom and a symmetric (q, q) matrix A.  Factor
@@ -199,6 +191,24 @@ class MatrixDistribution:
         b = np.multiply(self._rows.reshape(by_atom), c[:, None],
                         out=None if work is None else work.reshape(by_atom))
         return b.reshape(self.dim, -1) @ self._rows.T
+
+    def _svec_blocks(self):
+        """(start, C) for consecutive blocks of atoms, C[b] the half-vectorized
+        coordinates tr(E_a M_i) of atom i = start + b (:func:`symmat._svec`).
+        Factor rows give the products y_i y_j of each row's entries (times
+        sqrt(2) for i < j) summed over each atom's rows.  A block counts q^2
+        entries per dense atom or factor row, at most ``symmat._BLOCK_ENTRIES``."""
+        dim = self.dim
+        if self._rows is None:
+            for lo, hi in symmat.stack_blocks(self.n_atoms, dim * dim):
+                yield lo, symmat._svec(self._atoms[lo:hi])
+            return
+        i, j = np.triu_indices(dim, 1)
+        for lo, hi in symmat.stack_blocks(self.n_atoms, dim * dim * self._r):
+            y = self._rows[:, lo * self._r:hi * self._r]
+            prod = np.concatenate([y * y, y[i] * y[j]])
+            prod[dim:] *= math.sqrt(2.0)
+            yield lo, self._per_atom(prod).T
 
     def atom(self, i: int) -> PsdAtom:
         return PsdAtom(self.atoms[i], _trusted=True)

@@ -44,16 +44,12 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .rho import CASE0, RhoFunction, tyler, validate
-from .symmat import SpdMatrix, SymMatrix, as_array, helmert
+from .symmat import SpdMatrix, SymMatrix, _smat, _svec, as_array
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_DIVERGED = "diverged"
 STATUS_EXISTENCE = "existence_violated"
-
-# Atoms per block when the Hessian sums its atom term, so no (m, q, q) stack
-# of all atoms is built.
-_HESSIAN_BLOCK = 256
 
 
 @dataclass
@@ -315,23 +311,19 @@ def _frobenius(a: np.ndarray) -> float:
 # -- Hessian operator ------------------------------------------------------------
 
 
-def _diagonal_map(dim: int, case_tag: str) -> np.ndarray:
-    """Rows giving the diagonal coordinates from a matrix diagonal: the
-    identity, or for Case 0 the (dim-1, dim) orthonormal Helmert contrasts
-    that span the trace-zero diagonals."""
-    return helmert(dim) if case_tag == CASE0 else np.eye(dim)
-
-
 @dataclass
 class HessianOperator:
     """The second-derivative operator of the criterion at the standardized
     point, materialized in half-vectorized coordinates of symmetric matrices.
 
     The coordinates are orthonormal under <A, B> = tr(AB): the diagonal
-    entries first, then sqrt(2) A_ij for i < j in row-major order.  For Case 0
-    the domain is the trace-zero subspace, the diagonal is replaced by its
-    dim-1 Helmert contrasts, and ``apply`` projects its argument there first.
-    ``project``, ``apply`` and ``solve`` take one matrix or an (n, q, q) stack.
+    entries first, then sqrt(2) A_ij for i < j in row-major order
+    (:func:`mscatter.symmat._svec`).  The Case 0 criterion is scale
+    invariant, so H I = 0; its ``matrix`` adds the unit projector onto
+    svec(I)/sqrt(dim), which gives ``eigenvalues`` one eigenvalue of 1 for
+    the identity direction, and ``project`` removes the trace, so that
+    ``apply`` and ``solve`` act on the trace-zero subspace.  ``project``,
+    ``apply`` and ``solve`` take one matrix or an (n, q, q) stack.
     """
 
     dim: int
@@ -346,34 +338,17 @@ class HessianOperator:
             a = a - (trace / self.dim) * np.eye(self.dim)
         return a
 
-    def _coords(self, a: np.ndarray) -> np.ndarray:
-        i, j = np.triu_indices(self.dim, 1)
-        diag = np.diagonal(a, axis1=-2, axis2=-1) @ _diagonal_map(self.dim, self.case_tag).T
-        return np.concatenate([diag, math.sqrt(2.0) * a[..., i, j]], axis=-1)
-
-    def _reconstruct(self, coords: np.ndarray) -> np.ndarray:
-        dmap = _diagonal_map(self.dim, self.case_tag)
-        i, j = np.triu_indices(self.dim, 1)
-        off = coords[..., dmap.shape[0]:] / math.sqrt(2.0)
-        out = np.zeros(coords.shape[:-1] + (self.dim, self.dim))
-        out[..., i, j] = off
-        out[..., j, i] = off
-        d = np.arange(self.dim)
-        out[..., d, d] = coords[..., : dmap.shape[0]] @ dmap
-        return out
-
     def apply(self, a) -> np.ndarray:
         """H A for a symmetric matrix A."""
-        return self._reconstruct(self._coords(self.project(a)) @ self.matrix.T)
+        return _smat(_svec(self.project(a)) @ self.matrix.T, self.dim)
 
     def solve(self, a) -> np.ndarray:
         """H^{-1} A for a symmetric matrix A (in the operator's domain).
 
         A stack is solved as one system with all right-hand sides."""
-        coords = self._coords(self.project(a))
-        # Explicit row count: Tyler's domain at dim 1 has no coordinates.
-        flat = coords.reshape(math.prod(coords.shape[:-1]), coords.shape[-1])
-        return self._reconstruct(np.linalg.solve(self.matrix, flat.T).T.reshape(coords.shape))
+        coords = _svec(self.project(a))
+        flat = coords.reshape(-1, coords.shape[-1])
+        return _smat(np.linalg.solve(self.matrix, flat.T).T.reshape(coords.shape), self.dim)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -429,21 +404,15 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
     # pattern of :func:`_first_term_pattern`.
     pmat = _evaluate(np.eye(dim), q, f)[1].ravel()
     s, terms = _first_term_pattern(dim)
-    term1 = np.zeros(s.size ** 2)
+    h = np.zeros(s.size ** 2)
     for dst, src in terms:
-        term1[dst] += pmat[src]
-    term1 = s * s.T * term1.reshape(s.size, s.size)
-    # Change the diagonal block of rows and columns to the operator's
-    # diagonal coordinates (a no-op outside Case 0).
-    dmap = _diagonal_map(dim, f.case_tag)
-    term1 = np.vstack([dmap @ term1[:dim], term1[dim:]])
-    term1 = np.hstack([term1[:, :dim] @ dmap.T, term1[:, dim:]])
-
-    h = HessianOperator(dim=dim, case_tag=f.case_tag, matrix=term1)
-    for lo, atoms in q.atom_blocks(_HESSIAN_BLOCK):
-        coords = h._coords(atoms)  # (block, p): tr(E_a M_i)
-        h.matrix += (coords.T * second[lo:lo + len(atoms)]) @ coords
-    return h
+        h[dst] += pmat[src]
+    h = s * s.T * h.reshape(s.size, s.size)
+    for lo, coords in q._svec_blocks():  # (block, p): tr(E_a M_i)
+        h += (coords.T * second[lo:lo + len(coords)]) @ coords
+    if f.case_tag == CASE0:  # the unit projector onto svec(I)/sqrt(dim)
+        h[:dim, :dim] += 1.0 / dim
+    return HessianOperator(dim=dim, case_tag=f.case_tag, matrix=h)
 
 
 def directional_scan(b, a, q: MatrixDistribution, f: RhoFunction, t_grid) -> np.ndarray:

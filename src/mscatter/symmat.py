@@ -12,6 +12,7 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,9 @@ PSD_DUST_RTOL = 1e-10
 # smallest eigenvalue above zero by far more than rounding: it has no dust.
 _DUST_SCREEN_RTOL = 1e-12
 
-# Entries of a stack per block when it is screened or evaluated a block at a
-# time, so no temporary of the size of the whole stack is built.
+# Entries of a stack per block when it is screened, evaluated or
+# half-vectorized a block at a time, so no temporary of the size of the whole
+# stack is built.
 _BLOCK_ENTRIES = 1 << 16
 
 # exp(x) overflows double precision just above 709.
@@ -140,6 +142,24 @@ def helmert(k: int) -> np.ndarray:
     j = np.arange(1, k)[:, None]
     col = np.arange(k)[None, :]
     return ((col < j) - j * (col == j)) / np.sqrt(j * (j + 1.0))
+
+
+def _svec(a: np.ndarray) -> np.ndarray:
+    """The half-vectorized coordinates of a symmetric matrix, or of each matrix
+    of a stack, orthonormal under <A, B> = tr(AB): the diagonal entries first,
+    then sqrt(2) A_ij for i < j in row-major order."""
+    i, j = np.triu_indices(a.shape[-1], 1)
+    return np.concatenate([np.diagonal(a, axis1=-2, axis2=-1), math.sqrt(2.0) * a[..., i, j]], axis=-1)
+
+
+def _smat(v: np.ndarray, dim: int) -> np.ndarray:
+    """The symmetric (dim, dim) matrices of coordinates ``v``: the inverse of :func:`_svec`."""
+    i, j = np.triu_indices(dim, 1)
+    d = np.arange(dim)
+    out = np.empty(v.shape[:-1] + (dim, dim))
+    out[..., d, d] = v[..., :dim]
+    out[..., i, j] = out[..., j, i] = v[..., dim:] / math.sqrt(2.0)
+    return out
 
 
 def stack_blocks(m: int, per_item: int):

@@ -14,19 +14,25 @@ from hypothesis import strategies as st
 from mscatter import (
     MatrixDistribution,
     MScatterError,
+    SolverConfig,
+    acov_scatter,
     augment,
     build_kstat,
     check_existence,
     criterion,
+    estimate_location_scatter,
     fixed_point_solve,
     from_observations,
     gaussian,
     hessian,
+    location_influence,
+    orth_hessian_coeffs,
     psi_map,
     t_dist,
     transform,
     tyler,
 )
+from mscatter import symmat
 from mscatter.solver import _evaluate
 
 LOSSES = {"tyler": tyler, "t": lambda q: t_dist(2.5, q), "gaussian": lambda q: gaussian()}
@@ -170,3 +176,37 @@ def test_factored_atoms_are_read_only(build):
         q.atoms[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         q.weights[0] = 1.0
+
+
+def test_factor_rows_are_never_expanded(monkeypatch):
+    # The Hessian, the orthogonal-invariance coefficients, a certified fit and
+    # the influence functions read factor rows as they are stored.
+    def no_dense_stack(self):
+        assert self._rows is None, "factor rows expanded into a dense stack"
+        return self._atoms
+
+    x = np.random.default_rng(7).standard_normal((40, 3))
+    q = from_observations(x)
+    monkeypatch.setattr(MatrixDistribution, "atoms", property(no_dense_stack))
+    hessian(q, tyler(3))
+    orth_hessian_coeffs(q, t_dist(2.5, 3))
+    est = fixed_point_solve(q, t_dist(2.5, 3), SolverConfig(existence_budget=1))
+    assert (est.existence.verdict, est.existence.method) == ("satisfied", "sufficient_condition")
+    for k in (1, 2):
+        acov_scatter(x, est, t_dist(2.5, 3), k=k, inner_cap=50)
+    location_influence(x, 3.0, estimate_location_scatter(x, 3.0))
+    assert q._atoms is None
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_hessian_across_block_boundaries(r, monkeypatch):
+    # With one atom a block, the atom term sums the same coordinates.
+    x = np.random.default_rng(8).standard_normal((30, 4))
+    q = from_observations(x) if r == 1 else build_kstat(x, 3, cap=100)
+    dense = dense_copy(q)
+    f = t_dist(2.5, 4)
+    whole = hessian(q, f).matrix
+    monkeypatch.setattr(symmat, "_BLOCK_ENTRIES", 1)
+    assert len(list(q._svec_blocks())) == q.n_atoms
+    for h in (hessian(q, f), hessian(dense, f)):
+        assert relative_gap(h.matrix, whole) <= 1e-12

@@ -1,9 +1,10 @@
 import math
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from mscatter import (
@@ -40,7 +41,8 @@ from mscatter import (
 from mscatter import build_kstat, distribution, solver
 from mscatter.rho import CASE0, CASE1, CASE1_PRIME
 from mscatter.samplers import SeededStream
-from mscatter.solver import _frobenius
+from mscatter.solver import _first_term_pattern, _frobenius, _off_zero
+from mscatter.symmat import _svec, helmert
 
 
 def three_point_fixture():
@@ -840,22 +842,14 @@ class TestPsiMapExistenceSignal:
             psi_map(np.eye(2), q, tyler(2))
 
 
-def basis_tensor(dim, case0):
+def basis_tensor(dim):
     """Dense (p, q, q) orthonormal basis of the Hessian's coordinates: diagonal
-    units (Helmert contrasts for Case 0), then (e_i e_j^T + e_j e_i^T)/sqrt(2)
-    for i < j in row-major order."""
+    units, then (e_i e_j^T + e_j e_i^T)/sqrt(2) for i < j in row-major order."""
     out = []
-    if case0:
-        for k in range(1, dim):
-            d = np.zeros(dim)
-            d[:k] = 1.0
-            d[k] = -k
-            out.append(np.diag(d / math.sqrt(k * (k + 1))))
-    else:
-        for i in range(dim):
-            e = np.zeros((dim, dim))
-            e[i, i] = 1.0
-            out.append(e)
+    for i in range(dim):
+        e = np.zeros((dim, dim))
+        e[i, i] = 1.0
+        out.append(e)
     for i in range(dim):
         for j in range(i + 1, dim):
             e = np.zeros((dim, dim))
@@ -866,14 +860,19 @@ def basis_tensor(dim, case0):
 
 def basis_tensor_hessian(q, f):
     """Reference Hessian matrix built by contracting the basis tensor:
-    <E_a, H E_b> = tr(E_a E_b P)/sym + sum_i w_i rho''_i tr(E_a M_i) tr(E_b M_i)."""
+    <E_a, H E_b> = tr(E_a E_b P)/sym + sum_i w_i rho''_i tr(E_a M_i) tr(E_b M_i),
+    plus for Case 0 the unit projector onto svec(I)/sqrt(q)."""
     nz = q.traces > 0.0
     atoms, w, tr = q.atoms[nz], q.weights[nz], q.traces[nz]
-    basis = basis_tensor(q.dim, f.case_tag == CASE0)
+    basis = basis_tensor(q.dim)
     pmat = np.einsum("m,mij->ij", w * np.asarray(f.rho_prime(tr)), atoms)
     g1 = np.einsum("aij,bjk,ki->ab", basis, basis, pmat)
     tmat = np.einsum("aij,mij->am", basis, atoms)
-    return (g1 + g1.T) / 2.0 + (tmat * (w * np.asarray(f.rho_second(tr)))) @ tmat.T
+    out = (g1 + g1.T) / 2.0 + (tmat * (w * np.asarray(f.rho_second(tr)))) @ tmat.T
+    if f.case_tag == CASE0:
+        u = np.einsum("aii->a", basis) / math.sqrt(q.dim)
+        out += np.outer(u, u)
+    return out
 
 
 def atom_design(kind, dim, rng):
@@ -885,6 +884,112 @@ def atom_design(kind, dim, rng):
     groups = [WishartGroup(PsdAtom(y.T @ y), dof=4 + g)
               for g, y in enumerate(rng.standard_normal((5, dim + 2, dim)))]
     return from_wishart_groups(groups)
+
+
+# The Case 0 Hessian as it was built on the q - 1 Helmert contrasts of the
+# diagonal, kept verbatim (only the atoms come as one dense block) as the
+# oracle of the completed plain coordinates.
+def _diagonal_map(dim, case_tag):
+    """Rows giving the diagonal coordinates from a matrix diagonal: the
+    identity, or for Case 0 the (dim-1, dim) orthonormal Helmert contrasts
+    that span the trace-zero diagonals."""
+    return helmert(dim) if case_tag == CASE0 else np.eye(dim)
+
+
+@dataclass
+class HelmertHessian:
+    dim: int
+    case_tag: str
+    matrix: np.ndarray = field(repr=False)
+
+    def project(self, a):
+        a = np.asarray(a, dtype=float)
+        a = (a + np.swapaxes(a, -1, -2)) / 2.0
+        if self.case_tag == CASE0:
+            trace = np.trace(a, axis1=-2, axis2=-1)[..., None, None]
+            a = a - (trace / self.dim) * np.eye(self.dim)
+        return a
+
+    def _coords(self, a):
+        i, j = np.triu_indices(self.dim, 1)
+        diag = np.diagonal(a, axis1=-2, axis2=-1) @ _diagonal_map(self.dim, self.case_tag).T
+        return np.concatenate([diag, math.sqrt(2.0) * a[..., i, j]], axis=-1)
+
+    def _reconstruct(self, coords):
+        dmap = _diagonal_map(self.dim, self.case_tag)
+        i, j = np.triu_indices(self.dim, 1)
+        off = coords[..., dmap.shape[0]:] / math.sqrt(2.0)
+        out = np.zeros(coords.shape[:-1] + (self.dim, self.dim))
+        out[..., i, j] = off
+        out[..., j, i] = off
+        d = np.arange(self.dim)
+        out[..., d, d] = coords[..., : dmap.shape[0]] @ dmap
+        return out
+
+    def apply(self, a):
+        return self._reconstruct(self._coords(self.project(a)) @ self.matrix.T)
+
+    def solve(self, a):
+        coords = self._coords(self.project(a))
+        # Explicit row count: Tyler's domain at dim 1 has no coordinates.
+        flat = coords.reshape(math.prod(coords.shape[:-1]), coords.shape[-1])
+        return self._reconstruct(np.linalg.solve(self.matrix, flat.T).T.reshape(coords.shape))
+
+    def eigenvalues(self):
+        return np.linalg.eigvalsh(self.matrix)
+
+
+def helmert_hessian(q, f):
+    dim = q.dim
+    nz = _off_zero(q.traces, f)
+    second = np.zeros(q.n_atoms)
+    second[nz] = q.weights[nz] * np.asarray(f.rho_second(q.traces[nz]))
+
+    pmat = solver._evaluate(np.eye(dim), q, f)[1].ravel()
+    s, terms = _first_term_pattern(dim)
+    term1 = np.zeros(s.size ** 2)
+    for dst, src in terms:
+        term1[dst] += pmat[src]
+    term1 = s * s.T * term1.reshape(s.size, s.size)
+    dmap = _diagonal_map(dim, f.case_tag)
+    term1 = np.vstack([dmap @ term1[:dim], term1[dim:]])
+    term1 = np.hstack([term1[:, :dim] @ dmap.T, term1[:, dim:]])
+
+    h = HelmertHessian(dim=dim, case_tag=f.case_tag, matrix=term1)
+    for lo, atoms in [(0, q.atoms)]:
+        coords = h._coords(atoms)  # (block, p): tr(E_a M_i)
+        h.matrix += (coords.T * second[lo:lo + len(atoms)]) @ coords
+    return h
+
+
+def certified(h):
+    try:
+        np.linalg.cholesky(h.matrix)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+@st.composite
+def tyler_designs(draw):
+    """A Tyler problem of dimension 1 to 6 whitened at its converged fit:
+    observations, the sample covariances of 3-subsets, or Wishart groups of
+    drawn degrees of freedom."""
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["observations", "k_subsets", "wishart"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "wishart":
+        dofs = draw(st.lists(st.integers(1, dim + 3), min_size=1, max_size=6))
+        q = from_wishart_groups([WishartGroup(PsdAtom(y.T @ y), dof=d)
+                                 for d, y in ((d, rng.standard_normal((d, dim))) for d in dofs)])
+    else:
+        n = draw(st.integers(max(dim + 1, 3), 2 * dim + 4))
+        x = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
+        q = from_observations(x) if kind == "observations" else build_kstat(x, 3, cap=60, seed=1)
+    est = fixed_point_solve(q, tyler(dim))
+    assume(est.converged)
+    event(kind)
+    return transform(q, est.sigma.inv_sqrt()), rng
 
 
 class TestHessianCoordinates:
@@ -899,6 +1004,22 @@ class TestHessianCoordinates:
         ref = basis_tensor_hessian(q, f)
         assert h.matrix.shape == ref.shape
         assert np.max(np.abs(h.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(design=tyler_designs())
+    def test_case0_completion_matches_the_helmert_oracle(self, design):
+        q, rng = design
+        f = tyler(q.dim)
+        h, oracle = hessian(q, f), helmert_hessian(q, f)
+        a = rng.standard_normal((5, q.dim, q.dim))
+        a = oracle.project(a)  # trace-free inputs
+        for new, old in ((h.apply(a), oracle.apply(a)), (h.solve(a), oracle.solve(a))):
+            assert np.max(np.abs(new - old)) <= 1e-12 * max(np.max(np.abs(old)), 1.0)
+        lam, lam_old = h.eigenvalues(), oracle.eigenvalues()
+        assert np.max(np.abs(lam - np.sort(np.append(lam_old, 1.0)))) <= 1e-12
+        near_one = [np.sum(np.abs(v - 1.0) <= 1e-12) for v in (lam, lam_old)]
+        assert near_one[0] == near_one[1] + 1
+        assert certified(h) == certified(oracle)
 
     @pytest.mark.parametrize("f", [tyler(4), t_dist(3.0, 4)], ids=["tyler", "t"])
     def test_stacks_match_per_matrix_calls(self, f):
@@ -929,10 +1050,9 @@ class TestHessianCoordinates:
             (j == k) * pmat[i, l] + (j == l) * pmat[i, k]
             + (i == k) * pmat[j, l] + (i == l) * pmat[j, k]
         )
-        dmap = solver._diagonal_map(dim, f.case_tag)
-        ref = np.vstack([dmap @ ref[:dim], ref[dim:]])
-        ref = np.hstack([ref[:, :dim] @ dmap.T, ref[:, dim:]])
         second = q.weights * np.asarray(f.rho_second(q.traces))
-        coords = solver.HessianOperator(dim, f.case_tag, ref)._coords(q.atoms)
+        coords = _svec(q.atoms)
         ref += (coords.T * second) @ coords  # one block: 40 atoms
+        if f.case_tag == CASE0:
+            ref[:dim, :dim] += 1.0 / dim
         assert np.array_equal(hessian(q, f).matrix, ref)
