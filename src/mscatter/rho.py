@@ -46,15 +46,25 @@ class RhoFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _call(self, fn, s):
-        """Check the domain, evaluate ``fn``; scalar in, scalar out."""
+    def _domain(self, s) -> np.ndarray:
+        """``s`` as a float array, checked against the domain of the loss."""
         s = np.asarray(s, dtype=float)
         if np.any(s < 0):
             raise DomainError(f"loss argument must be nonnegative, got {s}")
         if self.case_tag == CASE0 and np.any(s == 0):
             raise DomainError("the scale-invariant log loss is undefined at s = 0")
+        return s
+
+    def _call(self, fn, s):
+        """Check the domain, evaluate ``fn``; scalar in, scalar out."""
+        s = self._domain(s)
         out = fn(s)
         return float(out) if s.ndim == 0 else out
+
+    def _rho_and_prime(self, s):
+        """(rho(s), rho'(s)) for an array ``s`` whose domain is checked once."""
+        s = self._domain(s)
+        return self._rho(s), self._rho_prime(s)
 
     def rho(self, s):
         """Evaluate rho(s); scalar in, scalar out."""

@@ -91,12 +91,14 @@ class ScatterEstimate:
         return self.status == STATUS_CONVERGED
 
 
-def _spd(s, q: MatrixDistribution) -> np.ndarray:
-    """The lower Cholesky factor of S, checked positive definite and matching Q."""
+def _spd(s, q: MatrixDistribution):
+    """(L, L^-1) for the lower Cholesky factor L of S, checked positive definite
+    and matching Q: the arguments :func:`_evaluate` takes for S."""
     s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
     if s.dim != q.dim:
         raise DimensionMismatchError(f"S is {s.dim}-dimensional, Q is {q.dim}-dimensional")
-    return np.linalg.cholesky(s.mat)
+    chol = np.linalg.cholesky(s.mat)
+    return chol, np.linalg.inv(chol)
 
 
 def _off_zero(traces: np.ndarray, f: RhoFunction):
@@ -111,23 +113,27 @@ def _off_zero(traces: np.ndarray, f: RhoFunction):
     return nz
 
 
-def _evaluate(chol: np.ndarray, q: MatrixDistribution, f: RhoFunction, work=None):
-    """(L(S, Q) - C, Psi(S, Q), L^-1) for S = L L^T by its lower Cholesky factor L,
-    in one pass over the atoms off zero (see :func:`_off_zero`).  C = sum_i w_i
+def _evaluate(chol: np.ndarray, l_inv: np.ndarray, q: MatrixDistribution, f: RhoFunction,
+              work=None):
+    """(L(S, Q) - C, Psi(S, Q)) for S = L L^T by its lower Cholesky factor L and
+    L^-1, in one pass over the atoms off zero (see :func:`_off_zero`).  C = sum_i w_i
     rho(tr M_i) is constant for Q, so only :func:`criterion` and :func:`_measure`
     take it off (:func:`_offset`).  The solver loop passes the one ``work``
     array (``q._work_array()``) of its fit to every call, so that factor rows
     are evaluated without allocating an array of their size; one-shot callers
     pass none."""
     nz = _off_zero(q.traces, f)
-    l_inv = np.linalg.inv(chol)
     t = q.traces_under(l_inv.T @ l_inv, work)[nz]
     w = q.weights[nz]
-    crit = float(w @ np.asarray(f.rho(t))) + 2.0 * float(np.sum(np.log(np.diag(chol))))
-    coeff = np.zeros(q.n_atoms)
-    coeff[nz] = w * np.asarray(f.rho_prime(t))
+    rho, rho_prime = f._rho_and_prime(t)
+    crit = float(w @ np.asarray(rho)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    if isinstance(nz, slice):
+        coeff = w * np.asarray(rho_prime)
+    else:
+        coeff = np.zeros(q.n_atoms)
+        coeff[nz] = w * np.asarray(rho_prime)
     psi = q.weighted_sum(coeff, work)
-    return crit, (psi + psi.T) / 2.0, l_inv
+    return crit, (psi + psi.T) / 2.0
 
 
 def _offset(q: MatrixDistribution, f: RhoFunction) -> float:
@@ -140,7 +146,7 @@ def _offset(q: MatrixDistribution, f: RhoFunction) -> float:
 def criterion(s, q: MatrixDistribution, f: RhoFunction) -> float:
     """Evaluate the criterion L(S, Q); exactly zero at S = I."""
     _check_compat(q, f)
-    return _evaluate(_spd(s, q), q, f)[0] - _offset(q, f)
+    return _evaluate(*_spd(s, q), q, f)[0] - _offset(q, f)
 
 
 def psi_map(s, q: MatrixDistribution, f: RhoFunction) -> SpdMatrix:
@@ -150,7 +156,7 @@ def psi_map(s, q: MatrixDistribution, f: RhoFunction) -> SpdMatrix:
     definite, which signals a failing existence condition.
     """
     _check_compat(q, f)
-    return SpdMatrix(_evaluate(_spd(s, q), q, f)[1])
+    return SpdMatrix(_evaluate(*_spd(s, q), q, f)[1])
 
 
 def _measure(s: SpdMatrix, q: MatrixDistribution, f: RhoFunction):
@@ -160,9 +166,9 @@ def _measure(s: SpdMatrix, q: MatrixDistribution, f: RhoFunction):
     given one.  Where :func:`_evaluate` refuses Q (Case 0 with mass at the
     zero matrix) there is no criterion: all four are NaN."""
     _check_compat(q, f)
-    chol = _spd(s, q)
+    chol, w = _spd(s, q)
     try:
-        crit, psi, w = _evaluate(chol, q, f)
+        crit, psi = _evaluate(chol, w, q, f)
     except DomainError:
         return math.nan, math.nan, math.nan, np.full((q.dim, q.dim), math.nan)
     g = s.mat - psi
@@ -177,7 +183,7 @@ def gradient(s, q: MatrixDistribution, f: RhoFunction) -> SymMatrix:
     _check_compat(q, f)
     s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
     r = s.inv_sqrt()
-    return SymMatrix(r @ (s.mat - _evaluate(_spd(s, q), q, f)[1]) @ r)
+    return SymMatrix(r @ (s.mat - _evaluate(*_spd(s, q), q, f)[1]) @ r)
 
 
 def _start(q: MatrixDistribution, cfg: SolverConfig) -> Optional[np.ndarray]:
@@ -244,11 +250,11 @@ def fixed_point_solve(
     if case0:  # det S = 1 in the frame and det L = 1, so det Sigma = 1
         chol = chol / np.exp(np.mean(np.log(np.diag(chol))))
         l = l / np.exp(np.mean(np.log(np.diag(l))))
-    s = chol @ chol.T
+    s, w = chol @ chol.T, np.linalg.inv(chol)
 
     log_values, iterations, work = [], 0, qf._work_array()
     while True:
-        crit, psi, w = _evaluate(chol, qf, f, work)
+        crit, psi = _evaluate(chol, w, qf, f, work)
         log_values.append(crit)
 
         diff = psi - s
@@ -260,13 +266,12 @@ def fixed_point_solve(
             status = STATUS_MAX_ITER
             break
 
-        lam = np.linalg.eigvalsh(psi)
         iterations += 1
-        if lam[0] <= 0.0 or lam[-1] / lam[0] > _COND_LIMIT:
+        step = _step(psi, case0)
+        if step is None:
             status = STATUS_DIVERGED
             break
-        s = psi / np.exp(np.mean(np.log(lam))) if case0 else psi
-        chol = np.linalg.cholesky(s)  # positive definite within the condition limit
+        chol, w, s = step
     del work  # the fit's last uses of Q allocate their own
 
     if existence.verdict == "undecided":
@@ -288,6 +293,43 @@ def fixed_point_solve(
     lam = np.linalg.eigvalsh(sigma / np.outer(d, d))
     sigma = SpdMatrix(sigma + max(lam[-1] / _COND_LIMIT - lam[0], 0.0) * np.diag(d * d))
     return _estimate(sigma, q, f, iterations, status, log_values, existence)
+
+
+# The bound tr(Psi) tr(Psi^-1) on lambda_max / lambda_min clears an iterate when
+# it is at most this share of _COND_LIMIT; the eigenvalues decide the rest.
+_BOUND_SHARE = 1e-3
+
+
+def _diverges(psi: np.ndarray) -> bool:
+    """The divergence rule: Psi is not positive definite, or its condition
+    number lambda_max / lambda_min exceeds ``_COND_LIMIT``."""
+    lam = np.linalg.eigvalsh(psi)
+    return bool(lam[0] <= 0.0 or lam[-1] / lam[0] > _COND_LIMIT)
+
+
+def _step(psi: np.ndarray, case0: bool):
+    """The next iterate S = Psi, divided by det(Psi)^(1/q) under Case 0, as
+    (L, L^-1, S) with S = L L^T; None when :func:`_diverges` ends the fit.
+
+    Psi = L L^T is factored once.  lambda_max / lambda_min <= tr(Psi) tr(Psi^-1)
+    = tr(Psi) ||L^-1||_F^2, so the eigenvalues are computed only when that
+    bound exceeds ``_BOUND_SHARE * _COND_LIMIT`` or the factorization fails;
+    the margin is far wider than the rounding of either test.  Under Case 0,
+    det(Psi)^(1/q) is the square of the geometric mean of diag(L)."""
+    try:
+        chol = np.linalg.cholesky(psi)
+    except np.linalg.LinAlgError:
+        if _diverges(psi):
+            return None
+        raise
+    l_inv = np.linalg.inv(chol)
+    bound = float(np.trace(psi)) * float(np.vdot(l_inv, l_inv))
+    if not bound <= _BOUND_SHARE * _COND_LIMIT and _diverges(psi):  # a NaN bound too
+        return None
+    if not case0:
+        return chol, l_inv, psi
+    c = np.exp(np.mean(np.log(np.diag(chol))))
+    return chol / c, l_inv * c, psi / (c * c)
 
 
 def _estimate(sigma, q, f, iterations, status, log_values, existence) -> ScatterEstimate:
@@ -345,10 +387,12 @@ class HessianOperator:
     def solve(self, a) -> np.ndarray:
         """H^{-1} A for a symmetric matrix A (in the operator's domain).
 
-        A stack is solved as one system with all right-hand sides."""
+        A stack is solved by one product with H^-1: for the hundreds of
+        right-hand sides of the influence functions that takes about half the
+        time of an LU solve, and its error is of the solve's order, eps cond(H)."""
         coords = _svec(self.project(a))
         flat = coords.reshape(-1, coords.shape[-1])
-        return _smat(np.linalg.solve(self.matrix, flat.T).T.reshape(coords.shape), self.dim)
+        return _smat((np.linalg.inv(self.matrix) @ flat.T).T.reshape(coords.shape), self.dim)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -402,7 +446,7 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
     # <E_a, H E_b> = tr(E_a E_b P)/sym + sum_i w_i rho''_i tr(E_a M_i) tr(E_b M_i)
     # with P = sum_i w_i rho'_i M_i; the first term scatters P into the
     # pattern of :func:`_first_term_pattern`.
-    pmat = _evaluate(np.eye(dim), q, f)[1].ravel()
+    pmat = _evaluate(np.eye(dim), np.eye(dim), q, f)[1].ravel()
     s, terms = _first_term_pattern(dim)
     h = np.zeros(s.size ** 2)
     for dst, src in terms:

@@ -101,7 +101,7 @@ def assert_same_distribution(q, f, rng, dense=None):
         # the kernel's Psi is compared then.
         psi = [outcome(psi_map, s, d, f) for d in (q, dense)]
         if any(isinstance(p, type) for p in psi):
-            psi = [_evaluate(s, d, f)[1] for d in (q, dense)]
+            psi = [_evaluate(s, np.linalg.inv(s), d, f)[1] for d in (q, dense)]
         else:
             psi = [p.mat for p in psi]
         assert relative_gap(*psi) <= 1e-12

@@ -30,7 +30,7 @@ from mscatter import (
     weibull,
 )
 from mscatter.distribution import _frame
-from mscatter.solver import _evaluate, _offset
+from mscatter.solver import _evaluate, _offset, _spd
 
 LOSSES = {
     "tyler": tyler,
@@ -84,7 +84,8 @@ class TestKernel:
         b = rng.standard_normal((d.dim, d.dim))
         s = b @ b.T + 0.5 * np.eye(d.dim)
         want, want_psi, scale = brute_force(s, d.atoms, d.weights, f)
-        value, psi, l_inv = _evaluate(np.linalg.cholesky(s), d, f)
+        chol, l_inv = _spd(s, d)
+        value, psi = _evaluate(chol, l_inv, d, f)
         assert abs(value - _offset(d, f) - want) <= 1e-13 * scale
         assert abs(criterion(s, d, f) - want) <= 1e-13 * scale
         assert np.linalg.norm(psi - want_psi) <= 1e-13 * np.linalg.norm(want_psi)
@@ -101,7 +102,7 @@ class TestKernel:
         assert (d.traces == 0.0).any()
         f, s = t_dist(3.0, 3), np.diag([2.0, 1.0, 0.5])
         want, want_psi, scale = brute_force(s, d.atoms, d.weights, f)
-        value, psi, _ = _evaluate(np.linalg.cholesky(s), d, f)
+        value, psi = _evaluate(*_spd(s, d), d, f)
         assert abs(value - _offset(d, f) - want) <= 1e-13 * scale
         assert np.linalg.norm(psi - want_psi) <= 1e-13 * np.linalg.norm(want_psi)
 
@@ -112,11 +113,12 @@ class TestWorkArray:
         f = t_dist(3.0, 3)
         for d in (from_observations(x), build_kstat(x[:12], 3)):
             work = d._work_array()
-            first = _evaluate(np.eye(3), d, f, work)[1]
+            first = _evaluate(np.eye(3), np.eye(3), d, f, work)[1]
             kept = first.copy()
-            again = _evaluate(np.diag([3.0, 2.0, 1.0]), d, f, work)[1]
+            chol = np.diag([3.0, 2.0, 1.0])
+            again = _evaluate(chol, np.linalg.inv(chol), d, f, work)[1]
             assert np.array_equal(first, kept)
-            assert np.array_equal(again, _evaluate(np.diag([3.0, 2.0, 1.0]), d, f)[1])
+            assert np.array_equal(again, _evaluate(chol, np.linalg.inv(chol), d, f)[1])
             assert not np.shares_memory(work, d._rows)
 
     def test_distributions_keep_no_work_array(self):
@@ -124,7 +126,7 @@ class TestWorkArray:
         d = from_observations(x)
         rows = d._rows.copy()
         f = tyler(3)
-        psi = _evaluate(np.eye(3), d, f)[1]
+        psi = _evaluate(np.eye(3), np.eye(3), d, f)[1]
         kept = psi.copy()
         fit = fixed_point_solve(d, f)  # iterates in the frame through one work array
         assert fit.converged
@@ -133,7 +135,7 @@ class TestWorkArray:
         frame = _frame(d)[2]
         assert not np.shares_memory(frame._rows, d._rows)
         assert not np.shares_memory(d._work_array(), d._work_array())
-        assert np.array_equal(_evaluate(np.eye(3), d, f)[1], kept)
+        assert np.array_equal(_evaluate(np.eye(3), np.eye(3), d, f)[1], kept)
 
     def test_two_threads_evaluate_one_distribution(self):
         x = np.random.default_rng(7).standard_normal((3000, 4))

@@ -41,7 +41,21 @@ from mscatter import (
 from mscatter import build_kstat, distribution, solver
 from mscatter.rho import CASE0, CASE1, CASE1_PRIME
 from mscatter.samplers import SeededStream
-from mscatter.solver import _first_term_pattern, _frobenius, _off_zero
+from mscatter.distribution import ExistenceReport, _frame, _to_data, span_witness
+from mscatter.solver import (
+    _COND_LIMIT,
+    STATUS_CONVERGED,
+    STATUS_DIVERGED,
+    STATUS_EXISTENCE,
+    STATUS_MAX_ITER,
+    _check_compat,
+    _congruence,
+    _estimate,
+    _first_term_pattern,
+    _frobenius,
+    _off_zero,
+    _start,
+)
 from mscatter.symmat import _svec, helmert
 
 
@@ -301,9 +315,9 @@ class TestViolatedStart:
     def test_start_is_evaluated_once(self, rows, monkeypatch):
         calls, evaluate = [], solver._evaluate
 
-        def counted(chol, q, f):
+        def counted(chol, l_inv, q, f):
             calls.append(q)
-            return evaluate(chol, q, f)
+            return evaluate(chol, l_inv, q, f)
 
         monkeypatch.setattr(solver, "_evaluate", counted)
         x = self.rows()
@@ -945,7 +959,7 @@ def helmert_hessian(q, f):
     second = np.zeros(q.n_atoms)
     second[nz] = q.weights[nz] * np.asarray(f.rho_second(q.traces[nz]))
 
-    pmat = solver._evaluate(np.eye(dim), q, f)[1].ravel()
+    pmat = solver._evaluate(np.eye(dim), np.eye(dim), q, f)[1].ravel()
     s, terms = _first_term_pattern(dim)
     term1 = np.zeros(s.size ** 2)
     for dst, src in terms:
@@ -1040,7 +1054,7 @@ class TestHessianCoordinates:
         rng = np.random.default_rng(42 + dim)
         q = from_observations(rng.standard_normal((40, dim)) * np.linspace(0.5, 2.0, dim))
         f = {"tyler": tyler(dim), "t": t_dist(2.5, dim), "weibull": weibull(0.5)}[loss]
-        pmat = solver._evaluate(np.eye(dim), q, f)[1]
+        pmat = solver._evaluate(np.eye(dim), np.eye(dim), q, f)[1]
         iu, ju = np.triu_indices(dim, 1)
         i = np.concatenate([np.arange(dim), iu])[:, None]
         j = np.concatenate([np.arange(dim), ju])[:, None]
@@ -1056,3 +1070,271 @@ class TestHessianCoordinates:
         if f.case_tag == CASE0:
             ref[:dim, :dim] += 1.0 / dim
         assert np.array_equal(hessian(q, f).matrix, ref)
+
+
+# -- the fixed-point loop against its eigenvalue-per-step reference ---------------
+
+
+def reference_evaluate(chol, q, f, work=None):
+    """The evaluation kernel as it was before the loop handed it L^-1."""
+    nz = _off_zero(q.traces, f)
+    l_inv = np.linalg.inv(chol)
+    t = q.traces_under(l_inv.T @ l_inv, work)[nz]
+    w = q.weights[nz]
+    crit = float(w @ np.asarray(f.rho(t))) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    coeff = np.zeros(q.n_atoms)
+    coeff[nz] = w * np.asarray(f.rho_prime(t))
+    psi = q.weighted_sum(coeff, work)
+    return crit, (psi + psi.T) / 2.0, l_inv
+
+
+def reference_solve(q, f, cfg=None):
+    """``fixed_point_solve`` as it was when every step took the eigenvalues of
+    Psi, for the divergence rule and for the Case 0 determinant."""
+    cfg = cfg or SolverConfig()
+    _check_compat(q, f)
+
+    report = validate(f)
+    if not report.passed:
+        raise InvalidInputError(
+            "loss function violates the standing assumptions: " + "; ".join(report.failures)
+        )
+
+    case0 = f.case_tag == CASE0
+    existence = check_existence(q, f, cfg.existence_budget)
+    l, l_inv, qf = _frame(q)  # the check has built it
+    start = _start(q, cfg)
+    if existence.verdict == "violated":  # no minimizer to seek: the start as configured
+        if start is None:
+            start = np.eye(q.dim) if l is None else q.mean_atom()
+        if case0:
+            start = start / np.exp(np.linalg.slogdet(start)[1] / q.dim)
+        return _estimate(SpdMatrix(start), q, f, 0, STATUS_EXISTENCE, [], existence)
+
+    chol = np.eye(q.dim) if start is None else l_inv @ np.linalg.cholesky(start)
+    if case0:  # det S = 1 in the frame and det L = 1, so det Sigma = 1
+        chol = chol / np.exp(np.mean(np.log(np.diag(chol))))
+        l = l / np.exp(np.mean(np.log(np.diag(l))))
+    s = chol @ chol.T
+
+    log_values, iterations, work = [], 0, qf._work_array()
+    while True:
+        crit, psi, w = reference_evaluate(chol, qf, f, work)
+        log_values.append(crit)
+
+        diff = psi - s
+        if _frobenius(w @ diff @ w.T) <= cfg.tol_gradient and (
+                _frobenius(l @ diff @ l.T) / _frobenius(l @ s @ l.T) <= cfg.tol_fixed_point):
+            status = STATUS_CONVERGED
+            break
+        if iterations >= cfg.max_iter:
+            status = STATUS_MAX_ITER
+            break
+
+        lam = np.linalg.eigvalsh(psi)
+        iterations += 1
+        if lam[0] <= 0.0 or lam[-1] / lam[0] > _COND_LIMIT:
+            status = STATUS_DIVERGED
+            break
+        s = psi / np.exp(np.mean(np.log(lam))) if case0 else psi
+        chol = np.linalg.cholesky(s)  # positive definite within the condition limit
+    del work  # the fit's last uses of Q allocate their own
+
+    if existence.verdict == "undecided":
+        if status == STATUS_CONVERGED and f.has_second:
+            try:
+                np.linalg.cholesky(hessian(_congruence(qf, w), f).matrix)
+                existence = ExistenceReport("satisfied", (), "sufficient_condition")
+            except np.linalg.LinAlgError:
+                pass
+        elif status == STATUS_DIVERGED:
+            witness = span_witness(qf, f, np.linalg.eigh(psi)[1])
+            if witness is not None:
+                existence = ExistenceReport("violated", (_to_data(l, witness),), "witness")
+
+    # Sigma = L S L^T, lifted where a collapse left it indefinite: the spectrum of
+    # the unit-free D^-1/2 Sigma D^-1/2 (D = diag Sigma) is kept above 1e-12 of its top.
+    sigma = (l @ chol) @ (l @ chol).T
+    d = np.sqrt(np.diag(sigma))
+    lam = np.linalg.eigvalsh(sigma / np.outer(d, d))
+    sigma = SpdMatrix(sigma + max(lam[-1] / _COND_LIMIT - lam[0], 0.0) * np.diag(d * d))
+    return _estimate(sigma, q, f, iterations, status, log_values, existence)
+
+
+@st.composite
+def loop_problems(draw):
+    """(loss kind, fit, reference fit) of one problem.  Rows of dimension 2
+    to 6, part of them in a drawn subspace, under Tyler, t, Gaussian or
+    Weibull, or Wishart groups under procov; a budget of 5 leaves the harder
+    checks undecided, so that fits diverge, and max_iter cuts some fits short.
+    Each fit builds its own Q.  Everything is drawn from one seeded generator,
+    so that the kinds and the shares of rows in the subspace spread evenly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = ("tyler", "t", "gaussian", "weibull", "procov")[rng.integers(5)]
+    dim = int(rng.integers(2, 7))
+    sub_dim = int(rng.integers(1, dim))
+    basis = rng.standard_normal((sub_dim, dim))
+    over_full = rng.random() < 0.5  # more rows in the subspace than Tyler's d/q
+
+    def rows(n):
+        x = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
+        share = rng.uniform(sub_dim / dim, 0.95) if over_full else rng.uniform(0.0, 1.0)
+        inside = int(round(n * share))
+        x[:inside] = rng.standard_normal((inside, sub_dim)) @ basis
+        return x
+
+    if kind == "procov":
+        dofs = rng.integers(1, dim + 4, size=rng.integers(2, 7))
+        groups = [WishartGroup(PsdAtom(y.T @ y), dof=int(d))
+                  for d, y in ((d, rows(d)) for d in dofs)]
+        f = tyler(dim)
+    else:
+        x = rows(int(rng.integers(dim + 1, 61)))
+        f = {"tyler": tyler(dim), "t": t_dist(float(rng.choice([1.0, 1.5, 3.0])), dim),
+             "gaussian": gaussian(), "weibull": weibull(0.5)}[kind]
+    cfg = SolverConfig(max_iter=500 if rng.random() < 0.75 else int(rng.integers(1, 40)),
+                       existence_budget=5, start=("identity", "mean_atom")[rng.integers(2)])
+
+    def build():
+        return from_wishart_groups(groups) if kind == "procov" else from_observations(x)
+
+    def fit():
+        if kind == "procov":
+            return solve_procov(groups, cfg).estimate
+        return fixed_point_solve(build(), f, cfg)
+
+    return kind, fit, lambda: reference_solve(build(), f, cfg)
+
+
+def assert_matches_reference(kind, new, ref):
+    """The fit ``new`` against the reference loop's ``ref`` of the same problem."""
+    assert (new.status, new.existence.verdict, new.existence.method) == (
+        ref.status, ref.existence.verdict, ref.existence.method)
+    if kind not in ("tyler", "procov"):  # Case 1 and 1': the same operations
+        assert new.iterations == ref.iterations
+        assert np.array_equal(new.sigma.mat, ref.sigma.mat)
+        assert np.array_equal(new.descent_log, ref.descent_log)
+        return
+    # Case 0 reads det(Psi)^(1/q) off the Cholesky factor instead of the
+    # eigenvalues.  That changes the rounding of each iterate, which the
+    # fit's conditioning amplifies to about eps * cond; both determinants
+    # are good only to that.  Where it nears the fixed-point tolerance, a
+    # slow fit meets the tolerance a step or two apart.
+    slack = np.finfo(float).eps * np.linalg.cond(ref.sigma.mat)
+    tol = SolverConfig().tol_fixed_point
+    if new.iterations == ref.iterations:
+        bound = max(1e-13, 10.0 * slack)
+        gap = np.max(np.abs(new.descent_log - ref.descent_log))
+        assert gap <= bound * max(1.0, np.max(np.abs(ref.descent_log)))
+    else:
+        assert new.converged and slack >= 1e-3 * tol
+        assert abs(new.iterations - ref.iterations) <= 2
+        bound = 10.0 * max(slack, tol)
+    assert np.linalg.norm(new.sigma.mat - ref.sigma.mat) <= bound * np.linalg.norm(ref.sigma.mat)
+
+
+class TestLeanStep:
+    """Each step factors Psi once; eigenvalues only near the condition limit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(problem=loop_problems())
+    def test_matches_the_reference_loop(self, problem):
+        kind, fit, reference = problem
+        new, ref = fit(), reference()
+        event(f"{kind}: {ref.status}")
+        assert_matches_reference(kind, new, ref)
+
+    @staticmethod
+    def eigenvalue_rule(psi):
+        lam = np.linalg.eigvalsh(psi)
+        return bool(lam[0] <= 0.0 or lam[-1] / lam[0] > 1e12)
+
+    @staticmethod
+    def with_spectrum(lam, rotate):
+        if not rotate:
+            return np.diag(lam)
+        u = np.linalg.qr(np.random.default_rng(len(lam)).standard_normal((len(lam),) * 2))[0]
+        psi = (u * lam) @ u.T
+        return (psi + psi.T) / 2.0
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    @pytest.mark.parametrize("case0", [False, True], ids=["case1", "case0"])
+    @pytest.mark.parametrize("spectrum, diverged", [
+        ([1.0, 0.3, 1e-9], False), ([2.0, 1.0, 0.5, 2e-11], False),
+        ([1.0, 1e-12 * (1.0 + 1e-6), 0.7], False), ([1.0, 0.5, 1e-12 * (1.0 - 1e-6)], True),
+        ([1.0, 1e-13, 0.2, 0.3], True), ([1.0, 1.0, 0.0], True), ([1.0, -1e-3, 2.0], True),
+    ], ids=["1e9", "1e11", "1e12-below", "1e12-above", "1e13", "singular", "indefinite"])
+    def test_divergence_is_the_eigenvalue_rule(self, spectrum, diverged, case0, rotate):
+        # Condition numbers 1e9, 1e11, 1e12 (1 -+ 1e-6) and 1e13.  On the
+        # diagonal the eigenvalues are exact; in a random basis the rule
+        # reads them as eigvalsh computes them.
+        psi = self.with_spectrum(np.array(spectrum), rotate)
+        step = solver._step(psi, case0)
+        assert (step is None) == self.eigenvalue_rule(psi)
+        if not rotate:
+            assert (step is None) == diverged
+        if step is not None:
+            chol, l_inv, s = step
+            assert np.allclose(chol @ chol.T, s, rtol=0.0, atol=1e-14 * np.abs(s).max())
+            assert np.array_equal(np.tril(chol), chol)
+            assert np.allclose(l_inv @ chol, np.eye(len(spectrum)), rtol=0.0, atol=1e-6)
+
+    def test_conditions_up_to_the_limit(self):
+        # Condition numbers 1e6 to 1e14 in random bases: every decision is
+        # the eigenvalue rule's, however far the bound is from it.
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            q = int(rng.integers(2, 7))
+            lam = np.exp(rng.uniform(0.0, 1.0, q) * np.log(10.0) * rng.uniform(6.0, 14.0))
+            u = np.linalg.qr(rng.standard_normal((q, q)))[0]
+            psi = (u * lam) @ u.T
+            psi = (psi + psi.T) / 2.0
+            assert (solver._step(psi, bool(rng.integers(2))) is None) == self.eigenvalue_rule(psi)
+
+    def test_case0_step_has_determinant_one(self):
+        psi = self.with_spectrum(np.array([40.0, 3.0, 0.2, 1e-3]), True)
+        chol, l_inv, s = solver._step(psi, True)
+        assert np.prod(np.diag(chol)) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.slogdet(s)[1] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(s * np.exp(np.linalg.slogdet(psi)[1] / 4), psi, rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def count_eigenvalues(monkeypatch):
+        """Per call of ``solver._step``: its result and how many times it
+        called ``np.linalg.eigvalsh``."""
+        calls, steps = [0], []
+        eigvalsh, step = np.linalg.eigvalsh, solver._step
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            calls[0] += 1
+            return eigvalsh(a, *args, **kwargs)
+
+        def counted_step(psi, case0):
+            before = calls[0]
+            out = step(psi, case0)
+            steps.append((out, calls[0] - before))
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(solver, "_step", counted_step)
+        return steps
+
+    @pytest.mark.parametrize("f", [t_dist(3.0, 4), tyler(4)], ids=["t3", "tyler"])
+    def test_well_conditioned_fit_takes_no_eigenvalues(self, f, monkeypatch):
+        steps = self.count_eigenvalues(monkeypatch)
+        x = np.random.default_rng(51).standard_normal((200, 4)) * [1.0, 10.0, 0.1, 3.0]
+        est = fixed_point_solve(from_observations(x), f)
+        assert est.converged and len(steps) == est.iterations > 5
+        assert all(n == 0 for _, n in steps)
+
+    @pytest.mark.parametrize("f", [t_dist(1.5, 5), tyler(5)], ids=["t1.5", "tyler"])
+    def test_diverging_fit_takes_them_at_its_last_step(self, f, monkeypatch):
+        steps = self.count_eigenvalues(monkeypatch)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((60, 5))
+        x[:45] = rng.standard_normal((45, 3)) @ rng.standard_normal((3, 5))
+        est = fixed_point_solve(from_observations(x), f)
+        assert est.status == "diverged" and len(steps) == est.iterations
+        assert steps[-1][0] is None and steps[-1][1] >= 1
+        assert all(out is not None for out, _ in steps[:-1])
+        assert steps[0][1] == 0
