@@ -127,11 +127,8 @@ def _evaluate(chol: np.ndarray, l_inv: np.ndarray, q: MatrixDistribution, f: Rho
     w = q.weights[nz]
     rho, rho_prime = f._rho_and_prime(t)
     crit = float(w @ np.asarray(rho)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
-    if isinstance(nz, slice):
-        coeff = w * np.asarray(rho_prime)
-    else:
-        coeff = np.zeros(q.n_atoms)
-        coeff[nz] = w * np.asarray(rho_prime)
+    coeff = np.zeros(q.n_atoms)
+    coeff[nz] = w * np.asarray(rho_prime)
     psi = q.weighted_sum(coeff, work)
     return crit, (psi + psi.T) / 2.0
 
@@ -387,10 +384,13 @@ class HessianOperator:
     def solve(self, a) -> np.ndarray:
         """H^{-1} A for a symmetric matrix A (in the operator's domain).
 
-        A stack is solved by one product with H^-1: for the hundreds of
-        right-hand sides of the influence functions that takes about half the
-        time of an LU solve, and its error is of the solve's order, eps cond(H)."""
+        One matrix takes one LU solve.  A stack is solved by one product with
+        H^-1: for the hundreds of right-hand sides of the influence functions
+        that takes about two thirds of the time of an LU solve, and its error
+        is of the solve's order, eps cond(H)."""
         coords = _svec(self.project(a))
+        if coords.ndim == 1:
+            return _smat(np.linalg.solve(self.matrix, coords), self.dim)
         flat = coords.reshape(-1, coords.shape[-1])
         return _smat((np.linalg.inv(self.matrix) @ flat.T).T.reshape(coords.shape), self.dim)
 

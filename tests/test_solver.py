@@ -1208,28 +1208,27 @@ def loop_problems(draw):
 
 def assert_matches_reference(kind, new, ref):
     """The fit ``new`` against the reference loop's ``ref`` of the same problem."""
-    assert (new.status, new.existence.verdict, new.existence.method) == (
-        ref.status, ref.existence.verdict, ref.existence.method)
+    assert (new.status, new.iterations, new.existence.verdict, new.existence.method) == (
+        ref.status, ref.iterations, ref.existence.verdict, ref.existence.method)
+    assert len(new.existence.witnesses) == len(ref.existence.witnesses)
+    for a, b in zip(new.existence.witnesses, ref.existence.witnesses):
+        assert (a.basis.shape, a.mass, a.threshold) == (b.basis.shape, b.mass, b.threshold)
+        assert np.linalg.norm(a.basis @ a.basis.T - b.basis @ b.basis.T, 2) <= 1e-12
     if kind not in ("tyler", "procov"):  # Case 1 and 1': the same operations
-        assert new.iterations == ref.iterations
         assert np.array_equal(new.sigma.mat, ref.sigma.mat)
         assert np.array_equal(new.descent_log, ref.descent_log)
         return
     # Case 0 reads det(Psi)^(1/q) off the Cholesky factor instead of the
     # eigenvalues.  That changes the rounding of each iterate, which the
-    # fit's conditioning amplifies to about eps * cond; both determinants
-    # are good only to that.  Where it nears the fixed-point tolerance, a
-    # slow fit meets the tolerance a step or two apart.
-    slack = np.finfo(float).eps * np.linalg.cond(ref.sigma.mat)
-    tol = SolverConfig().tol_fixed_point
-    if new.iterations == ref.iterations:
-        bound = max(1e-13, 10.0 * slack)
-        gap = np.max(np.abs(new.descent_log - ref.descent_log))
-        assert gap <= bound * max(1.0, np.max(np.abs(ref.descent_log)))
-    else:
-        assert new.converged and slack >= 1e-3 * tol
-        assert abs(new.iterations - ref.iterations) <= 2
-        bound = 10.0 * max(slack, tol)
+    # fit's conditioning amplifies to about eps * cond(Sigma); both
+    # determinants are good only to that.  A diverged fit ends near cond
+    # 1e12, where that is no bound at all: its status, iterations and
+    # witness decide it.
+    if ref.status == STATUS_DIVERGED:
+        return
+    bound = max(1e-13, np.finfo(float).eps * np.linalg.cond(ref.sigma.mat))
+    gap = np.max(np.abs(new.descent_log - ref.descent_log), initial=0.0)
+    assert gap <= bound * max(1.0, np.max(np.abs(ref.descent_log), initial=0.0))
     assert np.linalg.norm(new.sigma.mat - ref.sigma.mat) <= bound * np.linalg.norm(ref.sigma.mat)
 
 
