@@ -5,56 +5,82 @@ location zero) the estimator admits the expansion
 
     sqrt(n) (Sigma_hat - I)  ~  n^{-1/2} sum_i Z(x_i),
 
-with Z(x) the inverse Hessian applied to the score contribution of x.  All
-computations here happen in standardized coordinates and are mapped back to
-the original ones by congruence with the symmetric square root of the
-fitted scatter, which is exact by equivariance.  For symmetrized estimators
-of order k >= 2 the inner conditional expectation in Z is estimated by a
-plug-in average over (k-1)-subsets of the observed sample.
+with Z(x) the inverse Hessian applied to the score contribution of x.  The
+standard errors standardize by T, the inverse of the lower Cholesky factor
+T^-1 of the fitted scatter (T Sigma_hat T^T = I), taken without units as the
+solver's frame takes the mean atom's; a fit certified by its Hessian hands
+over that factor with the Hessian it built there.  The scores
+rho'(|y|^2) svec(y y^T) - svec(I) of the whitened rows y = T x are read in
+half-vectorized coordinates (:func:`mscatter.symmat._svec`), and the
+covariance of Z is mapped back to the data's coordinates by congruence with
+T^-1, one p x p map K; both steps are exact by equivariance.  Since
+Cov(Z) = H^-1 Cov(score) H^-1, one solve with the rows of K gives the
+covariance without solving for each observation.  The per-observation
+influence matrices of :class:`InfluenceReport` are those of the symmetric
+whitening Sigma_hat^-1/2, one rotation away, formed on first access.  For
+symmetrized estimators of order k >= 2 the inner conditional expectation in
+Z is estimated by a plug-in average over (k-1)-subsets of the observed
+sample.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .distribution import (
     MatrixDistribution,
     _covariance_factors,
+    _observations,
     _subsets,
+    _unit_free_cholesky,
     build_kstat,
     from_observations,
 )
-from .errors import DomainError, InvalidInputError, InvalidRegimeError
+from .errors import DimensionMismatchError, DomainError, InvalidInputError, InvalidRegimeError
 from .location import LocationScatterEstimate, augmented_rho
 from .rho import CASE0, RhoFunction
 from .solver import HessianOperator, ScatterEstimate, _off_zero, hessian
-from .symmat import SymMatrix, stack_blocks
+from .symmat import SymMatrix, _smat, _svec, stack_blocks
 
 
 @dataclass
 class InfluenceReport:
     """Per-observation influence matrices with the derived covariance.
 
-    ``influence`` holds the standardized-coordinate influence matrices (the
-    corrected augmented ones for location-scatter).  ``acov`` is the
-    empirical covariance of the original-coordinate scatter influence under
-    half-vectorization (pairs i <= j in row-major order); entrywise standard
-    errors are sqrt(diag(acov)/n).
+    ``acov`` is the empirical covariance of the original-coordinate scatter
+    influence under half-vectorization (pairs i <= j in row-major order);
+    entrywise standard errors are sqrt(diag(acov)/n).  ``influence`` holds
+    the influence matrices standardized by ``whitening``, the symmetric
+    inverse square root of the fitted scatter (the augmented ones, standardized
+    affinely and with the nu = 1 correction, for location-scatter); the two
+    are formed when first read.
     """
 
-    influence: np.ndarray = field(repr=False)
     acov: np.ndarray = field(repr=False)
     se_sigma: np.ndarray
     se_mu: Optional[np.ndarray]
-    whitening: np.ndarray = field(repr=False)
     center: Optional[np.ndarray]
     k: int
     centering_residual: float
     plugin_inner: bool = False
+    _public: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def _formed(self):
+        return self._public()  # (influence, whitening)
+
+    @property
+    def influence(self) -> np.ndarray:
+        return self._formed[0]
+
+    @property
+    def whitening(self) -> np.ndarray:
+        return self._formed[1]
 
 
 def influence_k1(
@@ -75,13 +101,7 @@ def influence_k1(
     if f.case_tag == CASE0 and float(x @ x) == 0.0:
         raise DomainError("the scale-invariant loss has no influence function at x = 0")
     h = hess if hess is not None else hessian(q_std, f)
-    return SymMatrix(h.solve(_scores_k1(x[None, :], f)[0]))
-
-
-def _scores_k1(x_std: np.ndarray, f: RhoFunction) -> np.ndarray:
-    """rho'(|x|^2) x x^T - I for each row x of x_std, as an (n, q, q) stack."""
-    rho_p = np.asarray(f.rho_prime(np.einsum("ni,ni->n", x_std, x_std)))
-    return np.einsum("n,ni,nj->nij", rho_p, x_std, x_std) - np.eye(x_std.shape[1])
+    return SymMatrix(h.solve(f.rho_prime(float(x @ x)) * np.outer(x, x) - np.eye(len(x))))
 
 
 def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, points: np.ndarray,
@@ -251,25 +271,88 @@ def orth_hessian_coeffs(q_dist: MatrixDistribution, f: RhoFunction):
     return d0, d1
 
 
-def _scatter_se(z_orig: np.ndarray):
-    """Empirical covariance of the half-vectorized influence matrices (pairs
-    i <= j in row-major order) and the entrywise standard errors
-    sqrt(diag(acov)/n) as a symmetric matrix."""
-    n, q, _ = z_orig.shape
-    i, j = np.triu_indices(q)
-    hv = z_orig[:, i, j]
-    hv = hv - hv.mean(axis=0)
-    acov = hv.T @ hv / n
-    se_sigma = np.zeros((q, q))
-    se_sigma[i, j] = se_sigma[j, i] = np.sqrt(np.diag(acov) / n)
-    return acov, se_sigma
-
-
-def _whitening(estimate):
-    """(S^-1/2, S^1/2) of a converged fit's scatter S."""
+def _observed(x, estimate) -> np.ndarray:
+    """The rows ``x`` checked against a converged ``estimate``."""
     if not estimate.converged:
         raise InvalidInputError("influence analysis requires a converged estimate")
-    return estimate.sigma.inv_sqrt(), estimate.sigma.sqrt()
+    x = _observations(x)
+    if x.shape[1] != estimate.sigma.dim:
+        raise DimensionMismatchError(
+            f"observations have dimension {x.shape[1]}, the fit {estimate.sigma.dim}")
+    return x
+
+
+def _kept(estimate: ScatterEstimate, rows: Optional[np.ndarray], f: RhoFunction):
+    """The certificate (``solver._Fit``) that ``estimate`` kept when it was fit on
+    the observations ``rows`` (never when they are None), else None.  A loss
+    other than the fit's is refused: same kind and parameters, or for ``custom``
+    the same object."""
+    fit = estimate._fit
+    if fit is None:
+        return None
+    g = fit.f
+    same = f is g if "custom" in (f.kind, g.kind) else (f.kind, f.params) == (g.kind, g.params)
+    if not same:
+        raise InvalidInputError(f"the loss {f!r} is not the fit's {g!r}")
+    q = fit.q
+    if rows is None or fit.hessian is None or q._r != 1 or not np.array_equal(q._rows, rows.T):
+        return None
+    return fit
+
+
+def _scores(q: MatrixDistribution, f: RhoFunction) -> np.ndarray:
+    """rho'(|y|^2) svec(y y^T) - svec(I) for each observation y of Q, one row
+    each (:func:`mscatter.symmat._svec`); atoms at zero follow
+    :func:`mscatter.solver._off_zero`."""
+    nz = _off_zero(q.traces, f)
+    rho_p = np.zeros(q.n_atoms)
+    rho_p[nz] = f.rho_prime(q.traces[nz])
+    s = np.concatenate([c for _, c in q._svec_blocks()])
+    s *= rho_p[:, None]
+    s[:, :q.dim] -= 1.0
+    return s
+
+
+def _influence(h: HessianOperator, s: np.ndarray, k_map: np.ndarray):
+    """For the influence z = S H^-1 of half-vectorized scores S, one a row:
+    (K Cov(z) K^T, mean(z), z on demand), Cov the empirical covariance.
+
+    Case 0 first removes the svec(I) part of S, as ``h.project`` does.  Since
+    Cov(z) = H^-1 Cov(S) H^-1, one LU solve with the rows of K and the mean
+    score gives both without solving for the n rows of z, which only the
+    third item does when it is called."""
+    if h.case_tag == CASE0:
+        s[:, :h.dim] -= s[:, :h.dim].mean(axis=1, keepdims=True)
+    mean = s.mean(axis=0)
+    sol = np.linalg.solve(h.matrix, np.column_stack([k_map.T, mean]))
+    m = sol[:, :-1].T  # K H^-1, H symmetric
+    centered = s - mean
+    cov = m @ (centered.T @ centered / len(s)) @ m.T
+    return cov, sol[:, -1], lambda: np.linalg.solve(h.matrix, s.T).T
+
+
+def _congruence_rows(t_inv: np.ndarray, i, j) -> np.ndarray:
+    """The map K from half-vectorized coordinates to the entries (i, j) of
+    T^-1 Z T^-T, one row per pair: the congruence back to the data's
+    coordinates.  The coordinate of E_kl = s (e_k e_l^T + e_l e_k^T), s = 1/2
+    for k = l and 1/sqrt(2) otherwise, maps to s (T_ik T_jl + T_il T_jk)."""
+    q = t_inv.shape[0]
+    iu, ju = np.triu_indices(q, 1)
+    k, l = np.concatenate([np.arange(q), iu]), np.concatenate([np.arange(q), ju])
+    a, b = t_inv[i], t_inv[j]
+    rows = a[:, k] * b[:, l] + a[:, l] * b[:, k]
+    rows[:, :q] *= 0.5
+    rows[:, q:] *= 1.0 / math.sqrt(2.0)
+    return rows
+
+
+def _se_sigma(acov: np.ndarray, q: int, n: int) -> np.ndarray:
+    """sqrt(diag(acov)/n) as a symmetric (q, q) matrix, acov over the pairs
+    i <= j in row-major order."""
+    i, j = np.triu_indices(q)
+    se = np.zeros((q, q))
+    se[i, j] = se[j, i] = np.sqrt(np.diag(acov) / n)
+    return se
 
 
 def acov_scatter(
@@ -282,83 +365,110 @@ def acov_scatter(
 ) -> InfluenceReport:
     """Influence matrices and asymptotic standard errors for a fitted scatter.
 
-    Whitens the data by the inverse symmetric square root of the fitted
-    scatter (making the standardized estimate the identity exactly, by
-    equivariance), computes the per-observation influence matrices there,
-    maps them back by congruence and reports the empirical covariance and
-    entrywise standard errors sqrt(diag(acov)/n).  For k >= 2 the inner
+    Works at the whitening T of the fit, T^-1 the lower Cholesky factor of the
+    fitted scatter (see the module docstring): for k = 1 at the Hessian that
+    certified the fit when ``estimate`` was fit on these rows with this loss,
+    otherwise at one built there.  ``acov`` is the empirical covariance of the
+    influence mapped back to the data's coordinates by congruence with T^-1;
+    entrywise standard errors are sqrt(diag(acov)/n).  For k >= 2 the inner
     averages of all observations come from one blocked pass of
     :func:`_inner_average`, observation i leaving itself out of its
-    (k-1)-subsets and drawing them from ``seed + 1 + i`` when they are
-    capped.
+    (k-1)-subsets and drawing them from ``seed + 1 + i`` when they are capped.
+    A loss other than the fit's is refused; a k other than the fit's is not.
     """
-    white, root = _whitening(estimate)
-    x_std = np.asarray(x, dtype=float) @ white
-
-    if k == 1:
-        h = hessian(from_observations(x_std), f)
-        z_std = h.solve(_scores_k1(x_std, f))
+    x = _observed(x, estimate)
+    n, q = x.shape
+    if k < 1:
+        raise InvalidInputError(f"symmetrization order k must satisfy k >= 1, got k={k}")
+    fit = _kept(estimate, x if k == 1 else None, f)
+    if fit is not None:
+        t_inv, h, s = fit.t_inv, fit.hessian, _scores(fit.white, f)
     else:
-        h = hessian(build_kstat(x_std, k, seed=seed), f)
-        n = x_std.shape[0]
-        avgs = _inner_average(x_std, f, k, x_std, inner_cap, seed + 1 + np.arange(n), np.arange(n))
-        z_std = k * h.solve(avgs)
+        t_inv, t = _unit_free_cholesky(estimate.sigma.mat)
+        y = x @ t.T
+        if k == 1:
+            q_white = from_observations(y)
+            h, s = hessian(q_white, f), _scores(q_white, f)
+        else:
+            h = hessian(build_kstat(y, k, seed=seed), f)
+            avgs = _inner_average(y, f, k, y, inner_cap, seed + 1 + np.arange(n), np.arange(n))
+            s = k * _svec(avgs)
 
-    centering = float(np.linalg.norm(z_std.mean(axis=0)))
-    z_orig = root @ z_std @ root
-    acov, se_sigma = _scatter_se(z_orig)
+    acov, z_mean, z = _influence(h, s, _congruence_rows(t_inv, *np.triu_indices(q)))
+
+    def public():
+        white = estimate.sigma.inv_sqrt()
+        o = white @ t_inv  # the rotation from T's coordinates to the symmetric whitening
+        return o @ _smat(z(), q) @ o.T, white
 
     return InfluenceReport(
-        influence=z_std,
         acov=acov,
-        se_sigma=se_sigma,
+        se_sigma=_se_sigma(acov, q, n),
         se_mu=None,
-        whitening=white,
         center=None,
         k=k,
-        centering_residual=centering,
+        centering_residual=float(np.linalg.norm(z_mean)),
         plugin_inner=k >= 2,
+        _public=public,
     )
 
 
 def location_influence(x, nu: float, estimate: LocationScatterEstimate) -> InfluenceReport:
     """Influence matrices and standard errors for the joint (mu, Sigma) fit.
 
-    Standardizes affinely to (0, I), computes the augmented influence
-    matrices, applies the nu = 1 trace correction, and reads the location
-    and scatter blocks off the corrected matrices.
+    Solves the augmented problem at the whitening T of the fitted Gamma, T^-1
+    its lower Cholesky factor, reusing the Hessian that certified the fit when
+    it was fit on these rows with this nu, and reads the standard errors of
+    mu = b/c and Sigma = A/c - mu mu^T off Gamma = [[A, b], [b^T, c]] by the
+    delta method.  Both are unchanged by a scale of Gamma, so the nu = 1 trace
+    correction does not enter them; the public ``influence`` matrices carry it.
     """
-    white, root = _whitening(estimate)
-    x_std = (np.asarray(x, dtype=float) - estimate.mu) @ white
-    n, q = x_std.shape
-
-    y = np.hstack([x_std, np.ones((n, 1))])
-    q_aug = from_observations(y)
+    x = _observed(x, estimate)
+    n, q = x.shape
     f_aug = augmented_rho(nu, q)
-    h = hessian(q_aug, f_aug)
+    y = np.hstack([x, np.ones((n, 1))])
+    fit = _kept(estimate.inner, y, f_aug)
+    if fit is not None:
+        t_inv, q_white, h = fit.t_inv, fit.white, fit.hessian
+    else:
+        t_inv, t = _unit_free_cholesky(estimate.inner.sigma.mat)
+        q_white = from_observations(y @ t.T)
+        h = hessian(q_white, f_aug)
 
-    z = h.solve(_scores_k1(y, f_aug))
+    gamma = estimate.inner.sigma.mat
+    c = gamma[q, q]
+    mu, a = gamma[:q, q] / c, gamma[:q, :q] / c
+    i, j = np.triu_indices(q)
+    d_c = _congruence_rows(t_inv, [q], [q])
+    d_mu = (_congruence_rows(t_inv, np.arange(q), np.full(q, q)) - mu[:, None] * d_c) / c
+    d_sigma = ((_congruence_rows(t_inv, i, j) - a[i, j][:, None] * d_c) / c
+               - d_mu[i] * mu[j][:, None] - mu[i][:, None] * d_mu[j])
+    cov, z_mean, z = _influence(h, _scores(q_white, f_aug), np.vstack([d_sigma, d_mu]))
+    acov = cov[:i.size, :i.size]
+
+    # Under nu = 1 the corner of the symmetric-coordinate influence is taken off
+    # its diagonal; o is the last row of the rotation to those coordinates.
+    centering = _smat(z_mean, q + 1)
     if nu == 1.0:
-        z = z - z[:, -1, -1][:, None, None] * np.eye(q + 1)
+        o = t_inv[q] / math.sqrt(c)
+        centering -= (o @ centering @ o) * np.eye(q + 1)
 
-    centering = float(np.linalg.norm(z.mean(axis=0)))
-
-    scatter_std = z[:, :q, :q]
-    loc_std = z[:, :q, q]
-    scatter_orig = root @ scatter_std @ root
-    loc_orig = loc_std @ root
-
-    acov, se_sigma = _scatter_se(scatter_orig)
-    loc_centered = loc_orig - loc_orig.mean(axis=0)
-    se_mu = np.sqrt(np.einsum("ni,ni->i", loc_centered, loc_centered) / n / n)
+    def public():
+        white = estimate.sigma.inv_sqrt()
+        std = np.eye(q + 1)  # y -> [W (x - mu); 1], W the symmetric whitening
+        std[:q, :q], std[:q, q] = white, -white @ estimate.mu
+        rot = std @ t_inv / math.sqrt(c)
+        z_std = rot @ _smat(z(), q + 1) @ rot.T
+        if nu == 1.0:
+            z_std -= z_std[:, -1, -1][:, None, None] * np.eye(q + 1)
+        return z_std, white
 
     return InfluenceReport(
-        influence=z,
         acov=acov,
-        se_sigma=se_sigma,
-        se_mu=se_mu,
-        whitening=white,
+        se_sigma=_se_sigma(acov, q, n),
+        se_mu=np.sqrt(np.diag(cov)[i.size:] / n),
         center=np.array(estimate.mu),
         k=1,
-        centering_residual=centering,
+        centering_residual=float(np.linalg.norm(centering)),
+        _public=public,
     )

@@ -401,6 +401,14 @@ def _congruence(q: MatrixDistribution, t: np.ndarray) -> MatrixDistribution:
     return MatrixDistribution(t @ q.atoms @ t.T, q.weights, clip=False)
 
 
+def _unit_free_cholesky(a: np.ndarray):
+    """(L, L^-1) for the lower Cholesky factor L of a positive definite A, taken
+    without units: L = D^1/2 chol(D^-1/2 A D^-1/2), D = diag A."""
+    d = np.sqrt(np.diag(a))
+    c = np.linalg.cholesky(a / np.outer(d, d))
+    return d[:, None] * c, np.linalg.inv(c) / d
+
+
 def _frame(q: MatrixDistribution):
     """The frame of Q, kept on Q once built, where its mean atom A (the Gaussian fit)
     is I.  The rank of A is judged without units, on R = D^-1/2 A D^-1/2 (D = diag A),
@@ -414,9 +422,8 @@ def _frame(q: MatrixDistribution):
         lam, vec = np.linalg.eigh(r)
         keep = lam > lam[-1] / _COND_LIMIT
         if keep.all():
-            c = np.linalg.cholesky(r)
-            l_inv = np.linalg.inv(c) / d
-            q._framed = d[:, None] * c, l_inv, _congruence(q, l_inv)
+            l, l_inv = _unit_free_cholesky(a)
+            q._framed = l, l_inv, _congruence(q, l_inv)
         else:
             q._framed = None, np.linalg.qr(d[:, None] * vec[:, keep])[0], None
         q._framed[1].flags.writeable = False  # kept on Q, and a witness basis when A is singular

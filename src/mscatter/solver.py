@@ -85,10 +85,27 @@ class ScatterEstimate:
     descent_log: np.ndarray
     fixed_point_residual: float
     existence: Optional[ExistenceReport] = None
+    _fit: Optional[_Fit] = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
         return self.status == STATUS_CONVERGED
+
+
+@dataclass(frozen=True)
+class _Fit:
+    """What a fit keeps for its influence functions: the distribution ``q`` and
+    loss ``f`` it was fit on and, when its Hessian certified it, that
+    ``hessian``, the distribution ``white`` it was built on, and ``t_inv``, the
+    lower Cholesky factor T^-1 of the returned scatter (T sigma T^T = I).
+    ``white`` is T Q T^T, up to a scalar under Case 0, whose scores and Hessian
+    do not see one."""
+
+    q: MatrixDistribution
+    f: RhoFunction
+    hessian: Optional[HessianOperator] = None
+    white: Optional[MatrixDistribution] = None
+    t_inv: Optional[np.ndarray] = None
 
 
 def _spd(s, q: MatrixDistribution):
@@ -271,11 +288,15 @@ def fixed_point_solve(
         chol, w, s = step
     del work  # the fit's last uses of Q allocate their own
 
+    certificate = ()
     if existence.verdict == "undecided":
         if status == STATUS_CONVERGED and f.has_second:
+            white = _congruence(qf, w)
+            h = hessian(white, f)
             try:
-                np.linalg.cholesky(hessian(_congruence(qf, w), f).matrix)
+                np.linalg.cholesky(h.matrix)
                 existence = ExistenceReport("satisfied", (), "sufficient_condition")
+                certificate = h, white
             except np.linalg.LinAlgError:
                 pass
         elif status == STATUS_DIVERGED:
@@ -285,11 +306,14 @@ def fixed_point_solve(
 
     # Sigma = L S L^T, lifted where a collapse left it indefinite: the spectrum of
     # the unit-free D^-1/2 Sigma D^-1/2 (D = diag Sigma) is kept above 1e-12 of its top.
+    # A certificate is kept with the factor L chol of Sigma, which a lift would void.
     sigma = (l @ chol) @ (l @ chol).T
     d = np.sqrt(np.diag(sigma))
     lam = np.linalg.eigvalsh(sigma / np.outer(d, d))
-    sigma = SpdMatrix(sigma + max(lam[-1] / _COND_LIMIT - lam[0], 0.0) * np.diag(d * d))
-    return _estimate(sigma, q, f, iterations, status, log_values, existence)
+    lift = max(lam[-1] / _COND_LIMIT - lam[0], 0.0)
+    sigma = SpdMatrix(sigma + lift * np.diag(d * d))
+    certificate = certificate + (l @ chol,) if certificate and lift == 0.0 else ()
+    return _estimate(sigma, q, f, iterations, status, log_values, existence, certificate)
 
 
 # The bound tr(Psi) tr(Psi^-1) on lambda_max / lambda_min clears an iterate when
@@ -329,13 +353,16 @@ def _step(psi: np.ndarray, case0: bool):
     return chol / c, l_inv * c, psi / (c * c)
 
 
-def _estimate(sigma, q, f, iterations, status, log_values, existence) -> ScatterEstimate:
+def _estimate(sigma, q, f, iterations, status, log_values, existence,
+              certificate=()) -> ScatterEstimate:
     """The fit that returns ``sigma``, measured in the data's coordinates.  The
     frame's criteria in ``log_values`` are shifted by the constant that separates
-    them from the data's; a fit that stopped at its start logs that one value."""
+    them from the data's; a fit that stopped at its start logs that one value.
+    It keeps ``_Fit(q, f, *certificate)``."""
     crit, resid, gnorm, _ = _measure(sigma, q, f)
     log = np.asarray(log_values) + (crit - log_values[-1]) if log_values else np.array([crit])
-    return ScatterEstimate(sigma, iterations, crit, gnorm, status, log, resid, existence)
+    return ScatterEstimate(sigma, iterations, crit, gnorm, status, log, resid, existence,
+                           _Fit(q, f, *certificate))
 
 
 def _frobenius(a: np.ndarray) -> float:
@@ -382,17 +409,11 @@ class HessianOperator:
         return _smat(_svec(self.project(a)) @ self.matrix.T, self.dim)
 
     def solve(self, a) -> np.ndarray:
-        """H^{-1} A for a symmetric matrix A (in the operator's domain).
-
-        One matrix takes one LU solve.  A stack is solved by one product with
-        H^-1: for the hundreds of right-hand sides of the influence functions
-        that takes about two thirds of the time of an LU solve, and its error
-        is of the solve's order, eps cond(H)."""
+        """H^{-1} A for a symmetric matrix A (in the operator's domain), or for
+        each matrix of a stack, by one LU solve."""
         coords = _svec(self.project(a))
-        if coords.ndim == 1:
-            return _smat(np.linalg.solve(self.matrix, coords), self.dim)
         flat = coords.reshape(-1, coords.shape[-1])
-        return _smat((np.linalg.inv(self.matrix) @ flat.T).T.reshape(coords.shape), self.dim)
+        return _smat(np.linalg.solve(self.matrix, flat.T).T.reshape(coords.shape), self.dim)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)

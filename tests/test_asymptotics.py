@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mscatter import (
+    DimensionMismatchError,
     DomainError,
     InvalidInputError,
     InvalidRegimeError,
@@ -15,6 +18,7 @@ from mscatter import (
     acov_scatter,
     build_kstat,
     criterion,
+    custom,
     estimate_location_scatter,
     fixed_point_solve,
     from_observations,
@@ -31,9 +35,11 @@ from mscatter import (
     spherical_constants,
     t_dist,
     tyler,
+    weibull,
 )
-from mscatter import symmat
+from mscatter import asymptotics, solver, symmat
 from mscatter.asymptotics import _inner_average
+from mscatter.location import augmented_rho
 
 TIGHT = SolverConfig(tol_fixed_point=1e-13, tol_gradient=1e-12, max_iter=8000)
 
@@ -566,3 +572,306 @@ class TestLocationInfluence:
         rep = location_influence(xref, nu, est)
         predicted = float(np.mean(rep.influence[:, :q, q] ** 2))
         assert emp == pytest.approx(predicted, rel=0.2)
+
+
+# -- the standard errors of the fit's own frame ----------------------------------
+#
+# ``acov_scatter`` and ``location_influence`` as they were when they whitened
+# by the symmetric inverse square root of the fit and solved (n, q, q) stacks;
+# they return the report's fields as a dict.
+
+
+def _scores_k1(x_std: np.ndarray, f) -> np.ndarray:
+    """rho'(|x|^2) x x^T - I for each row x of x_std, as an (n, q, q) stack."""
+    rho_p = np.asarray(f.rho_prime(np.einsum("ni,ni->n", x_std, x_std)))
+    return np.einsum("n,ni,nj->nij", rho_p, x_std, x_std) - np.eye(x_std.shape[1])
+
+
+def _scatter_se(z_orig: np.ndarray):
+    """Empirical covariance of the half-vectorized influence matrices (pairs
+    i <= j in row-major order) and the entrywise standard errors
+    sqrt(diag(acov)/n) as a symmetric matrix."""
+    n, q, _ = z_orig.shape
+    i, j = np.triu_indices(q)
+    hv = z_orig[:, i, j]
+    hv = hv - hv.mean(axis=0)
+    acov = hv.T @ hv / n
+    se_sigma = np.zeros((q, q))
+    se_sigma[i, j] = se_sigma[j, i] = np.sqrt(np.diag(acov) / n)
+    return acov, se_sigma
+
+
+def _whitening(estimate):
+    """(S^-1/2, S^1/2) of a converged fit's scatter S."""
+    if not estimate.converged:
+        raise InvalidInputError("influence analysis requires a converged estimate")
+    return estimate.sigma.inv_sqrt(), estimate.sigma.sqrt()
+
+
+def reference_acov_scatter(x, estimate, f, k=1, inner_cap=5000, seed=0):
+    white, root = _whitening(estimate)
+    x_std = np.asarray(x, dtype=float) @ white
+
+    if k == 1:
+        h = hessian(from_observations(x_std), f)
+        z_std = h.solve(_scores_k1(x_std, f))
+    else:
+        h = hessian(build_kstat(x_std, k, seed=seed), f)
+        n = x_std.shape[0]
+        avgs = _inner_average(x_std, f, k, x_std, inner_cap, seed + 1 + np.arange(n), np.arange(n))
+        z_std = k * h.solve(avgs)
+
+    centering = float(np.linalg.norm(z_std.mean(axis=0)))
+    z_orig = root @ z_std @ root
+    acov, se_sigma = _scatter_se(z_orig)
+
+    return dict(
+        influence=z_std,
+        acov=acov,
+        se_sigma=se_sigma,
+        se_mu=None,
+        whitening=white,
+        center=None,
+        k=k,
+        centering_residual=centering,
+        plugin_inner=k >= 2,
+    )
+
+
+def reference_location_influence(x, nu, estimate):
+    white, root = _whitening(estimate)
+    x_std = (np.asarray(x, dtype=float) - estimate.mu) @ white
+    n, q = x_std.shape
+
+    y = np.hstack([x_std, np.ones((n, 1))])
+    q_aug = from_observations(y)
+    f_aug = augmented_rho(nu, q)
+    h = hessian(q_aug, f_aug)
+
+    z = h.solve(_scores_k1(y, f_aug))
+    if nu == 1.0:
+        z = z - z[:, -1, -1][:, None, None] * np.eye(q + 1)
+
+    centering = float(np.linalg.norm(z.mean(axis=0)))
+
+    scatter_std = z[:, :q, :q]
+    loc_std = z[:, :q, q]
+    scatter_orig = root @ scatter_std @ root
+    loc_orig = loc_std @ root
+
+    acov, se_sigma = _scatter_se(scatter_orig)
+    loc_centered = loc_orig - loc_orig.mean(axis=0)
+    se_mu = np.sqrt(np.einsum("ni,ni->i", loc_centered, loc_centered) / n / n)
+
+    return dict(
+        influence=z,
+        acov=acov,
+        se_sigma=se_sigma,
+        se_mu=se_mu,
+        whitening=white,
+        center=np.array(estimate.mu),
+        k=1,
+        centering_residual=centering,
+    )
+
+
+def relative_gap(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
+
+
+def assert_matches_reference(rep, ref, rtol):
+    assert relative_gap(rep.acov, ref["acov"]) <= rtol
+    assert np.allclose(rep.se_sigma, ref["se_sigma"], rtol=rtol, atol=0)
+    if ref["se_mu"] is None:
+        assert rep.se_mu is None
+    else:
+        assert np.allclose(rep.se_mu, ref["se_mu"], rtol=rtol, atol=0)
+    assert relative_gap(rep.influence, ref["influence"]) <= rtol
+    assert np.array_equal(rep.whitening, ref["whitening"])
+
+
+@st.composite
+def se_problems(draw):
+    """(rows, nu or the loss, k, config) of one fit with standard errors: q from
+    2 to 5, Tyler, t (nu 1 or 3) or Weibull 0.5 at order 1 to 3, or location
+    with nu 1, 2 or 3; a budget of 1 leaves the check undecided where the
+    Hessian then certifies the fit, one of 1000 mostly proves it exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = int(rng.integers(2, 6))
+    location = rng.random() < 0.3
+    k = 1 if location else int(rng.integers(1, 4))
+    n = int(rng.integers(3 * q + 2, 40)) if k == 1 else int(rng.integers(q + 4, 18))
+    x = rng.standard_normal((n, q)) * rng.uniform(0.5, 2.0, q) + rng.standard_normal(q)
+    cfg = SolverConfig(tol_fixed_point=1e-13, tol_gradient=1e-12, max_iter=8000,
+                       existence_budget=(1, 1000)[rng.integers(2)])
+    if location:
+        return x, float(rng.choice([1.0, 2.0, 3.0])), 1, cfg
+    f = (tyler(q), t_dist(1.0, q), t_dist(3.0, q), weibull(0.5))[rng.integers(4)]
+    return x, f, k, cfg
+
+
+class TestFitFrame:
+    """Standard errors at the Cholesky whitening of the fit, against the
+    symmetric whitening of the reference functions above."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(problem=se_problems())
+    def test_matches_the_symmetric_whitening(self, problem):
+        x, f, k, cfg = problem
+        if isinstance(f, float):
+            est = estimate_location_scatter(x, f, cfg)
+            fit, kind = est.inner, f"location nu={f:g}"
+            assert est.converged
+            rep, ref = location_influence(x, f, est), reference_location_influence(x, f, est)
+        else:
+            est = fixed_point_solve(from_observations(x) if k == 1 else build_kstat(x, k), f, cfg)
+            fit, kind = est, f"{f.kind if f.kind != 't' else f't nu={f.params[0]:g}'} k={k}"
+            assert est.converged
+            rep = acov_scatter(x, est, f, k=k, inner_cap=50, seed=3)
+            ref = reference_acov_scatter(x, est, f, k=k, inner_cap=50, seed=3)
+        event(f"{kind}, {fit.existence.method}")
+        assert_matches_reference(rep, ref, 1e-10)
+
+    @pytest.fixture
+    def hessian_builds(self, monkeypatch):
+        """Every Hessian built, wherever it is looked up."""
+        builds = []
+
+        def counted(q, f):
+            builds.append(q)
+            return hessian(q, f)
+
+        monkeypatch.setattr(solver, "hessian", counted)
+        monkeypatch.setattr(asymptotics, "hessian", counted)
+        return builds
+
+    @pytest.mark.parametrize("job", ["tyler", "t", "location 1", "location 3"])
+    def test_one_hessian_per_certified_job(self, job, hessian_builds):
+        x = np.random.default_rng(40).standard_normal((60, 4))
+        cfg = SolverConfig(existence_budget=1)
+        if job.startswith("location"):
+            nu = float(job.split()[1])
+            est = estimate_location_scatter(x, nu, cfg)
+            fit, rep = est.inner, location_influence(x, nu, est)
+        else:
+            f = tyler(4) if job == "tyler" else t_dist(3.0, 4)
+            fit = est = fixed_point_solve(from_observations(x), f, cfg)
+            rep = acov_scatter(x, est, f)
+        assert fit.existence.method == "sufficient_condition"
+        assert len(hessian_builds) == 1
+        assert np.all(np.isfinite(rep.se_sigma)) and np.all(rep.se_sigma > 0)
+
+    def test_other_rows_build_their_own_hessian(self, hessian_builds):
+        x = np.random.default_rng(41).standard_normal((60, 4))
+        f = t_dist(3.0, 4)
+        est = fixed_point_solve(from_observations(x), f, SolverConfig(existence_budget=1))
+        assert len(hessian_builds) == 1
+        other = x.copy()
+        other[0] *= 1.5
+        rep = acov_scatter(other, est, f)
+        assert len(hessian_builds) == 2
+        assert_matches_reference(rep, reference_acov_scatter(other, est, f), 1e-10)
+
+    def test_standard_errors_take_no_eigendecomposition(self, monkeypatch):
+        # The standard errors use the Cholesky factor of the fit; only the
+        # public influence matrices and whitening take Sigma^-1/2.
+        x = np.random.default_rng(42).standard_normal((60, 4))
+        f = t_dist(3.0, 4)
+        est = fixed_point_solve(from_observations(x), f, TIGHT)
+        loc = estimate_location_scatter(x, 3.0, TIGHT)
+        refs = reference_acov_scatter(x, est, f), reference_location_influence(x, 3.0, loc)
+
+        def refused(self):
+            raise AssertionError("an eigendecomposition of the fitted scatter")
+
+        monkeypatch.setattr(SpdMatrix, "inv_sqrt", refused)
+        monkeypatch.setattr(SpdMatrix, "sqrt", refused)
+        reps = acov_scatter(x, est, f), location_influence(x, 3.0, loc)
+        monkeypatch.undo()
+        for rep, ref in zip(reps, refs):
+            assert_matches_reference(rep, ref, 1e-12)
+
+
+UNIT_ROWS = np.random.default_rng(1).standard_normal((300, 20))
+
+
+def scaled_standard_errors(job, scale):
+    """(se_sigma, se_mu) of ``job`` on UNIT_ROWS times the column scales
+    logspace(-scale, scale), divided back by those scales."""
+    d = np.logspace(-scale, scale, 20)
+    x = UNIT_ROWS * d
+    if job == "location":
+        rep = location_influence(x, 3.0, estimate_location_scatter(x, 3.0))
+        return rep.se_sigma / np.outer(d, d), rep.se_mu / d
+    f = tyler(20) if job == "tyler" else t_dist(3.0, 20)
+    return (acov_scatter(x, fixed_point_solve(from_observations(x), f), f).se_sigma
+            / np.outer(d, d)), None
+
+
+class TestUnits:
+    @pytest.fixture(scope="class")
+    def unscaled(self):
+        return {job: scaled_standard_errors(job, 0) for job in ("t", "tyler", "location")}
+
+    @pytest.mark.parametrize("scale", [3, 4, 5, 6])
+    @pytest.mark.parametrize("job", ["t", "tyler", "location"])
+    def test_standard_errors_follow_column_scales(self, unscaled, job, scale):
+        # The fits are equivariant to about 3e-9; the standard errors of
+        # rows scaled by D are D SE D (D SE for mu) to that order.
+        for got, want in zip(scaled_standard_errors(job, scale), unscaled[job]):
+            if want is not None:
+                assert np.allclose(got, want, rtol=1e-7, atol=0)
+
+
+class TestRefusals:
+    @pytest.fixture(scope="class")
+    def t3_fits(self):
+        x = np.random.default_rng(43).standard_normal((60, 4))
+        est = fixed_point_solve(from_observations(x), t_dist(3.0, 4))
+        return x, est, estimate_location_scatter(x, 3.0)
+
+    @pytest.mark.parametrize("f", [t_dist(10.0, 4), tyler(4), t_dist(3.0, 5)],
+                             ids=["t10", "tyler", "t3 of q=5"])
+    def test_other_loss(self, t3_fits, f):
+        x, est, _ = t3_fits
+        for k in (1, 2):
+            with pytest.raises(InvalidInputError, match="is not the fit's"):
+                acov_scatter(x, est, f, k=k, inner_cap=20)
+
+    def test_other_nu(self, t3_fits):
+        x, _, loc = t3_fits
+        with pytest.raises(InvalidInputError, match="is not the fit's"):
+            location_influence(x, 5.0, loc)
+        assert np.all(location_influence(x, 3.0, loc).se_mu > 0)
+
+    def test_custom_loss_by_identity(self):
+        x = np.random.default_rng(44).standard_normal((40, 3))
+
+        def make():
+            return custom(lambda s: 5.0 * np.log(2.0 + s), lambda s: 5.0 / (2.0 + s),
+                          lambda s: -5.0 / (2.0 + s) ** 2, psi_infinity=5.0, dim=3)
+
+        f = make()  # the t loss of order (2, 3)
+        est = fixed_point_solve(from_observations(x), f)
+        assert np.all(acov_scatter(x, est, f).se_sigma > 0)
+        with pytest.raises(InvalidInputError, match="is not the fit's"):
+            acov_scatter(x, est, make())
+        with pytest.raises(InvalidInputError, match="is not the fit's"):
+            acov_scatter(x, est, t_dist(2.0, 3))
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda x: x[:, :3], DimensionMismatchError),
+        (lambda x: np.hstack([x, x[:, :1]]), DimensionMismatchError),
+        (lambda x: x[0], InvalidInputError),
+    ], ids=["narrow", "wide", "one row as a vector"])
+    def test_rows_of_another_shape(self, t3_fits, bad, error):
+        x, est, loc = t3_fits
+        with pytest.raises(error):
+            acov_scatter(bad(x), est, t_dist(3.0, 4))
+        with pytest.raises(error):
+            location_influence(bad(x), 3.0, loc)
+
+    def test_order_below_one(self, t3_fits):
+        x, est, _ = t3_fits
+        with pytest.raises(InvalidInputError, match="k >= 1"):
+            acov_scatter(x, est, t_dist(3.0, 4), k=0)
