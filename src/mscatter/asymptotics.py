@@ -8,8 +8,9 @@ location zero) the estimator admits the expansion
 with Z(x) the inverse Hessian applied to the score contribution of x.  The
 standard errors standardize by T, the inverse of the lower Cholesky factor
 T^-1 of the fitted scatter (T Sigma_hat T^T = I), taken without units as the
-solver's frame takes the mean atom's; a fit certified by its Hessian hands
-over that factor with the Hessian it built there.  The scores
+solver's frame takes the mean atom's.  A fit certified by its Hessian hands
+on only that Hessian: it was built at the fit's own Cholesky whitening, and
+a Cholesky factor is unique, so it is the Hessian at T.  The scores
 rho'(|y|^2) svec(y y^T) - svec(I) of the whitened rows y = T x are read in
 half-vectorized coordinates (:func:`mscatter.symmat._svec`), and the
 covariance of Z is mapped back to the data's coordinates by congruence with
@@ -37,7 +38,6 @@ from .distribution import (
     _covariance_factors,
     _observations,
     _subsets,
-    _unit_free_cholesky,
     build_kstat,
     from_observations,
 )
@@ -45,7 +45,7 @@ from .errors import DimensionMismatchError, DomainError, InvalidInputError, Inva
 from .location import LocationScatterEstimate, augmented_rho
 from .rho import CASE0, RhoFunction
 from .solver import HessianOperator, ScatterEstimate, _off_zero, hessian
-from .symmat import SymMatrix, _smat, _svec, stack_blocks
+from .symmat import SymMatrix, _smat, _svec, _unit_free_cholesky, stack_blocks
 
 
 @dataclass
@@ -283,8 +283,8 @@ def _observed(x, estimate) -> np.ndarray:
 
 
 def _kept(estimate: ScatterEstimate, rows: Optional[np.ndarray], f: RhoFunction):
-    """The certificate (``solver._Fit``) that ``estimate`` kept when it was fit on
-    the observations ``rows`` (never when they are None), else None.  A loss
+    """The Hessian that certified ``estimate`` (``solver._Fit``) when it was fit
+    on the observations ``rows`` (never when they are None), else None.  A loss
     other than the fit's is refused: same kind and parameters, or for ``custom``
     the same object."""
     fit = estimate._fit
@@ -295,9 +295,9 @@ def _kept(estimate: ScatterEstimate, rows: Optional[np.ndarray], f: RhoFunction)
     if not same:
         raise InvalidInputError(f"the loss {f!r} is not the fit's {g!r}")
     q = fit.q
-    if rows is None or fit.hessian is None or q._r != 1 or not np.array_equal(q._rows, rows.T):
+    if rows is None or q._r != 1 or not np.array_equal(q._rows, rows.T):
         return None
-    return fit
+    return fit.hessian
 
 
 def _scores(q: MatrixDistribution, f: RhoFunction) -> np.ndarray:
@@ -380,19 +380,16 @@ def acov_scatter(
     n, q = x.shape
     if k < 1:
         raise InvalidInputError(f"symmetrization order k must satisfy k >= 1, got k={k}")
-    fit = _kept(estimate, x if k == 1 else None, f)
-    if fit is not None:
-        t_inv, h, s = fit.t_inv, fit.hessian, _scores(fit.white, f)
+    kept = _kept(estimate, x if k == 1 else None, f)
+    t_inv, t = _unit_free_cholesky(estimate.sigma.mat)
+    y = x @ t.T
+    if k == 1:
+        q_white = from_observations(y)
+        h, s = kept or hessian(q_white, f), _scores(q_white, f)
     else:
-        t_inv, t = _unit_free_cholesky(estimate.sigma.mat)
-        y = x @ t.T
-        if k == 1:
-            q_white = from_observations(y)
-            h, s = hessian(q_white, f), _scores(q_white, f)
-        else:
-            h = hessian(build_kstat(y, k, seed=seed), f)
-            avgs = _inner_average(y, f, k, y, inner_cap, seed + 1 + np.arange(n), np.arange(n))
-            s = k * _svec(avgs)
+        h = hessian(build_kstat(y, k, seed=seed), f)
+        avgs = _inner_average(y, f, k, y, inner_cap, seed + 1 + np.arange(n), np.arange(n))
+        s = k * _svec(avgs)
 
     acov, z_mean, z = _influence(h, s, _congruence_rows(t_inv, *np.triu_indices(q)))
 
@@ -427,13 +424,9 @@ def location_influence(x, nu: float, estimate: LocationScatterEstimate) -> Influ
     n, q = x.shape
     f_aug = augmented_rho(nu, q)
     y = np.hstack([x, np.ones((n, 1))])
-    fit = _kept(estimate.inner, y, f_aug)
-    if fit is not None:
-        t_inv, q_white, h = fit.t_inv, fit.white, fit.hessian
-    else:
-        t_inv, t = _unit_free_cholesky(estimate.inner.sigma.mat)
-        q_white = from_observations(y @ t.T)
-        h = hessian(q_white, f_aug)
+    t_inv, t = _unit_free_cholesky(estimate.inner.sigma.mat)
+    q_white = from_observations(y @ t.T)
+    h = _kept(estimate.inner, y, f_aug) or hessian(q_white, f_aug)
 
     gamma = estimate.inner.sigma.mat
     c = gamma[q, q]

@@ -13,14 +13,14 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, InvalidInputError, RangeError
 from .rho import CASE0, RhoFunction
 from . import symmat
-from .symmat import PsdAtom, as_array, cholesky_passes, clip_psd_dust, helmert, unscreened_blocks
+from .symmat import (PsdAtom, _unit_free_cholesky, as_array, cholesky_passes, clip_psd_dust, helmert,
+                     unscreened_blocks)
 
 # Eigenvalues below this relative size do not count toward an atom's column
 # space when enumerating candidate subspaces.
@@ -152,11 +152,6 @@ class MatrixDistribution:
         summed over each atom's rows."""
         return col if self._r == 1 else col.reshape(*col.shape[:-1], -1, self._r).sum(axis=-1)
 
-    def _work_array(self) -> Optional[np.ndarray]:
-        """A new array for :meth:`traces_under` and :meth:`weighted_sum` to work
-        in, shaped like the factor rows; None for a dense stack."""
-        return None if self._rows is None else np.empty_like(self._rows)
-
     @property
     def atoms(self) -> np.ndarray:
         """The read-only (m, q, q) stack of atoms."""
@@ -170,27 +165,22 @@ class MatrixDistribution:
     def n_atoms(self) -> int:
         return self.weights.shape[0]
 
-    def traces_under(self, a: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
+    def traces_under(self, a: np.ndarray) -> np.ndarray:
         """t_i = tr(A M_i) for every atom and a symmetric (q, q) matrix A.  Factor
-        rows Y give the column sums of (A Y) * Y over each atom's rows, formed in
-        ``work`` (from :meth:`_work_array`) when given, else in a new array."""
+        rows Y give the column sums of (A Y) * Y over each atom's rows."""
         if self._rows is None:
             return self._atoms.reshape(self.n_atoms, -1) @ a.ravel()
-        b = np.matmul(a, self._rows, out=work)
+        b = a @ self._rows
         b *= self._rows
         return self._per_atom(b.sum(axis=0))
 
-    def weighted_sum(self, c, work: Optional[np.ndarray] = None) -> np.ndarray:
+    def weighted_sum(self, c) -> np.ndarray:
         """sum_i c_i M_i for one coefficient per atom.  Factor rows Y give
-        (Y c) Y^T, with Y c, each atom's rows scaled by its c_i, formed in
-        ``work`` (from :meth:`_work_array`) when given, else in a new array."""
+        (Y c) Y^T, with Y c, each atom's rows scaled by its c_i."""
         c = np.asarray(c, dtype=float)
         if self._rows is None:
             return (c @ self._atoms.reshape(self.n_atoms, -1)).reshape(self.dim, self.dim)
-        by_atom = (self.dim, self.n_atoms, self._r)
-        b = np.multiply(self._rows.reshape(by_atom), c[:, None],
-                        out=None if work is None else work.reshape(by_atom))
-        return b.reshape(self.dim, -1) @ self._rows.T
+        return (self._rows * np.repeat(c, self._r)) @ self._rows.T
 
     def _svec_blocks(self):
         """(start, C) for consecutive blocks of atoms, C[b] the half-vectorized
@@ -399,14 +389,6 @@ def _congruence(q: MatrixDistribution, t: np.ndarray) -> MatrixDistribution:
     if q._rows is not None:
         return MatrixDistribution._from_rows(t @ q._rows, q._r, q.weights)
     return MatrixDistribution(t @ q.atoms @ t.T, q.weights, clip=False)
-
-
-def _unit_free_cholesky(a: np.ndarray):
-    """(L, L^-1) for the lower Cholesky factor L of a positive definite A, taken
-    without units: L = D^1/2 chol(D^-1/2 A D^-1/2), D = diag A."""
-    d = np.sqrt(np.diag(a))
-    c = np.linalg.cholesky(a / np.outer(d, d))
-    return d[:, None] * c, np.linalg.inv(c) / d
 
 
 def _frame(q: MatrixDistribution):

@@ -95,17 +95,15 @@ class ScatterEstimate:
 @dataclass(frozen=True)
 class _Fit:
     """What a fit keeps for its influence functions: the distribution ``q`` and
-    loss ``f`` it was fit on and, when its Hessian certified it, that
-    ``hessian``, the distribution ``white`` it was built on, and ``t_inv``, the
-    lower Cholesky factor T^-1 of the returned scatter (T sigma T^T = I).
-    ``white`` is T Q T^T, up to a scalar under Case 0, whose scores and Hessian
-    do not see one."""
+    loss ``f`` it was fit on and, when its Hessian certified the returned
+    scatter, that ``hessian``.  It was built at the whitening by the lower
+    Cholesky factor of that scatter, which is unique, so it is the Hessian at
+    the scatter's unit-free Cholesky whitening (up to a scalar of the whitened
+    atoms under Case 0, which the Hessian does not see)."""
 
     q: MatrixDistribution
     f: RhoFunction
     hessian: Optional[HessianOperator] = None
-    white: Optional[MatrixDistribution] = None
-    t_inv: Optional[np.ndarray] = None
 
 
 def _spd(s, q: MatrixDistribution):
@@ -130,23 +128,19 @@ def _off_zero(traces: np.ndarray, f: RhoFunction):
     return nz
 
 
-def _evaluate(chol: np.ndarray, l_inv: np.ndarray, q: MatrixDistribution, f: RhoFunction,
-              work=None):
+def _evaluate(chol: np.ndarray, l_inv: np.ndarray, q: MatrixDistribution, f: RhoFunction):
     """(L(S, Q) - C, Psi(S, Q)) for S = L L^T by its lower Cholesky factor L and
     L^-1, in one pass over the atoms off zero (see :func:`_off_zero`).  C = sum_i w_i
     rho(tr M_i) is constant for Q, so only :func:`criterion` and :func:`_measure`
-    take it off (:func:`_offset`).  The solver loop passes the one ``work``
-    array (``q._work_array()``) of its fit to every call, so that factor rows
-    are evaluated without allocating an array of their size; one-shot callers
-    pass none."""
+    take it off (:func:`_offset`)."""
     nz = _off_zero(q.traces, f)
-    t = q.traces_under(l_inv.T @ l_inv, work)[nz]
+    t = q.traces_under(l_inv.T @ l_inv)[nz]
     w = q.weights[nz]
     rho, rho_prime = f._rho_and_prime(t)
     crit = float(w @ np.asarray(rho)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     coeff = np.zeros(q.n_atoms)
     coeff[nz] = w * np.asarray(rho_prime)
-    psi = q.weighted_sum(coeff, work)
+    psi = q.weighted_sum(coeff)
     return crit, (psi + psi.T) / 2.0
 
 
@@ -190,14 +184,18 @@ def _measure(s: SpdMatrix, q: MatrixDistribution, f: RhoFunction):
 
 
 def gradient(s, q: MatrixDistribution, f: RhoFunction) -> SymMatrix:
-    """Whitened gradient B^-1 (S - Psi(S, Q)) B^-T with B the symmetric
-    square root of S; zero exactly at the fixed point.  Its norm is that of
-    :func:`_measure`, whose whitening differs by a rotation.  Psi may be
-    singular; Case 0 refuses mass at the zero matrix, as :func:`criterion` does."""
+    """Whitened gradient B^-1 (S - Psi(S, Q)) B^-1 with B the symmetric
+    square root of S; zero exactly at the fixed point.  For S = L L^T
+    (:func:`_spd`) and the polar factor O = U V^T of L = U D V^T, B^-1 = O L^-1,
+    so it is formed as O (L^-1 (S - Psi) L^-T) O^T: the whitening of
+    :func:`_measure` turned by O, with the same norm.  Psi may be singular;
+    Case 0 refuses mass at the zero matrix, as :func:`criterion` does."""
     _check_compat(q, f)
     s = s if isinstance(s, SpdMatrix) else SpdMatrix(s)
-    r = s.inv_sqrt()
-    return SymMatrix(r @ (s.mat - _evaluate(*_spd(s, q), q, f)[1]) @ r)
+    chol, w = _spd(s, q)
+    u, _, vt = np.linalg.svd(chol)
+    o = u @ vt
+    return SymMatrix(o @ (w @ (s.mat - _evaluate(chol, w, q, f)[1]) @ w.T) @ o.T)
 
 
 def _start(q: MatrixDistribution, cfg: SolverConfig) -> Optional[np.ndarray]:
@@ -266,9 +264,9 @@ def fixed_point_solve(
         l = l / np.exp(np.mean(np.log(np.diag(l))))
     s, w = chol @ chol.T, np.linalg.inv(chol)
 
-    log_values, iterations, work = [], 0, qf._work_array()
+    log_values, iterations = [], 0
     while True:
-        crit, psi = _evaluate(chol, w, qf, f, work)
+        crit, psi = _evaluate(chol, w, qf, f)
         log_values.append(crit)
 
         diff = psi - s
@@ -286,17 +284,15 @@ def fixed_point_solve(
             status = STATUS_DIVERGED
             break
         chol, w, s = step
-    del work  # the fit's last uses of Q allocate their own
 
-    certificate = ()
+    certificate = None
     if existence.verdict == "undecided":
         if status == STATUS_CONVERGED and f.has_second:
-            white = _congruence(qf, w)
-            h = hessian(white, f)
+            h = hessian(_congruence(qf, w), f)
             try:
                 np.linalg.cholesky(h.matrix)
                 existence = ExistenceReport("satisfied", (), "sufficient_condition")
-                certificate = h, white
+                certificate = h
             except np.linalg.LinAlgError:
                 pass
         elif status == STATUS_DIVERGED:
@@ -306,14 +302,14 @@ def fixed_point_solve(
 
     # Sigma = L S L^T, lifted where a collapse left it indefinite: the spectrum of
     # the unit-free D^-1/2 Sigma D^-1/2 (D = diag Sigma) is kept above 1e-12 of its top.
-    # A certificate is kept with the factor L chol of Sigma, which a lift would void.
+    # The certificate is kept only for the Sigma it was built at: a lift voids it.
     sigma = (l @ chol) @ (l @ chol).T
     d = np.sqrt(np.diag(sigma))
     lam = np.linalg.eigvalsh(sigma / np.outer(d, d))
     lift = max(lam[-1] / _COND_LIMIT - lam[0], 0.0)
     sigma = SpdMatrix(sigma + lift * np.diag(d * d))
-    certificate = certificate + (l @ chol,) if certificate and lift == 0.0 else ()
-    return _estimate(sigma, q, f, iterations, status, log_values, existence, certificate)
+    return _estimate(sigma, q, f, iterations, status, log_values, existence,
+                     certificate if lift == 0.0 else None)
 
 
 # The bound tr(Psi) tr(Psi^-1) on lambda_max / lambda_min clears an iterate when
@@ -354,15 +350,15 @@ def _step(psi: np.ndarray, case0: bool):
 
 
 def _estimate(sigma, q, f, iterations, status, log_values, existence,
-              certificate=()) -> ScatterEstimate:
+              certificate=None) -> ScatterEstimate:
     """The fit that returns ``sigma``, measured in the data's coordinates.  The
     frame's criteria in ``log_values`` are shifted by the constant that separates
     them from the data's; a fit that stopped at its start logs that one value.
-    It keeps ``_Fit(q, f, *certificate)``."""
+    It keeps ``_Fit(q, f, certificate)``."""
     crit, resid, gnorm, _ = _measure(sigma, q, f)
     log = np.asarray(log_values) + (crit - log_values[-1]) if log_values else np.array([crit])
     return ScatterEstimate(sigma, iterations, crit, gnorm, status, log, resid, existence,
-                           _Fit(q, f, *certificate))
+                           _Fit(q, f, certificate))
 
 
 def _frobenius(a: np.ndarray) -> float:

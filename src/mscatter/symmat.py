@@ -243,6 +243,14 @@ def clip_psd_dust(a: np.ndarray) -> np.ndarray:
     return out if a.ndim == 3 else out[0]
 
 
+def _unit_free_cholesky(a: np.ndarray):
+    """(L, L^-1) for the lower Cholesky factor L of a positive definite A, taken
+    without units: L = D^1/2 chol(D^-1/2 A D^-1/2), D = diag A."""
+    d = np.sqrt(np.diag(a))
+    c = np.linalg.cholesky(a / np.outer(d, d))
+    return d[:, None] * c, np.linalg.inv(c) / d
+
+
 class SpdMatrix:
     """A symmetric positive definite matrix with its log-determinant cached.
 
@@ -281,14 +289,16 @@ class SpdMatrix:
         return np.linalg.inv(self.mat)
 
     def sqrt(self) -> np.ndarray:
-        """Symmetric square root S^{1/2}."""
-        dec = spectral(self.mat)
-        return (dec.eigenvectors * np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
+        """Symmetric square root S^{1/2} = U D U^T, from the singular values D and
+        left singular vectors U of the unit-free Cholesky factor
+        L = U D V^T (:func:`_unit_free_cholesky`): S = L L^T = U D^2 U^T."""
+        u, d, _ = np.linalg.svd(_unit_free_cholesky(self.mat)[0])
+        return (u * d) @ u.T
 
     def inv_sqrt(self) -> np.ndarray:
-        """Symmetric inverse square root S^{-1/2}."""
-        dec = spectral(self.mat)
-        return (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
+        """Symmetric inverse square root S^{-1/2} = U D^-1 U^T, as in :meth:`sqrt`."""
+        u, d, _ = np.linalg.svd(_unit_free_cholesky(self.mat)[0])
+        return (u / d) @ u.T
 
     def __repr__(self):
         return f"SpdMatrix(dim={self.dim}, logdet={self.logdet:.6g})"

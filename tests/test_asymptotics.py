@@ -745,21 +745,40 @@ class TestFitFrame:
         monkeypatch.setattr(asymptotics, "hessian", counted)
         return builds
 
-    @pytest.mark.parametrize("job", ["tyler", "t", "location 1", "location 3"])
-    def test_one_hessian_per_certified_job(self, job, hessian_builds):
-        x = np.random.default_rng(40).standard_normal((60, 4))
+    @staticmethod
+    def certified_job(job, seed):
+        """(fit, standard errors) of one fit that its Hessian certifies; a
+        budget of 1 leaves the check to the certificate."""
+        x = np.random.default_rng(seed).standard_normal((60, 4))
         cfg = SolverConfig(existence_budget=1)
         if job.startswith("location"):
             nu = float(job.split()[1])
             est = estimate_location_scatter(x, nu, cfg)
-            fit, rep = est.inner, location_influence(x, nu, est)
-        else:
-            f = tyler(4) if job == "tyler" else t_dist(3.0, 4)
-            fit = est = fixed_point_solve(from_observations(x), f, cfg)
-            rep = acov_scatter(x, est, f)
+            return est.inner, lambda: location_influence(x, nu, est)
+        f = tyler(4) if job == "tyler" else t_dist(3.0, 4)
+        est = fixed_point_solve(from_observations(x), f, cfg)
+        return est, lambda: acov_scatter(x, est, f)
+
+    @pytest.mark.parametrize("job", ["tyler", "t", "location 1", "location 3"])
+    def test_one_hessian_per_certified_job(self, job, hessian_builds):
+        fit, standard_errors = self.certified_job(job, 40)
+        rep = standard_errors()
         assert fit.existence.method == "sufficient_condition"
         assert len(hessian_builds) == 1
         assert np.all(np.isfinite(rep.se_sigma)) and np.all(rep.se_sigma > 0)
+
+    @pytest.mark.parametrize("job", ["tyler", "t", "location 1", "location 3"])
+    def test_kept_hessian_gives_the_rebuilt_standard_errors(self, job, hessian_builds, monkeypatch):
+        # The certificate was built at the fit's own Cholesky whitening, so
+        # the standard errors are those of a Hessian built again at T.
+        fit, standard_errors = self.certified_job(job, 44)
+        assert fit.existence.method == "sufficient_condition"
+        kept = standard_errors()
+        monkeypatch.setattr(asymptotics, "_kept", lambda *args: None)
+        rebuilt = standard_errors()
+        assert len(hessian_builds) == 2
+        fields = ("acov", "se_sigma", "se_mu", "influence", "whitening")
+        assert_matches_reference(kept, {name: getattr(rebuilt, name) for name in fields}, 1e-11)
 
     def test_other_rows_build_their_own_hessian(self, hessian_builds):
         x = np.random.default_rng(41).standard_normal((60, 4))
@@ -821,6 +840,24 @@ class TestUnits:
         for got, want in zip(scaled_standard_errors(job, scale), unscaled[job]):
             if want is not None:
                 assert np.allclose(got, want, rtol=1e-7, atol=0)
+
+
+class TestScaledColumns:
+    # Column scales 1e-5 to 1e5 (1e-6 to 1e6) put the eigenvalues of Sigma 20
+    # (24) orders apart: an eigendecomposition of Sigma turns the smallest
+    # negative, the SVD of its unit-free Cholesky factor keeps them positive.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [5, 6])
+    def test_whitening_influence_and_gradient_are_finite(self, scale):
+        x = UNIT_ROWS * np.logspace(-scale, scale, 20)
+        q, f = from_observations(x), t_dist(3.0, 20)
+        est = fixed_point_solve(q, f)
+        loc = estimate_location_scatter(x, 3.0)
+        assert est.converged and loc.converged
+        for rep in (acov_scatter(x, est, f), location_influence(x, 3.0, loc)):
+            assert np.all(np.isfinite(rep.whitening)) and np.all(np.isfinite(rep.influence))
+        g = solver.gradient(est.sigma, q, f).mat
+        assert np.linalg.norm(g) == pytest.approx(est.gradient_norm, rel=1e-12)
 
 
 class TestRefusals:

@@ -2,10 +2,10 @@
 
 ``solver._evaluate`` is the one pass over the atoms behind ``criterion``,
 ``psi_map``, the fit's measurement and the solver loop.  These tests hold it
-to brute-force sums over the dense atoms, check that the solver loop's work
-array never leaks into a returned matrix and that no distribution keeps one,
-and run the whole fit against a plain-numpy fixed-point loop that must take
-the same steps.
+to brute-force sums over the dense atoms, check that a returned Psi is a
+new array that the next evaluation leaves alone and that a fit leaves the
+rows of Q and the memory of its frame alone, and run the whole fit against a
+plain-numpy fixed-point loop that must take the same steps.
 """
 
 import math
@@ -112,14 +112,12 @@ class TestWorkArray:
         x = np.random.default_rng(5).standard_normal((40, 3))
         f = t_dist(3.0, 3)
         for d in (from_observations(x), build_kstat(x[:12], 3)):
-            work = d._work_array()
-            first = _evaluate(np.eye(3), np.eye(3), d, f, work)[1]
+            first = _evaluate(np.eye(3), np.eye(3), d, f)[1]
             kept = first.copy()
             chol = np.diag([3.0, 2.0, 1.0])
-            again = _evaluate(chol, np.linalg.inv(chol), d, f, work)[1]
+            again = _evaluate(chol, np.linalg.inv(chol), d, f)[1]
             assert np.array_equal(first, kept)
             assert np.array_equal(again, _evaluate(chol, np.linalg.inv(chol), d, f)[1])
-            assert not np.shares_memory(work, d._rows)
 
     def test_distributions_keep_no_work_array(self):
         x = np.random.default_rng(6).standard_normal((40, 3)) * [1.0, 10.0, 0.1]
@@ -128,13 +126,12 @@ class TestWorkArray:
         f = tyler(3)
         psi = _evaluate(np.eye(3), np.eye(3), d, f)[1]
         kept = psi.copy()
-        fit = fixed_point_solve(d, f)  # iterates in the frame through one work array
+        fit = fixed_point_solve(d, f)  # iterates in the frame
         assert fit.converged
         assert np.array_equal(psi, kept)
         assert np.array_equal(d._rows, rows)
         frame = _frame(d)[2]
         assert not np.shares_memory(frame._rows, d._rows)
-        assert not np.shares_memory(d._work_array(), d._work_array())
         assert np.array_equal(_evaluate(np.eye(3), np.eye(3), d, f)[1], kept)
 
     def test_two_threads_evaluate_one_distribution(self):

@@ -1075,16 +1075,16 @@ class TestHessianCoordinates:
 # -- the fixed-point loop against its eigenvalue-per-step reference ---------------
 
 
-def reference_evaluate(chol, q, f, work=None):
+def reference_evaluate(chol, q, f):
     """The evaluation kernel as it was before the loop handed it L^-1."""
     nz = _off_zero(q.traces, f)
     l_inv = np.linalg.inv(chol)
-    t = q.traces_under(l_inv.T @ l_inv, work)[nz]
+    t = q.traces_under(l_inv.T @ l_inv)[nz]
     w = q.weights[nz]
     crit = float(w @ np.asarray(f.rho(t))) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     coeff = np.zeros(q.n_atoms)
     coeff[nz] = w * np.asarray(f.rho_prime(t))
-    psi = q.weighted_sum(coeff, work)
+    psi = q.weighted_sum(coeff)
     return crit, (psi + psi.T) / 2.0, l_inv
 
 
@@ -1117,9 +1117,9 @@ def reference_solve(q, f, cfg=None):
         l = l / np.exp(np.mean(np.log(np.diag(l))))
     s = chol @ chol.T
 
-    log_values, iterations, work = [], 0, qf._work_array()
+    log_values, iterations = [], 0
     while True:
-        crit, psi, w = reference_evaluate(chol, qf, f, work)
+        crit, psi, w = reference_evaluate(chol, qf, f)
         log_values.append(crit)
 
         diff = psi - s
@@ -1138,7 +1138,6 @@ def reference_solve(q, f, cfg=None):
             break
         s = psi / np.exp(np.mean(np.log(lam))) if case0 else psi
         chol = np.linalg.cholesky(s)  # positive definite within the condition limit
-    del work  # the fit's last uses of Q allocate their own
 
     if existence.verdict == "undecided":
         if status == STATUS_CONVERGED and f.has_second:
