@@ -44,7 +44,7 @@ from .distribution import (
 from .errors import DimensionMismatchError, DomainError, InvalidInputError, InvalidRegimeError
 from .location import LocationScatterEstimate, augmented_rho
 from .rho import CASE0, RhoFunction
-from .solver import HessianOperator, ScatterEstimate, _off_zero, hessian
+from .solver import HessianOperator, ScatterEstimate, _off_zero, _refuse_zero, hessian
 from .symmat import SymMatrix, _smat, _svec, _unit_free_cholesky, stack_blocks
 
 
@@ -261,7 +261,7 @@ def orth_hessian_coeffs(q_dist: MatrixDistribution, f: RhoFunction):
     q = q_dist.dim
     if q < 2:
         raise InvalidInputError("orthogonal-invariance coefficients need q >= 2")
-    nz = _off_zero(q_dist.traces, f)
+    nz = _refuse_zero(q_dist._nz, f)
     w = q_dist.weights[nz]
     tr = q_dist.traces[nz]
     fro2 = np.concatenate([np.einsum("ma,ma->m", c, c) for _, c in q_dist._svec_blocks()])[nz]
@@ -304,7 +304,7 @@ def _scores(q: MatrixDistribution, f: RhoFunction) -> np.ndarray:
     """rho'(|y|^2) svec(y y^T) - svec(I) for each observation y of Q, one row
     each (:func:`mscatter.symmat._svec`); atoms at zero follow
     :func:`mscatter.solver._off_zero`."""
-    nz = _off_zero(q.traces, f)
+    nz = _refuse_zero(q._nz, f)
     rho_p = np.zeros(q.n_atoms)
     rho_p[nz] = f.rho_prime(q.traces[nz])
     s = np.concatenate([c for _, c in q._svec_blocks()])

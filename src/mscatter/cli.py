@@ -235,7 +235,10 @@ def _emit(doc, out, csv=False):
         rows = [doc.get("mu")] + (doc["sigma"] or [])
         text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in rows if row is not None)
     else:
-        text = json.dumps(_sanitize(doc), indent=2, allow_nan=False)
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError:  # a non-finite float: walk the document once more
+            text = json.dumps(_sanitize(doc), indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -82,7 +82,7 @@ class MatrixDistribution:
     ``_atom_groups``).
     """
 
-    __slots__ = ("dim", "weights", "traces", "_rows", "_r", "_atoms", "_framed")
+    __slots__ = ("dim", "weights", "traces", "_nz", "_rows", "_r", "_atoms", "_framed")
 
     def __init__(self, atoms, weights=None, *, clip: bool = True):
         if isinstance(atoms, (list, tuple)):
@@ -141,6 +141,7 @@ class MatrixDistribution:
             if a is not None:
                 a.flags.writeable = False
         self.weights, self.traces, self._framed = w, traces, None
+        self._nz = _nonzero(traces)  # the atoms off zero: fixed, as the traces are
         self.dim = self._atoms.shape[-1] if self._rows is None else self._rows.shape[0]
 
     def _factors(self) -> np.ndarray:
@@ -180,7 +181,7 @@ class MatrixDistribution:
         c = np.asarray(c, dtype=float)
         if self._rows is None:
             return (c @ self._atoms.reshape(self.n_atoms, -1)).reshape(self.dim, self.dim)
-        return (self._rows * np.repeat(c, self._r)) @ self._rows.T
+        return (self._rows * (c if self._r == 1 else np.repeat(c, self._r))) @ self._rows.T
 
     def _svec_blocks(self):
         """(start, C) for consecutive blocks of atoms, C[b] the half-vectorized
@@ -209,6 +210,14 @@ class MatrixDistribution:
 
     def __repr__(self):
         return f"MatrixDistribution(dim={self.dim}, n_atoms={self.n_atoms})"
+
+
+def _nonzero(traces: np.ndarray):
+    """Index of the atoms off the zero matrix by their traces: the full slice
+    when every atom is off zero, otherwise the read-only mask."""
+    nz = traces > 0.0
+    nz.flags.writeable = False
+    return slice(None) if nz.all() else nz
 
 
 # -- constructors --------------------------------------------------------------

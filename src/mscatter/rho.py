@@ -49,9 +49,9 @@ class RhoFunction:
     def _domain(self, s) -> np.ndarray:
         """``s`` as a float array, checked against the domain of the loss."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < 0):
+        if (s < 0).any():
             raise DomainError(f"loss argument must be nonnegative, got {s}")
-        if self.case_tag == CASE0 and np.any(s == 0):
+        if self.case_tag == CASE0 and (s == 0).any():
             raise DomainError("the scale-invariant log loss is undefined at s = 0")
         return s
 

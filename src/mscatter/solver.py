@@ -32,6 +32,7 @@ from .distribution import (
     _check_compat,
     _congruence,
     _frame,
+    _nonzero,
     _to_data,
     check_existence,
     from_wishart_groups,
@@ -119,10 +120,12 @@ def _spd(s, q: MatrixDistribution):
 def _off_zero(traces: np.ndarray, f: RhoFunction):
     """Index of the atoms off the zero matrix by their traces: a mask, or the
     full slice when every atom is off zero; Case 0 refuses mass at zero."""
-    nz = traces > 0.0
-    if nz.all():
-        return slice(None)
-    if f.case_tag == CASE0:
+    return _refuse_zero(_nonzero(traces), f)
+
+
+def _refuse_zero(nz, f: RhoFunction):
+    """``nz`` of :func:`_off_zero` (``q._nz`` for Q's own traces), unless Case 0 meets mass at zero."""
+    if f.case_tag == CASE0 and not isinstance(nz, slice):
         raise DomainError("Case 0 requires every atom to have positive trace "
                           "(no mass at the zero matrix)")
     return nz
@@ -132,14 +135,17 @@ def _evaluate(chol: np.ndarray, l_inv: np.ndarray, q: MatrixDistribution, f: Rho
     """(L(S, Q) - C, Psi(S, Q)) for S = L L^T by its lower Cholesky factor L and
     L^-1, in one pass over the atoms off zero (see :func:`_off_zero`).  C = sum_i w_i
     rho(tr M_i) is constant for Q, so only :func:`criterion` and :func:`_measure`
-    take it off (:func:`_offset`)."""
-    nz = _off_zero(q.traces, f)
+    take it off (:func:`_offset`).  The coefficients w rho' are scattered into
+    one per atom only when some atom is at zero."""
+    nz = _refuse_zero(q._nz, f)
     t = q.traces_under(l_inv.T @ l_inv)[nz]
     w = q.weights[nz]
     rho, rho_prime = f._rho_and_prime(t)
-    crit = float(w @ np.asarray(rho)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
-    coeff = np.zeros(q.n_atoms)
-    coeff[nz] = w * np.asarray(rho_prime)
+    crit = float(w @ np.asarray(rho)) + 2.0 * float(np.log(chol.diagonal()).sum())
+    coeff = w * np.asarray(rho_prime)
+    if not isinstance(nz, slice):
+        coeff, off = np.zeros(q.n_atoms), coeff
+        coeff[nz] = off
     psi = q.weighted_sum(coeff)
     return crit, (psi + psi.T) / 2.0
 
@@ -147,7 +153,7 @@ def _evaluate(chol: np.ndarray, l_inv: np.ndarray, q: MatrixDistribution, f: Rho
 def _offset(q: MatrixDistribution, f: RhoFunction) -> float:
     """sum_i w_i rho(tr M_i) over the atoms off zero: what separates the value of
     :func:`_evaluate` from the criterion."""
-    nz = _off_zero(q.traces, f)
+    nz = _refuse_zero(q._nz, f)
     return float(q.weights[nz] @ np.asarray(f.rho(q.traces[nz])))
 
 
@@ -340,7 +346,7 @@ def _step(psi: np.ndarray, case0: bool):
             return None
         raise
     l_inv = np.linalg.inv(chol)
-    bound = float(np.trace(psi)) * float(np.vdot(l_inv, l_inv))
+    bound = float(psi.trace()) * float(np.vdot(l_inv, l_inv))
     if not bound <= _BOUND_SHARE * _COND_LIMIT and _diverges(psi):  # a NaN bound too
         return None
     if not case0:
@@ -362,10 +368,13 @@ def _estimate(sigma, q, f, iterations, status, log_values, existence,
 
 
 def _frobenius(a: np.ndarray) -> float:
-    """||a||_F summed at an exact power-of-two scale, so it neither overflows
-    nor underflows; equal to ``np.linalg.norm(a)`` wherever that does neither."""
+    """||a||_F summed at an exact power-of-two scale (none when max |a| lies within
+    2^+-400), so it neither overflows nor underflows; equal to ``np.linalg.norm(a)``
+    wherever that does neither."""
     v = a.ravel(order="K")  # the order np.linalg.norm sums in
     e = math.frexp(np.abs(v).max())[1]
+    if -400 < e < 400:
+        return math.sqrt(v @ v)
     w = np.ldexp(v, -e)
     return float(np.ldexp(math.sqrt(w @ w), e))
 
@@ -456,7 +465,7 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
             f"{f.kind} loss has no second derivative; Hessian is unavailable"
         )
     dim = q.dim
-    nz = _off_zero(q.traces, f)
+    nz = _refuse_zero(q._nz, f)
     second = np.zeros(q.n_atoms)
     second[nz] = q.weights[nz] * np.asarray(f.rho_second(q.traces[nz]))
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import mscatter
 from mscatter import SeededStream, SpdMatrix, mvt
+from mscatter import cli
 from mscatter.cli import InputError, read_csv, read_groups, run
 
 
@@ -410,6 +411,81 @@ class TestCheckCommand:
         doc = read_json(capsys)
         assert code == 0
         assert doc["fixed_point_residual"] == json.loads(fit.read_text())["fixed_point_residual"]
+
+
+def reference_emit(doc, out, csv=False):
+    """``cli._emit`` as it was when every document was sanitized before it was
+    serialized (``out`` is None here: the text goes to stdout)."""
+    if csv:
+        rows = [doc.get("mu")] + (doc["sigma"] or [])
+        text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in rows if row is not None)
+    else:
+        text = json.dumps(cli._sanitize(doc), indent=2, allow_nan=False)
+    print(text)
+
+
+class TestWriter:
+    """The writer serializes strictly first and sanitizes only a document with
+    a non-finite float; either way it writes the reference's bytes."""
+
+    def emitted(self, argv, monkeypatch, capsys):
+        """(exit code, stdout, whether the writer sanitized) of ``run(argv)``,
+        checked against the reference writer on the document it emitted."""
+        docs, emit, sanitized, sanitize = [], cli._emit, [], cli._sanitize
+
+        def recorded(doc, out, csv=False):
+            docs.append((doc, csv))
+            emit(doc, out, csv)
+
+        def counted(value):
+            sanitized.append(value)
+            return sanitize(value)
+
+        monkeypatch.setattr(cli, "_emit", recorded)
+        monkeypatch.setattr(cli, "_sanitize", counted)
+        capsys.readouterr()
+        code = run(argv)
+        out, walked = capsys.readouterr().out, bool(sanitized)
+        (doc, csv), = docs
+        reference_emit(doc, None, csv)
+        assert out == capsys.readouterr().out
+        return code, out, walked
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_converged_location_fit_with_standard_errors(self, tmp_path, monkeypatch, capsys, output):
+        p = tmp_path / "t3.csv"
+        x = mvt(np.array([1.0, -1.0, 0.5]), SpdMatrix(np.diag([2.0, 1.0, 0.5])), 3.0, 150,
+                SeededStream(5))
+        np.savetxt(p, x, delimiter=",", fmt="%.17g")
+        code, out, walked = self.emitted(["locscatter", "--nu", "3", "--se", "--input", str(p),
+                                          "--output", output], monkeypatch, capsys)
+        assert code == 0 and not walked  # every float is finite: one pass
+        if output == "json":
+            doc = json.loads(out)
+            assert doc["status"] == "converged" and len(doc["se"]["mu"]) == 3
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_tyler_fit_with_a_zero_row(self, tmp_path, monkeypatch, capsys, output):
+        p = tmp_path / "zero.csv"
+        x = np.random.default_rng(0).standard_normal((6, 3))
+        x[0] = 0.0
+        np.savetxt(p, x, delimiter=",")
+        code, out, walked = self.emitted(["scatter", "--input", str(p), "--output", output],
+                                         monkeypatch, capsys)
+        assert code == 2 and walked == (output == "json")
+        if output == "json":
+            def strict(name):
+                raise AssertionError(f"{name} in the output")
+
+            doc = json.loads(out, parse_constant=strict)
+            for key in ("criterion", "fixed_point_residual", "gradient_norm"):
+                assert doc[key] is None
+
+    @pytest.mark.parametrize("doc", [{"a": object()}, {"a": math.nan, "b": [object()]}],
+                             ids=["finite", "with-nan"])
+    def test_unserializable_object_raises(self, doc):
+        with pytest.raises(TypeError):
+            cli._emit(doc, None)
 
 
 class TestEntryPoint:

@@ -5,7 +5,10 @@
 to brute-force sums over the dense atoms, check that a returned Psi is a
 new array that the next evaluation leaves alone and that a fit leaves the
 rows of Q and the memory of its frame alone, and run the whole fit against a
-plain-numpy fixed-point loop that must take the same steps.
+plain-numpy fixed-point loop that must take the same steps.  The index of the
+atoms off zero that Q keeps, the kernel's bits against the kernel that redid
+that index at every call, the Case 0 refusal of mass at zero, and the norm's
+unscaled sum near its limits are held to their definitions at the end.
 """
 
 import math
@@ -17,20 +20,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mscatter import (
+    DomainError,
     MatrixDistribution,
+    PsdAtom,
+    WishartGroup,
     build_kstat,
     criterion,
     estimate_location_scatter,
     fixed_point_solve,
     from_observations,
+    from_wishart_groups,
     gaussian,
+    gradient,
+    hessian,
     psi_map,
     t_dist,
     tyler,
     weibull,
 )
-from mscatter.distribution import _frame
-from mscatter.solver import _evaluate, _offset, _spd
+from mscatter import distribution
+from mscatter.distribution import _congruence, _frame
+from mscatter.solver import _evaluate, _frobenius, _offset, _spd
 
 LOSSES = {
     "tyler": tyler,
@@ -207,3 +217,152 @@ class TestReferenceLoop:
         # The augmented problem: the t loss of order (nu - 1, q + 1).
         self.check(est.inner, outer_products(y), lambda t: 7.0 / (3.0 + t), False)
         assert math.isclose(est.gamma.mat[-1, -1], est.inner.sigma.mat[-1, -1])
+
+
+# -- the index of the atoms off zero, kept on Q -------------------------------------
+
+
+def kept_index_designs():
+    """(name, distribution) over every storage, with and without atoms at zero:
+    factor rows with r = 1 (a zero row) and r = 2 (a repeated point in a
+    3-subset), a dense stack with a zero atom, and Wishart groups."""
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((9, 3)) * [1.0, 4.0, 0.25]
+    x_zero, x_twice = x.copy(), x.copy()
+    x_zero[2] = 0.0
+    x_twice[4] = x_twice[7] = x_twice[1]  # the 3-subset of rows 1, 4 and 7 is zero
+    atoms = np.einsum("ni,nj->nij", x, x)
+    atoms_zero = atoms.copy()
+    atoms_zero[5] = 0.0
+    return [
+        ("rows", from_observations(x)),
+        ("rows-zero", from_observations(x_zero)),
+        ("pairs-of-rows", build_kstat(x, 3)),
+        ("pairs-of-rows-zero", build_kstat(x_twice, 3)),
+        ("dense", MatrixDistribution(atoms)),
+        ("dense-zero", MatrixDistribution(atoms_zero)),
+        ("wishart", from_wishart_groups([WishartGroup(PsdAtom(m + np.eye(3)), 4) for m in atoms[:4]])),
+    ]
+
+
+DESIGNS = kept_index_designs()
+DESIGN_IDS = [name for name, _ in DESIGNS]
+
+
+def assert_index_of(d):
+    """``d._nz`` is the full slice exactly when every trace is positive, and
+    otherwise the read-only mask of the positive traces."""
+    positive = d.traces > 0.0
+    if positive.all():
+        assert d._nz == slice(None)
+        return
+    assert isinstance(d._nz, np.ndarray) and np.array_equal(d._nz, positive)
+    assert not d._nz.flags.writeable
+    with pytest.raises(ValueError):
+        d._nz[0] = True
+
+
+class TestKeptIndex:
+    @pytest.mark.parametrize("name, d", DESIGNS, ids=DESIGN_IDS)
+    def test_full_slice_exactly_when_every_trace_is_positive(self, name, d):
+        assert ("zero" in name) == bool((d.traces == 0.0).any())
+        assert_index_of(d)
+
+    @pytest.mark.parametrize("name, d", DESIGNS, ids=DESIGN_IDS)
+    def test_every_finish_computes_its_own(self, name, d, monkeypatch):
+        calls = []
+        nonzero = distribution._nonzero
+
+        def counted(traces):
+            calls.append(nonzero(traces))
+            return calls[-1]
+
+        monkeypatch.setattr(distribution, "_nonzero", counted)
+        t = np.random.default_rng(31).standard_normal((3, 3)) + 3.0 * np.eye(3)
+        moved = _congruence(d, t)
+        assert len(calls) == 1 and moved._nz is calls[0]
+        assert_index_of(moved)
+        # A fresh copy of Q has no frame yet: _frame builds it by one _congruence.
+        if d._rows is None:
+            fresh = MatrixDistribution(d.atoms, d.weights, clip=False)
+        else:
+            fresh = MatrixDistribution._from_rows(d._rows, d._r, d.weights)
+        assert len(calls) == 2
+        framed = _frame(fresh)[2]
+        assert len(calls) == 3 and framed._nz is calls[2]
+        assert_index_of(framed)
+
+
+def reference_kernel(chol, l_inv, q, f):
+    """``solver._evaluate`` as it was before Q kept its index of the atoms off
+    zero: the mask redone from the traces, the coefficients always scattered
+    into zeros, and ``weighted_sum`` repeating them for every factor row."""
+    nz = q.traces > 0.0
+    if nz.all():
+        nz = slice(None)
+    elif f.case_tag == "case0":
+        raise DomainError("Case 0 requires every atom to have positive trace")
+    t = q.traces_under(l_inv.T @ l_inv)[nz]
+    w = q.weights[nz]
+    rho, rho_prime = f._rho_and_prime(t)
+    crit = float(w @ np.asarray(rho)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    coeff = np.zeros(q.n_atoms)
+    coeff[nz] = w * np.asarray(rho_prime)
+    if q._rows is None:
+        psi = (coeff @ q._atoms.reshape(q.n_atoms, -1)).reshape(q.dim, q.dim)
+    else:
+        psi = (q._rows * np.repeat(coeff, q._r)) @ q._rows.T
+    return crit, (psi + psi.T) / 2.0
+
+
+class TestLeanKernel:
+    @pytest.mark.parametrize("loss", ["t", "weibull"])
+    @pytest.mark.parametrize("name, d", DESIGNS, ids=DESIGN_IDS)
+    def test_matches_the_reference_kernel_bit_for_bit(self, name, d, loss):
+        f = LOSSES[loss](d.dim)
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            b = rng.standard_normal((d.dim, d.dim))
+            chol = np.linalg.cholesky(b @ b.T + 0.3 * np.eye(d.dim))
+            l_inv = np.linalg.inv(chol)
+            crit, psi = _evaluate(chol, l_inv, d, f)
+            want_crit, want_psi = reference_kernel(chol, l_inv, d, f)
+            assert crit == want_crit
+            assert np.array_equal(psi, want_psi)
+
+    @pytest.mark.parametrize("name, d", [c for c in DESIGNS if "zero" in c[0]],
+                             ids=[n for n in DESIGN_IDS if "zero" in n])
+    def test_case0_refuses_mass_at_zero(self, name, d):
+        f, s = tyler(3), np.diag([2.0, 1.0, 0.5])
+        for call in (criterion, psi_map, gradient):
+            with pytest.raises(DomainError):
+                call(s, d, f)
+        with pytest.raises(DomainError):
+            hessian(d, f)
+        with pytest.raises(DomainError):
+            _evaluate(np.eye(3), np.eye(3), d, f)
+        fit = fixed_point_solve(d, f)
+        assert fit.status == "existence_violated"
+        assert all(math.isnan(v) for v in (fit.criterion, fit.fixed_point_residual,
+                                           fit.gradient_norm))
+
+
+def scaled_frobenius(a):
+    """``solver._frobenius`` as it was before it skipped the scale: the sum of
+    squares always taken at an exact power of two."""
+    v = a.ravel(order="K")
+    e = math.frexp(np.abs(v).max())[1]
+    w = np.ldexp(v, -e)
+    return float(np.ldexp(math.sqrt(w @ w), e))
+
+
+class TestFrobeniusFastPath:
+    @pytest.mark.parametrize("exponent", [-401, -400, -399, 399, 400, 401])
+    def test_equals_the_scaled_formula_bit_for_bit(self, exponent):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            a = rng.standard_normal(tuple(rng.integers(1, 21, size=2)))
+            a = np.ldexp(a / np.abs(a).max() * rng.uniform(0.5, 1.0), exponent)
+            assert math.frexp(np.abs(a).max())[1] == exponent
+            for m in (a, a.T):
+                assert _frobenius(m) == scaled_frobenius(m)
