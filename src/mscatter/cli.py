@@ -15,6 +15,7 @@ iteration limit), 3 input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -341,7 +342,9 @@ def _cmd_check(args):
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built on the first call and shared after it."""
     p = argparse.ArgumentParser(
         prog="mscatter",
         description="M-functionals of multivariate scatter and location",

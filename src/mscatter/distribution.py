@@ -188,7 +188,8 @@ class MatrixDistribution:
         coordinates tr(E_a M_i) of atom i = start + b (:func:`symmat._svec`).
         Factor rows give the products y_i y_j of each row's entries (times
         sqrt(2) for i < j) summed over each atom's rows.  A block counts q^2
-        entries per dense atom or factor row, at most ``symmat._BLOCK_ENTRIES``."""
+        entries per dense atom or factor row, at most ``symmat._BLOCK_ENTRIES``.
+        Each C is a new array, which the caller may overwrite."""
         dim = self.dim
         if self._rows is None:
             for lo, hi in symmat.stack_blocks(self.n_atoms, dim * dim):
@@ -477,22 +478,45 @@ def _atom_groups(q: MatrixDistribution):
         # also key the higher-rank spaces merge, keeping the first direction.
         u = vec[lines, :, keep[lines].argmax(axis=1)]
         u *= np.where(u @ np.sin(np.arange(1.0, dim + 1.0)) < 0, -1.0, 1.0)[:, None]
-        _, first, inverse = np.unique(np.round(u, 9), axis=0, return_index=True,
-                                      return_inverse=True)
+        first, inverse = _unique_rows(np.round(u, 9))
         bases += list(u[first][:, :, None])
-        masses += np.bincount(inverse.ravel(), w[idx[lines]], first.size).tolist()
+        masses += np.bincount(inverse, w[idx[lines]], first.size).tolist()
 
     spaces = np.nonzero((rank >= 2) & (rank < dim))[0]
     if spaces.size:
         kept = vec[spaces] * keep[spaces][:, None, :]
         keys = np.round(kept @ np.swapaxes(kept, 1, 2), 9).reshape(spaces.size, -1)
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        mass = np.bincount(inverse.ravel(), w[idx[spaces]])
+        first, inverse = _unique_rows(keys)
+        mass = np.bincount(inverse, w[idx[spaces]])
         for g in np.argsort(first):
             i = spaces[first[g]]
             bases.append(vec[i][:, keep[i]])
             masses.append(float(mass[g]))
     return bases, np.asarray(masses)
+
+
+def _unique_rows(r: np.ndarray):
+    """(first, inverse) of ``np.unique(r, axis=0, return_index=True,
+    return_inverse=True)`` for a float matrix, bit for bit: one stable sort of
+    the first column, and a lexicographic sort only of the rows in runs that
+    tie on it.  As in ``np.unique``, -0.0 and 0.0 compare equal, groups are in
+    lexicographic order and ``first`` is each group's lowest row index."""
+    order = np.argsort(r[:, 0], kind="stable")
+    col = r[order, 0]
+    new = np.ones(len(col), dtype=bool)  # row starts a group of the sorted rows
+    new[1:] = col[1:] != col[:-1]
+    tied = ~new
+    tied[:-1] |= ~new[1:]
+    at = np.flatnonzero(tied)
+    if at.size:
+        rows = r[order[at]]
+        perm = np.lexsort(rows[:, ::-1].T)  # stable: equal rows keep index order
+        order[at] = order[at[perm]]
+        rows, later = rows[perm], np.flatnonzero(~new[at])
+        new[at[later]] = np.any(rows[later] != rows[later - 1], axis=1)
+    inverse = np.empty(len(col), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _spectra(q: MatrixDistribution):

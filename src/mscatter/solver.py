@@ -478,8 +478,20 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
     for dst, src in terms:
         h[dst] += pmat[src]
     h = s * s.T * h.reshape(s.size, s.size)
-    for lo, coords in q._svec_blocks():  # (block, p): tr(E_a M_i)
-        h += (coords.T * second[lo:lo + len(coords)]) @ coords
+    # The atom term sum_i w_i rho''_i c_i c_i^T is -G^T G a block, G the
+    # coordinates c_i = tr(E_a M_i) scaled by sqrt(-w_i rho''_i): every
+    # built-in loss has rho'' <= 0.  ``g.T @ g`` is a symmetric rank-k product,
+    # exactly symmetric; atoms with rho'' > 0 (a custom loss) add one of their own.
+    root = np.sqrt(np.abs(second))[:, None]
+    up = second > 0
+    mixed = up.any()
+    for lo, g in q._svec_blocks() if second.any() else ():
+        g *= root[lo:lo + len(g)]
+        if mixed:
+            at = up[lo:lo + len(g)]
+            gp, g = g[at], g[~at]
+            h += gp.T @ gp
+        h -= g.T @ g
     if f.case_tag == CASE0:  # the unit projector onto svec(I)/sqrt(dim)
         h[:dim, :dim] += 1.0 / dim
     return HessianOperator(dim=dim, case_tag=f.case_tag, matrix=h)

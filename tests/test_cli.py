@@ -503,6 +503,33 @@ class TestEntryPoint:
         assert run(["scatter"]) == 3  # missing --input
 
 
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_not_built_at_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import mscatter.cli as c; print(c.build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "0"
+
+    def test_flags_do_not_carry_over(self, three_point_csv, capsys):
+        assert run(["scatter", "--se", "--input", three_point_csv]) == 0
+        assert "se" in read_json(capsys)
+        assert run(["scatter", "--input", three_point_csv]) == 0
+        assert "se" not in read_json(capsys)
+
+    def test_exit_codes_after_a_run(self, three_point_csv, capsys):
+        assert run(["scatter", "--input", three_point_csv]) == 0
+        capsys.readouterr()
+        assert run(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == f"mscatter {mscatter.__version__}"
+        assert run(["scatter", "--input", three_point_csv, "--no-such-flag"]) == 3
+        assert run(["scatter", "--input", three_point_csv]) == 0
+
+
 # Runs CLI jobs in a fresh interpreter whose imports of scipy fail.
 SCIPY_BLOCKED_JOBS = """
 import importlib.abc, json, os, sys

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mscatter import (
     DimensionMismatchError,
@@ -486,3 +488,119 @@ class TestWitnessVerification:
                 assert mass == pytest.approx(w.mass, abs=1e-10)
                 assert mass >= w.threshold - 1e-12
         assert found >= 3
+
+
+# -- grouping atom spans: one sort against np.unique ------------------------------
+
+
+@st.composite
+def float_rows(draw):
+    """Float matrices with the ties that grouping meets: entries rounded to 1-9
+    digits, first columns drawn from a few values, signed zeros anywhere, and
+    exact and rescaled copies of earlier rows."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = np.round(rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, d),
+                 draw(st.integers(1, 9)))
+    if draw(st.booleans()):
+        r[:, 0] = rng.choice(np.round(rng.standard_normal(3), 2), n)
+    for frac in draw(st.lists(st.sampled_from([0.1, 0.3, 0.6]), max_size=2)):
+        r[rng.random((n, d)) < frac] = 0.0
+    r[rng.random((n, d)) < 0.3] *= -1.0  # -0.0 where an entry is zero
+    if n > 1 and draw(st.booleans()):
+        src, dst = rng.integers(0, n, (2, draw(st.integers(1, n))))
+        scale = rng.choice([1.0, 1.0, -2.0, 0.5, 3.0], dst.size)[:, None]
+        r[dst] = r[src] * scale
+    return r
+
+
+def assert_matches_unique(r):
+    _, first, inverse = np.unique(r, axis=0, return_index=True, return_inverse=True)
+    got_first, got_inverse = distribution._unique_rows(r)
+    for got, want in ((got_first, first), (got_inverse, inverse)):
+        assert got.dtype == want.dtype and got.shape == want.shape == (want.size,)
+        assert np.array_equal(got, want)
+
+
+class TestUniqueRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(r=float_rows())
+    def test_matches_np_unique_bit_for_bit(self, r):
+        assert_matches_unique(r)
+
+    @pytest.mark.parametrize("r", [
+        np.array([[-0.0, 1.5, 0.0]]),
+        np.array([[0.0], [-0.0], [1e-9], [0.0], [-1e-9]]),
+        np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 1.0], [-0.0, -1.0], [0.0, 0.0]]),
+        np.array([[1.0, 2.0, 3.0]] * 4 + [[1.0, 2.0, -3.0]] * 2 + [[1.0, -2.0, 3.0]]),
+    ], ids=["one-row", "one-column", "signed-zeros", "all-tie-first-column"])
+    def test_edge_cases(self, r):
+        assert_matches_unique(r)
+
+
+def atom_groups_with_np_unique(q):
+    """``_atom_groups`` as it was, with ``np.unique`` for both merges."""
+    dim, w = q.dim, q.weights
+    idx, lam, vec = distribution._spectra(q)
+    keep = lam > distribution._RANK_RTOL * np.maximum(lam.max(axis=1), 1e-300)[:, None]
+    rank = keep.sum(axis=1)
+    bases, masses = [], []
+
+    lines = np.nonzero((rank == 1) & (rank < dim))[0]
+    if lines.size:
+        u = vec[lines, :, keep[lines].argmax(axis=1)]
+        u *= np.where(u @ np.sin(np.arange(1.0, dim + 1.0)) < 0, -1.0, 1.0)[:, None]
+        _, first, inverse = np.unique(np.round(u, 9), axis=0, return_index=True,
+                                      return_inverse=True)
+        bases += list(u[first][:, :, None])
+        masses += np.bincount(inverse.ravel(), w[idx[lines]], first.size).tolist()
+
+    spaces = np.nonzero((rank >= 2) & (rank < dim))[0]
+    if spaces.size:
+        kept = vec[spaces] * keep[spaces][:, None, :]
+        keys = np.round(kept @ np.swapaxes(kept, 1, 2), 9).reshape(spaces.size, -1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        mass = np.bincount(inverse.ravel(), w[idx[spaces]])
+        for g in np.argsort(first):
+            i = spaces[first[g]]
+            bases.append(vec[i][:, keep[i]])
+            masses.append(float(mass[g]))
+    return bases, np.asarray(masses)
+
+
+def copied_rows(seed, n, dim):
+    """Rows with x-2, x0.5 and x3 copies of some of them and a few zero rows."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim))
+    src = rng.integers(0, n, n // 2)
+    copies = x[src] * rng.choice([-2.0, 0.5, 3.0], src.size)[:, None]
+    x = np.vstack([x, copies, np.zeros((3, dim))])
+    return x[rng.permutation(len(x))]
+
+
+class TestAtomGroupsAgainstNpUnique:
+    def assert_same_groups(self, q):
+        bases, masses = distribution._atom_groups(q)
+        ref_bases, ref_masses = atom_groups_with_np_unique(q)
+        assert len(bases) == len(ref_bases) > 0
+        assert all(np.array_equal(b, r) for b, r in zip(bases, ref_bases))
+        assert np.array_equal(masses, ref_masses)
+
+    @pytest.mark.parametrize("seed,n,dim", [(0, 40, 3), (1, 200, 5), (2, 30, 8)])
+    def test_factor_rows_with_rescaled_copies(self, seed, n, dim):
+        self.assert_same_groups(from_observations(copied_rows(seed, n, dim)))
+
+    @pytest.mark.parametrize("k,dim", [(2, 4), (3, 4), (3, 5)])
+    def test_kstat_rows_with_repeated_spans(self, k, dim):
+        # Repeated and rescaled rows make k-subsets that share a span.
+        x = copied_rows(10 + k, 9, dim)[:14]
+        self.assert_same_groups(build_kstat(x, k))
+
+    def test_dense_stacks_of_mixed_rank(self):
+        rng = np.random.default_rng(3)
+        atoms = []
+        for _ in range(30):
+            v = rng.standard_normal((5, int(rng.integers(1, 5))))
+            atoms += [v @ v.T, 2.5 * v @ v.T]
+        atoms += [np.eye(5), np.zeros((5, 5))]
+        self.assert_same_groups(MatrixDistribution(np.stack(atoms)[rng.permutation(len(atoms))]))

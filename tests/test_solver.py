@@ -38,7 +38,7 @@ from mscatter import (
     weibull,
     wishart,
 )
-from mscatter import build_kstat, distribution, solver
+from mscatter import build_kstat, distribution, solver, symmat
 from mscatter.rho import CASE0, CASE1, CASE1_PRIME
 from mscatter.samplers import SeededStream
 from mscatter.distribution import ExistenceReport, _frame, _to_data, span_witness
@@ -1066,10 +1066,94 @@ class TestHessianCoordinates:
         )
         second = q.weights * np.asarray(f.rho_second(q.traces))
         coords = _svec(q.atoms)
-        ref += (coords.T * second) @ coords  # one block: 40 atoms
+        ref -= (g := coords * np.sqrt(-second)[:, None]).T @ g  # one block, rho'' <= 0
         if f.case_tag == CASE0:
             ref[:dim, :dim] += 1.0 / dim
         assert np.array_equal(hessian(q, f).matrix, ref)
+
+
+def gemm_hessian(q, f):
+    """(H, atom term) with the atom term as the general product of the
+    coordinates scaled by w rho'' with the coordinates, a block at a time, as
+    ``hessian`` built it before it took symmetric products."""
+    dim = q.dim
+    nz = solver._refuse_zero(q._nz, f)
+    second = np.zeros(q.n_atoms)
+    second[nz] = q.weights[nz] * np.asarray(f.rho_second(q.traces[nz]))
+    pmat = solver._evaluate(np.eye(dim), np.eye(dim), q, f)[1].ravel()
+    s, terms = _first_term_pattern(dim)
+    h = np.zeros(s.size ** 2)
+    for dst, src in terms:
+        h[dst] += pmat[src]
+    h = s * s.T * h.reshape(s.size, s.size)
+    atom = np.zeros_like(h)
+    for lo, coords in q._svec_blocks():
+        term = (coords.T * second[lo:lo + len(coords)]) @ coords
+        h += term
+        atom += term
+    if f.case_tag == CASE0:
+        h[:dim, :dim] += 1.0 / dim
+    return h, atom
+
+
+def many_blocks_design(kind, dim, rng):
+    x = rng.standard_normal((60, dim)) * np.linspace(0.5, 2.0, dim)
+    if kind == "rows":
+        return from_observations(x)
+    if kind == "k_subset":
+        return build_kstat(x[:10], 3)
+    groups = [WishartGroup(PsdAtom(y.T @ y), dof=2 + g % 5)
+              for g, y in enumerate(rng.standard_normal((20, dim + 1, dim)))]
+    return from_wishart_groups(groups)
+
+
+class TestSymmetricAtomTerm:
+    """The atom term sum_i w_i rho''_i c_i c_i^T is -G^T G a block, G the
+    coordinates scaled by sqrt(-w rho''), plus a product of its own for atoms
+    with rho'' > 0."""
+
+    LOSSES = {
+        "tyler": lambda dim: tyler(dim),
+        "t": lambda dim: t_dist(2.5, dim),
+        "weibull": lambda dim: weibull(0.5),
+        "gaussian": lambda dim: gaussian(),
+        # rho'' = cos(s) takes both signs over the traces of these designs
+        "custom": lambda dim: custom(lambda s: s - np.cos(s), lambda s: 1.0 + np.sin(s),
+                                     lambda s: np.cos(s)),
+    }
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("kind", ["rows", "k_subset", "wishart"])
+    @pytest.mark.parametrize("loss", list(LOSSES))
+    def test_matches_the_general_product(self, monkeypatch, dim, kind, loss):
+        rng = np.random.default_rng(60 + dim)
+        q = many_blocks_design(kind, dim, rng)
+        f = self.LOSSES[loss](dim)
+        monkeypatch.setattr(symmat, "_BLOCK_ENTRIES", 7 * dim * dim)  # several blocks
+        assert len(symmat.stack_blocks(q.n_atoms, dim * dim * (q._r or 1))) >= 3
+        h = hessian(q, f).matrix
+        ref, atom = gemm_hessian(q, f)
+        if loss == "custom":
+            second = f.rho_second(q.traces)
+            assert (second > 0).any() and (second < 0).any()
+        assert np.array_equal(h, h.T)
+        assert np.linalg.norm(h - ref) <= 1e-13 * np.linalg.norm(atom)
+
+    def test_no_coordinates_when_every_second_derivative_is_zero(self, monkeypatch):
+        q = from_observations(np.random.default_rng(61).standard_normal((30, 4)))
+        ref, atom = gemm_hessian(q, gaussian())
+        assert not atom.any()
+        monkeypatch.setattr(MatrixDistribution, "_svec_blocks",
+                            lambda self: pytest.fail("coordinates read"))
+        assert np.array_equal(hessian(q, gaussian()).matrix, ref)
+
+    @pytest.mark.parametrize("kind", ["rows", "k_subset", "wishart"])
+    def test_scaling_leaves_the_distribution_as_it_was(self, kind):
+        # hessian scales each block's coordinates in place
+        q = many_blocks_design(kind, 3, np.random.default_rng(62))
+        before = [c.copy() for _, c in q._svec_blocks()]
+        hessian(q, t_dist(2.5, 3))
+        assert all(np.array_equal(b, c) for b, (_, c) in zip(before, q._svec_blocks()))
 
 
 # -- the fixed-point loop against its eigenvalue-per-step reference ---------------
