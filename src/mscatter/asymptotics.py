@@ -334,16 +334,10 @@ def _influence(h: HessianOperator, s: np.ndarray, k_map: np.ndarray):
 def _congruence_rows(t_inv: np.ndarray, i, j) -> np.ndarray:
     """The map K from half-vectorized coordinates to the entries (i, j) of
     T^-1 Z T^-T, one row per pair: the congruence back to the data's
-    coordinates.  The coordinate of E_kl = s (e_k e_l^T + e_l e_k^T), s = 1/2
-    for k = l and 1/sqrt(2) otherwise, maps to s (T_ik T_jl + T_il T_jk)."""
-    q = t_inv.shape[0]
-    iu, ju = np.triu_indices(q, 1)
-    k, l = np.concatenate([np.arange(q), iu]), np.concatenate([np.arange(q), ju])
-    a, b = t_inv[i], t_inv[j]
-    rows = a[:, k] * b[:, l] + a[:, l] * b[:, k]
-    rows[:, :q] *= 0.5
-    rows[:, q:] *= 1.0 / math.sqrt(2.0)
-    return rows
+    coordinates.  The entry is tr(O Z) for the outer product O of rows i and
+    j of T^-1, so its row holds the coordinates of the symmetric part of O."""
+    o = t_inv[i][:, :, None] * t_inv[j][:, None, :]
+    return _svec((o + np.swapaxes(o, 1, 2)) / 2.0)
 
 
 def _se_sigma(acov: np.ndarray, q: int, n: int) -> np.ndarray:

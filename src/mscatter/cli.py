@@ -301,6 +301,8 @@ def _cmd_procov(args):
 
 
 def _cmd_check(args):
+    if not args.tol > 0:
+        raise InputError(f"--tol must be positive, got {args.tol}")
     x, _ = read_csv(args.input)
     q = x.shape[1]
     f = _make_rho(args, q)
@@ -335,7 +337,7 @@ def _cmd_check(args):
             sig_rows = np.asarray(prev[key] if isinstance(prev, dict) else prev, dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"sigma document {args.sigma} holds no numeric {key!r} matrix") from exc
-        crit, resid, _, _ = _measure(SpdMatrix(sig_rows), qdist, f)
+        crit, resid, _ = _measure(SpdMatrix(sig_rows), qdist, f)
         doc["fixed_point_residual"], doc["criterion"] = resid, crit
         ok = ok and resid <= args.tol
     _emit(doc, args.out)

@@ -36,8 +36,7 @@ _CONTAIN_TOL = 1e-8
 _UNION_SCREEN_RTOL = 1e-12
 
 # Entries per block of a temporary array: the index marks of k-subsets drawn
-# by Floyd's algorithm, the squared factor rows summed into traces, and the
-# containment residuals of the existence search.
+# by Floyd's algorithm and the containment residuals of the existence search.
 _BLOCK_ENTRIES = 1 << 20
 
 # Largest condition number of a fitted scatter relative to the mean atom: the
@@ -68,11 +67,12 @@ class MatrixDistribution:
     y with M_i = Y_i^T Y_i: the r rows of each Y_i are consecutive columns of
     one C-contiguous (q, m r) array ``_rows`` (``_factors()`` views it as the
     (m, r, q) stack).  Wishart groups and atoms given to this constructor keep
-    the dense (m, q, q) stack.  ``traces_under``, ``weighted_sum`` and
-    ``_svec_blocks`` read either form; only ``atoms``, the read-only dense
-    stack (built from the factors on first use), and ``atom(i)``, a single
-    ``PsdAtom``, expand factor rows into dense atoms.  Weights are positive
-    and sum to one.
+    the dense (m, q, q) stack ``_atoms``.  ``traces_under``, ``weighted_sum``
+    and ``_svec_blocks`` read either form, and the traces are
+    ``traces_under(I)``; only ``atoms``, the read-only dense stack, and
+    ``atom(i)``, a single ``PsdAtom``, expand factor rows into dense atoms,
+    formed on each access and never kept.  Weights are positive and sum to
+    one.
 
     Dense atoms are clipped of eigenvalue dust by :func:`clip_psd_dust`, which
     decomposes only the blocks that its Cholesky screen cannot prove free of
@@ -102,8 +102,7 @@ class MatrixDistribution:
         if clip:
             arr = clip_psd_dust(arr)
         self._rows, self._r, self._atoms = None, None, arr
-        # Traces summed as traces_under sums tr(A M) at A = I.
-        self._finish(arr.reshape(arr.shape[0], -1) @ np.eye(arr.shape[1]).ravel(), weights)
+        self._finish(weights)
 
     @classmethod
     def _from_rows(cls, rows: np.ndarray, r: int, weights=None):
@@ -113,17 +112,14 @@ class MatrixDistribution:
         self = cls.__new__(cls)
         rows = np.ascontiguousarray(rows, dtype=float)
         self._rows, self._r, self._atoms = rows, r, None
-        # Column sums of Y * Y over each atom's rows, as traces_under sums
-        # (A Y) * Y at A = I, for a block of whole atoms at a time; _finish
-        # refuses the traces that overflow.
-        step = r * max(_BLOCK_ENTRIES // (r * rows.shape[0]), 1)
-        with np.errstate(over="ignore"):
-            traces = np.concatenate([self._per_atom(np.square(b).sum(axis=0))
-                                     for b in np.split(rows, range(step, rows.shape[1], step), axis=1)])
-        self._finish(traces, weights)
+        self._finish(weights)
         return self
 
-    def _finish(self, traces, weights):
+    def _finish(self, weights):
+        """Traces, weights and atoms off zero of the storage just set."""
+        self.dim = self._atoms.shape[-1] if self._rows is None else self._rows.shape[0]
+        with np.errstate(over="ignore"):
+            traces = self.traces_under(np.eye(self.dim))
         m = traces.shape[0]
         normal = (traces == 0.0) | (np.abs(traces) >= np.finfo(float).tiny)
         if not np.all(np.isfinite(traces) & normal):
@@ -142,7 +138,6 @@ class MatrixDistribution:
                 a.flags.writeable = False
         self.weights, self.traces, self._framed = w, traces, None
         self._nz = _nonzero(traces)  # the atoms off zero: fixed, as the traces are
-        self.dim = self._atoms.shape[-1] if self._rows is None else self._rows.shape[0]
 
     def _factors(self) -> np.ndarray:
         """The factor rows as the (m, r, q) stack of the Y_i: a view of ``_rows``."""
@@ -155,12 +150,9 @@ class MatrixDistribution:
 
     @property
     def atoms(self) -> np.ndarray:
-        """The read-only (m, q, q) stack of atoms."""
-        if self._atoms is None:
-            y = self._factors()
-            self._atoms = np.einsum("mri,mrj->mij", y, y)
-            self._atoms.flags.writeable = False
-        return self._atoms
+        """The read-only (m, q, q) stack of atoms: the dense storage, or the
+        expansion of the factor rows, formed on each access."""
+        return self._atoms if self._rows is None else _expand(self._factors())
 
     @property
     def n_atoms(self) -> int:
@@ -170,7 +162,7 @@ class MatrixDistribution:
         """t_i = tr(A M_i) for every atom and a symmetric (q, q) matrix A.  Factor
         rows Y give the column sums of (A Y) * Y over each atom's rows."""
         if self._rows is None:
-            return self._atoms.reshape(self.n_atoms, -1) @ a.ravel()
+            return self._atoms.reshape(len(self._atoms), -1) @ a.ravel()
         b = a @ self._rows
         b *= self._rows
         return self._per_atom(b.sum(axis=0))
@@ -186,24 +178,28 @@ class MatrixDistribution:
     def _svec_blocks(self):
         """(start, C) for consecutive blocks of atoms, C[b] the half-vectorized
         coordinates tr(E_a M_i) of atom i = start + b (:func:`symmat._svec`).
-        Factor rows give the products y_i y_j of each row's entries (times
-        sqrt(2) for i < j) summed over each atom's rows.  A block counts q^2
-        entries per dense atom or factor row, at most ``symmat._BLOCK_ENTRIES``.
-        Each C is a new array, which the caller may overwrite."""
+        Factor rows give the products y_i y_j of each row's entries over the
+        p = q(q+1)/2 pairs in that order (times sqrt(2) for i < j) summed over
+        each atom's rows.  A block counts the p coordinates it builds per dense
+        atom or factor row, at most ``symmat._BLOCK_ENTRIES``.  Each C is a new
+        array, which the caller may overwrite."""
         dim = self.dim
+        p = dim * (dim + 1) // 2
         if self._rows is None:
-            for lo, hi in symmat.stack_blocks(self.n_atoms, dim * dim):
+            for lo, hi in symmat.stack_blocks(self.n_atoms, p):
                 yield lo, symmat._svec(self._atoms[lo:hi])
             return
-        i, j = np.triu_indices(dim, 1)
-        for lo, hi in symmat.stack_blocks(self.n_atoms, dim * dim * self._r):
+        i, j = np.triu_indices(dim)
+        i, j = (a[np.argsort(i != j, kind="stable")] for a in (i, j))  # diagonal first
+        for lo, hi in symmat.stack_blocks(self.n_atoms, p * self._r):
             y = self._rows[:, lo * self._r:hi * self._r]
-            prod = np.concatenate([y * y, y[i] * y[j]])
+            prod = y[i] * y[j]
             prod[dim:] *= math.sqrt(2.0)
             yield lo, self._per_atom(prod).T
 
     def atom(self, i: int) -> PsdAtom:
-        return PsdAtom(self.atoms[i], _trusted=True)
+        """Atom i alone, expanded from its factor rows when it has them."""
+        return PsdAtom(self._atoms[i] if self._rows is None else _expand(self._factors()[i]), _trusted=True)
 
     def mean_atom(self) -> np.ndarray:
         """Weighted mean of the atoms."""
@@ -211,6 +207,13 @@ class MatrixDistribution:
 
     def __repr__(self):
         return f"MatrixDistribution(dim={self.dim}, n_atoms={self.n_atoms})"
+
+
+def _expand(y: np.ndarray) -> np.ndarray:
+    """The read-only atoms Y^T Y of factor rows Y (..., r, q)."""
+    a = np.einsum("...ri,...rj->...ij", y, y)
+    a.flags.writeable = False
+    return a
 
 
 def _nonzero(traces: np.ndarray):
@@ -586,7 +589,7 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
     caps how many candidates are examined; a search it stops answers
     ``undecided``, which only a fit can settle (see :func:`fixed_point_solve`).
     """
-    if budget < 1:
+    if not budget >= 1:  # NaN fails too
         raise InvalidInputError("budget must be positive")
     _check_compat(q, f)
     dim, witnesses = q.dim, []

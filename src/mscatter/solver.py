@@ -68,9 +68,9 @@ class SolverConfig:
     existence_budget: int = 1000
 
     def __post_init__(self):
-        if self.tol_fixed_point <= 0 or self.tol_gradient <= 0:
+        if not (self.tol_fixed_point > 0 and self.tol_gradient > 0):  # NaN fails too
             raise InvalidInputError("tolerances must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise InvalidInputError("max_iter must be at least 1")
 
 
@@ -174,19 +174,19 @@ def psi_map(s, q: MatrixDistribution, f: RhoFunction) -> SpdMatrix:
 
 
 def _measure(s: SpdMatrix, q: MatrixDistribution, f: RhoFunction):
-    """(L(S, Q), ||Psi - S||_F / ||S||_F, ||L^-1 (S - Psi) L^-T||_F, S - Psi) for
+    """(L(S, Q), ||Psi - S||_F / ||S||_F, ||L^-1 (S - Psi) L^-T||_F) for
     S = L L^T in the coordinates of Q, from one :func:`_evaluate`; Psi may be
     singular.  A fit measures the matrix it returns and ``check --sigma`` a
     given one.  Where :func:`_evaluate` refuses Q (Case 0 with mass at the
-    zero matrix) there is no criterion: all four are NaN."""
+    zero matrix) there is no criterion: all three are NaN."""
     _check_compat(q, f)
     chol, w = _spd(s, q)
     try:
         crit, psi = _evaluate(chol, w, q, f)
     except DomainError:
-        return math.nan, math.nan, math.nan, np.full((q.dim, q.dim), math.nan)
+        return math.nan, math.nan, math.nan
     g = s.mat - psi
-    return crit - _offset(q, f), _frobenius(g) / _frobenius(s.mat), _frobenius(w @ g @ w.T), g
+    return crit - _offset(q, f), _frobenius(g) / _frobenius(s.mat), _frobenius(w @ g @ w.T)
 
 
 def gradient(s, q: MatrixDistribution, f: RhoFunction) -> SymMatrix:
@@ -361,7 +361,7 @@ def _estimate(sigma, q, f, iterations, status, log_values, existence,
     frame's criteria in ``log_values`` are shifted by the constant that separates
     them from the data's; a fit that stopped at its start logs that one value.
     It keeps ``_Fit(q, f, certificate)``."""
-    crit, resid, gnorm, _ = _measure(sigma, q, f)
+    crit, resid, gnorm = _measure(sigma, q, f)
     log = np.asarray(log_values) + (crit - log_values[-1]) if log_values else np.array([crit])
     return ScatterEstimate(sigma, iterations, crit, gnorm, status, log, resid, existence,
                            _Fit(q, f, certificate))

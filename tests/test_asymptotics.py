@@ -272,6 +272,24 @@ class TestOrthHessianCoeffs:
             orth_hessian_coeffs(q, tyler(1))
 
 
+class TestCongruenceRows:
+    """K maps the coordinates _svec(Z) to the entries (i, j) of T Z T^T."""
+
+    @pytest.mark.parametrize("q", [1, 3, 5])
+    def test_is_the_congruence(self, q):
+        rng = np.random.default_rng(90 + q)
+        t = np.tril(rng.standard_normal((q + 1, q + 1)))
+        z = rng.standard_normal((q + 1, q + 1))
+        z = z + z.T
+        full = t @ z @ t.T
+        i, j = np.triu_indices(q)
+        pairs = [np.triu_indices(q + 1),  # acov_scatter
+                 ([q], [q]), (np.arange(q), np.full(q, q)), (i, j)]  # location_influence
+        for a, b in pairs:
+            got = asymptotics._congruence_rows(t, a, b) @ symmat._svec(z)
+            assert np.max(np.abs(got - full[a, b])) <= 1e-13 * np.max(np.abs(full))
+
+
 class TestAcovScatter:
     def test_design_closed_form_consistency(self):
         # Case 0 influence depends only on direction; on design data the

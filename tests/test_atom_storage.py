@@ -6,6 +6,8 @@ location problem keep factor rows; rebuilding the distribution from its
 evaluation must agree between the two.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from mscatter import (
     MatrixDistribution,
     MScatterError,
+    RangeError,
     SolverConfig,
     acov_scatter,
     augment,
@@ -210,3 +213,146 @@ def test_hessian_across_block_boundaries(r, monkeypatch):
     assert len(list(q._svec_blocks())) == q.n_atoms
     for h in (hessian(q, f), hessian(dense, f)):
         assert relative_gap(h.matrix, whole) <= 1e-12
+
+
+# -- one route per atom quantity ------------------------------------------------
+
+
+def square_sum_traces(rows, r, block_entries):
+    """The traces as factor rows were once summed on their own: column sums
+    of Y * Y over each atom's rows, a block of whole atoms at a time."""
+    step = r * max(block_entries // (r * rows.shape[0]), 1)
+    with np.errstate(over="ignore"):
+        cols = np.concatenate([np.square(b).sum(axis=0)
+                               for b in np.split(rows, range(step, rows.shape[1], step), axis=1)])
+    return cols if r == 1 else cols.reshape(-1, r).sum(axis=1)
+
+
+def pairwise_coordinates(q):
+    """The coordinates of factor rows as they were once built: the squares
+    and the products i < j (times sqrt(2)) of each row, summed per atom."""
+    i, j = np.triu_indices(q.dim, 1)
+    y = q._rows
+    prod = np.concatenate([y * y, y[i] * y[j]])
+    prod[q.dim:] *= np.sqrt(2.0)
+    return prod.reshape(len(prod), -1, q._r).sum(axis=2).T
+
+
+def coincident_rows():
+    x = np.random.default_rng(12).standard_normal((7, 4))
+    return np.vstack([x, x[:1], x[:1], x[:1], x[1:3]])  # x[0] four times: zero atoms among the subsets
+
+
+FACTORED = {
+    "rows": lambda: from_observations(np.random.default_rng(10).standard_t(3.0, (500, 6))),
+    "pairs": lambda: build_kstat(np.random.default_rng(11).standard_normal((40, 5)), 2, cap=300),
+    "triples": lambda: build_kstat(np.random.default_rng(11).standard_normal((20, 5)), 3, cap=400),
+    "quads": lambda: build_kstat(np.random.default_rng(11).standard_normal((20, 5)), 4, cap=400),
+    "coincident": lambda: build_kstat(coincident_rows(), 3),
+    "coincident_quads": lambda: build_kstat(coincident_rows(), 4),
+    "transform_rows": lambda: transform(FACTORED["rows"](), np.tril(np.ones((6, 6))) + np.eye(6)),
+    "transform_triples": lambda: transform(FACTORED["triples"](), np.diag(np.arange(1.0, 6.0)), "inverse"),
+    "augmented": lambda: augment(np.random.default_rng(13).standard_normal((80, 4)), 3.0).q_aug,
+}
+
+
+def dense_stack():
+    y = np.random.default_rng(14).standard_normal((30, 6, 4))
+    return MatrixDistribution(np.einsum("mri,mrj->mij", y, y))
+
+
+DENSE = {
+    "dense": dense_stack,
+    "transform_dense": lambda: transform(dense_stack(), np.tril(np.ones((4, 4))) + np.eye(4)),
+}
+
+
+class TestTraces:
+    @pytest.mark.parametrize("build", list(FACTORED.values()) + list(DENSE.values()),
+                             ids=list(FACTORED) + list(DENSE))
+    def test_are_the_traces_under_the_identity(self, build):
+        q = build()
+        assert np.array_equal(q.traces, q.traces_under(np.eye(q.dim)))
+
+    @pytest.mark.parametrize("entries", [7, 1 << 20])
+    @pytest.mark.parametrize("build", FACTORED.values(), ids=list(FACTORED))
+    def test_factor_rows_match_the_square_sums(self, build, entries):
+        q = build()
+        assert np.array_equal(q.traces, square_sum_traces(q._rows, q._r, entries))
+
+    @pytest.mark.parametrize("build", DENSE.values(), ids=list(DENSE))
+    def test_dense_atoms_match_the_flat_product(self, build):
+        q = build()
+        flat = q.atoms.reshape(q.n_atoms, -1) @ np.eye(q.dim).ravel()
+        assert np.array_equal(q.traces, flat)
+
+    @pytest.mark.parametrize("name", ["coincident", "coincident_quads"])
+    def test_coincident_points_give_zero_traces(self, name):
+        q = FACTORED[name]()
+        assert (q.traces == 0.0).any() and (q.traces > 0.0).any()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_out_of_range_rows_are_refused(self, scale):
+        x = scale * np.array([[1.0, 2.0], [-3.0, 1.0], [2.0, 0.5]])
+        with pytest.raises(RangeError):
+            from_observations(x)
+        with pytest.raises(RangeError):
+            build_kstat(x, 2)
+
+    @pytest.mark.parametrize("scale", [8e307, 1e-310])
+    def test_out_of_range_dense_atoms_are_refused(self, scale):
+        with pytest.raises(RangeError):
+            MatrixDistribution(np.diag([scale, scale, scale])[None], clip=False)
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("size", ["one", "three_p", "default"])
+    @pytest.mark.parametrize("build", list(FACTORED.values()) + list(DENSE.values()),
+                             ids=list(FACTORED) + list(DENSE))
+    def test_blocks_are_the_coordinates_of_the_atoms(self, monkeypatch, build, size):
+        q = build()
+        p, r = q.dim * (q.dim + 1) // 2, q._r or 1
+        entries = {"one": 1, "three_p": 3 * p, "default": symmat._BLOCK_ENTRIES}[size]
+        monkeypatch.setattr(symmat, "_BLOCK_ENTRIES", entries)
+        blocks = list(q._svec_blocks())
+        assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(c) for _, c in blocks[:-1]]))
+        assert max(len(c) for _, c in blocks) <= max(1, entries // (p * r))
+        coords = np.concatenate([c for _, c in blocks])
+        svec = symmat._svec(q.atoms)
+        if r == 1:
+            assert np.array_equal(coords, svec)
+        else:
+            # sqrt(2) scales each row's products before the per-atom sum
+            assert np.array_equal(coords, pairwise_coordinates(q))
+            assert np.max(np.abs(coords - svec)) <= 4e-16 * np.max(np.abs(svec))
+
+
+class TestExpansions:
+    @pytest.mark.parametrize("build", list(FACTORED.values()) + list(DENSE.values()),
+                             ids=list(FACTORED) + list(DENSE))
+    def test_atom_is_its_row_of_the_stack(self, build):
+        q = build()
+        atoms = q.atoms
+        for i in (0, 3, q.n_atoms - 1):
+            assert np.array_equal(q.atom(i).mat, atoms[i])
+
+    @pytest.mark.parametrize("build", FACTORED.values(), ids=list(FACTORED))
+    def test_factor_rows_keep_no_expansion(self, build):
+        q = build()
+        first = q.atoms
+        q.atom(3)
+        assert q._atoms is None
+        assert q.atoms is not first and np.array_equal(q.atoms, first)
+        assert not first.flags.writeable
+
+    def test_one_atom_keeps_one_atom(self):
+        q = build_kstat(np.random.default_rng(0).standard_normal((60, 20)), 3, cap=20000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            atom = q.atom(0)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert atom.dim == 20
+        assert kept < 1 << 20

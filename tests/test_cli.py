@@ -264,6 +264,16 @@ class TestScatterCommand:
         capsys.readouterr()
         assert run(["scatter", "--estimator", "weibull", "--input", three_point_csv]) == 3
 
+    @pytest.mark.parametrize("job", [
+        ["scatter", "--tol", "nan"], ["scatter", "--tol-gradient", "nan"],
+        ["check", "--tol", "nan"], ["check", "--tol", "0"],
+        ["check", "--sigma", "eye.json", "--tol", "nan"],
+    ])
+    def test_nan_or_nonpositive_tolerance_exits_three(self, three_point_csv, tmp_path, job):
+        (tmp_path / "eye.json").write_text(json.dumps({"sigma": np.eye(2).tolist()}))
+        job = [str(tmp_path / a) if a == "eye.json" else a for a in job]
+        assert run(job + ["--input", three_point_csv]) == 3
+
     def test_missing_file_exit_three(self, capsys):
         assert run(["scatter", "--estimator", "tyler", "--input", "/no/such.csv"]) == 3
 

@@ -342,7 +342,7 @@ class TestViolatedStart:
             assert np.allclose(est.sigma.mat, expected, rtol=1e-14, atol=0.0)
         else:
             assert np.array_equal(est.sigma.mat, expected)
-        crit, resid, gnorm, _ = solver._measure(est.sigma, q, f)
+        crit, resid, gnorm = solver._measure(est.sigma, q, f)
         assert (est.criterion, est.fixed_point_residual, est.gradient_norm) == (crit, resid, gnorm)
 
     def test_singular_mean_atom_starts_at_the_identity(self):
@@ -355,6 +355,25 @@ class TestViolatedStart:
         q = from_observations(self.rows())
         with pytest.raises(InvalidInputError, match="unknown start"):
             fixed_point_solve(q, tyler(3), SolverConfig(start="median"))
+
+
+class TestSettings:
+    # NaN is refused with the values out of range: a NaN tolerance is never
+    # met, and a NaN max_iter or budget never stops a fit or a search.
+    @pytest.mark.parametrize("kwargs", [
+        {"tol_fixed_point": math.nan}, {"tol_gradient": math.nan},
+        {"tol_fixed_point": 0.0}, {"tol_gradient": -1e-10},
+        {"max_iter": math.nan}, {"max_iter": 0},
+    ])
+    def test_config_refuses(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("budget", [math.nan, 0, 0.5])
+    def test_existence_budget_refuses(self, budget):
+        q = from_observations(np.random.default_rng(70).standard_normal((10, 3)))
+        with pytest.raises(InvalidInputError, match="budget"):
+            check_existence(q, tyler(3), budget)
 
 
 class TestSolverInvariants:
@@ -1129,8 +1148,8 @@ class TestSymmetricAtomTerm:
         rng = np.random.default_rng(60 + dim)
         q = many_blocks_design(kind, dim, rng)
         f = self.LOSSES[loss](dim)
-        monkeypatch.setattr(symmat, "_BLOCK_ENTRIES", 7 * dim * dim)  # several blocks
-        assert len(symmat.stack_blocks(q.n_atoms, dim * dim * (q._r or 1))) >= 3
+        monkeypatch.setattr(symmat, "_BLOCK_ENTRIES", 7 * dim * (dim + 1) // 2)  # several blocks
+        assert len(list(q._svec_blocks())) >= 3
         h = hessian(q, f).matrix
         ref, atom = gemm_hessian(q, f)
         if loss == "custom":
