@@ -37,6 +37,7 @@ from .distribution import (
     MatrixDistribution,
     _covariance_factors,
     _observations,
+    _off_zero,
     _subsets,
     build_kstat,
     from_observations,
@@ -44,8 +45,8 @@ from .distribution import (
 from .errors import DimensionMismatchError, DomainError, InvalidInputError, InvalidRegimeError
 from .location import LocationScatterEstimate, augmented_rho
 from .rho import CASE0, RhoFunction
-from .solver import HessianOperator, ScatterEstimate, _off_zero, _refuse_zero, hessian
-from .symmat import SymMatrix, _smat, _svec, _unit_free_cholesky, stack_blocks
+from .solver import HessianOperator, ScatterEstimate, hessian
+from .symmat import SymMatrix, _smat, _svec, _sym, _unit_free_cholesky, stack_blocks
 
 
 @dataclass
@@ -115,7 +116,7 @@ def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, points: np.ndarray
     most ``inner_cap``; otherwise ``inner_cap`` of them drawn from
     ``seeds[b]``.  The rows are evaluated a block at a time, at most
     ``_BLOCK_ENTRIES`` factor entries a block.  As in Psi, zero covariances
-    (coincident points) follow :func:`mscatter.solver._off_zero`.
+    (coincident points) follow :func:`mscatter.distribution._off_zero`.
     """
     n, q = x_std.shape
     n_eff = n if exclude is None else n - 1
@@ -136,7 +137,7 @@ def _inner_average(x_std: np.ndarray, f: RhoFunction, k: int, points: np.ndarray
         coeff = np.zeros(t.shape)
         coeff[nz] = (1.0 / m) * np.asarray(f.rho_prime(t[nz]))
         psi = np.swapaxes(y, 1, 2) @ (np.repeat(coeff, k - 1, axis=1)[..., None] * y)
-        out[lo:hi] = (psi + np.swapaxes(psi, 1, 2)) / 2.0 - np.eye(q)
+        out[lo:hi] = _sym(psi) - np.eye(q)
     return out
 
 
@@ -261,7 +262,7 @@ def orth_hessian_coeffs(q_dist: MatrixDistribution, f: RhoFunction):
     q = q_dist.dim
     if q < 2:
         raise InvalidInputError("orthogonal-invariance coefficients need q >= 2")
-    nz = _refuse_zero(q_dist._nz, f)
+    nz = _off_zero(q_dist, f)
     w = q_dist.weights[nz]
     tr = q_dist.traces[nz]
     fro2 = np.concatenate([np.einsum("ma,ma->m", c, c) for _, c in q_dist._svec_blocks()])[nz]
@@ -303,8 +304,8 @@ def _kept(estimate: ScatterEstimate, rows: Optional[np.ndarray], f: RhoFunction)
 def _scores(q: MatrixDistribution, f: RhoFunction) -> np.ndarray:
     """rho'(|y|^2) svec(y y^T) - svec(I) for each observation y of Q, one row
     each (:func:`mscatter.symmat._svec`); atoms at zero follow
-    :func:`mscatter.solver._off_zero`."""
-    nz = _refuse_zero(q._nz, f)
+    :func:`mscatter.distribution._off_zero`."""
+    nz = _off_zero(q, f)
     rho_p = np.zeros(q.n_atoms)
     rho_p[nz] = f.rho_prime(q.traces[nz])
     s = np.concatenate([c for _, c in q._svec_blocks()])
@@ -337,7 +338,7 @@ def _congruence_rows(t_inv: np.ndarray, i, j) -> np.ndarray:
     coordinates.  The entry is tr(O Z) for the outer product O of rows i and
     j of T^-1, so its row holds the coordinates of the symmetric part of O."""
     o = t_inv[i][:, :, None] * t_inv[j][:, None, :]
-    return _svec((o + np.swapaxes(o, 1, 2)) / 2.0)
+    return _svec(_sym(o))
 
 
 def _se_sigma(acov: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from .errors import MScatterError, NotPositiveDefiniteError
 from .location import augment, estimate_location_scatter
 from .rho import gaussian, t_dist, tyler, weibull
 from .solver import STATUS_CONVERGED, SolverConfig, _measure, fixed_point_solve, solve_procov
-from .symmat import PsdAtom, SpdMatrix, clip_psd_dust
+from .symmat import PsdAtom, SpdMatrix, _sym, clip_psd_dust
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -141,7 +141,7 @@ def read_groups(path):
         dofs.append(dof)
     stack = np.stack(mats)
     try:
-        stack = clip_psd_dust((stack + np.swapaxes(stack, 1, 2)) / 2.0)
+        stack = clip_psd_dust(_sym(stack))
     except NotPositiveDefiniteError as exc:
         raise InputError(f"{path}: group scatters: {exc}") from exc
     return [WishartGroup(scatter=PsdAtom(s, _trusted=True), dof=d) for s, d in zip(stack, dofs)]
@@ -175,8 +175,6 @@ def _solver_config(args):
 
 
 def _existence_json(report):
-    if report is None:
-        return None
     return {
         "verdict": report.verdict,
         "method": report.method,
@@ -247,7 +245,7 @@ def _emit(doc, out, csv=False):
         print(text)
 
 
-def _cmd_scatter(args, with_se):
+def _cmd_scatter(args):
     x, _ = read_csv(args.input)
     q = x.shape[1]
     f = _make_rho(args, q)
@@ -255,11 +253,11 @@ def _cmd_scatter(args, with_se):
     qdist = _build_q(x, args.k, cap, seed)
     est = fixed_point_solve(qdist, f, _solver_config(args))
     doc = _estimate_json(est, q)
-    doc["subcommand"] = "influence" if with_se else "scatter"
+    doc["subcommand"] = args.subcommand
     doc["estimator"] = args.estimator
     doc["n"] = int(x.shape[0])
     doc["k"] = args.k
-    if (with_se or args.se) and est.status == STATUS_CONVERGED:
+    if args.se and est.status == STATUS_CONVERGED:
         rep = acov_scatter(x, est, f, k=args.k, inner_cap=cap, seed=seed)
         doc["se"] = {"sigma": rep.se_sigma.tolist()}
     _emit(doc, args.out, args.output == "csv")
@@ -376,11 +374,13 @@ def build_parser():
     sp = sub.add_parser("scatter", help="fit a scatter matrix")
     sp.add_argument("--input", required=True)
     sp.add_argument("--se", action="store_true", help="report influence-function standard errors")
+    sp.set_defaults(cmd=_cmd_scatter)
     estimator_flags(sp)
     fit_flags(sp)
 
     sp = sub.add_parser("influence", help="scatter fit with standard errors")
     sp.add_argument("--input", required=True)
+    sp.set_defaults(cmd=_cmd_scatter, se=True)
     estimator_flags(sp)
     fit_flags(sp)
 
@@ -388,10 +388,12 @@ def build_parser():
     sp.add_argument("--input", required=True)
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--se", action="store_true")
+    sp.set_defaults(cmd=_cmd_locscatter)
     fit_flags(sp)
 
     sp = sub.add_parser("procov", help="fit proportional covariance matrices")
     sp.add_argument("--groups", required=True, help="JSON file of Wishart groups")
+    sp.set_defaults(cmd=_cmd_procov)
     fit_flags(sp)
 
     sp = sub.add_parser("check", help="existence report and fixed-point residual (JSON)")
@@ -399,6 +401,7 @@ def build_parser():
     sp.add_argument("--sigma", default=None, help="JSON document holding a fitted sigma")
     sp.add_argument("--locscatter", action="store_true",
                     help="check the location-scatter condition instead (t estimator, k = 1)")
+    sp.set_defaults(cmd=_cmd_check)
     estimator_flags(sp)
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="largest fixed-point residual of --sigma that passes")
@@ -416,17 +419,7 @@ def run(argv=None) -> int:
         # argparse exits 2 on bad flags; remap to the input-error code.
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        if args.subcommand == "scatter":
-            return _cmd_scatter(args, with_se=False)
-        if args.subcommand == "influence":
-            return _cmd_scatter(args, with_se=True)
-        if args.subcommand == "locscatter":
-            return _cmd_locscatter(args)
-        if args.subcommand == "procov":
-            return _cmd_procov(args)
-        if args.subcommand == "check":
-            return _cmd_check(args)
-        raise InputError(f"unknown subcommand {args.subcommand!r}")
+        return args.cmd(args)
     except MScatterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, InvalidInputError, RangeError
 from .rho import CASE0, RhoFunction
 from . import symmat
-from .symmat import (PsdAtom, _unit_free_cholesky, as_array, cholesky_passes, clip_psd_dust, helmert,
-                     unscreened_blocks)
+from .symmat import (PsdAtom, _sym, _unit_free_cholesky, as_array, cholesky_passes, clip_psd_dust,
+                     helmert, unscreened_blocks)
 
 # Eigenvalues below this relative size do not count toward an atom's column
 # space when enumerating candidate subspaces.
@@ -98,7 +98,7 @@ class MatrixDistribution:
             raise InvalidInputError("a matrix distribution needs at least one atom")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("atoms contain non-finite entries")
-        arr = (arr + arr.transpose(0, 2, 1)) / 2.0
+        arr = _sym(arr)
         if clip:
             arr = clip_psd_dust(arr)
         self._rows, self._r, self._atoms = None, None, arr
@@ -222,6 +222,16 @@ def _nonzero(traces: np.ndarray):
     nz = traces > 0.0
     nz.flags.writeable = False
     return slice(None) if nz.all() else nz
+
+
+def _off_zero(q_or_traces, f: RhoFunction):
+    """The index of :func:`_nonzero`, kept on Q (``q._nz``) or taken from the
+    given traces; Case 0 refuses mass at the zero matrix."""
+    nz = q_or_traces._nz if isinstance(q_or_traces, MatrixDistribution) else _nonzero(q_or_traces)
+    if f.case_tag == CASE0 and not isinstance(nz, slice):
+        raise DomainError("Case 0 requires every atom to have positive trace "
+                          "(no mass at the zero matrix)")
+    return nz
 
 
 # -- constructors --------------------------------------------------------------
@@ -459,43 +469,45 @@ class ExistenceReport:
 def _atom_groups(q: MatrixDistribution):
     """Distinct atom column spaces with aggregated masses.
 
-    Returns (bases, masses) where ``bases`` is a list of (q, d)
-    orthonormal bases with 1 <= d < q: the deduplicated lines first, then
+    Returns (bases, ranks, masses) where ``bases`` is the (groups, q, max
+    rank) stack of orthonormal bases of ranks 1 <= d < q, each group's d
+    columns first and then zero columns: the deduplicated lines first, then
     the higher-rank spaces in order of first appearance.  Atoms of full
     column rank cannot lie inside any proper subspace and are dropped (their
     mass never counts); zero atoms lie inside every subspace and are
     counted by ``_zero_mass``.  The spectra come from :func:`_spectra`:
     rank-one factors need no decomposition, and a dense stack is decomposed
-    only where a Cholesky screen cannot prove its atoms full rank.
+    only where a Cholesky screen cannot prove its atoms full rank.  A
+    group's basis is its first atom's kept eigenvectors, gathered for all
+    groups at once.
     """
     dim, w = q.dim, q.weights
     idx, lam, vec = _spectra(q)
     keep = lam > _RANK_RTOL * np.maximum(lam.max(axis=1), 1e-300)[:, None]
     rank = keep.sum(axis=1)
-    bases, masses = [], []
 
-    lines = np.nonzero((rank == 1) & (rank < dim))[0]
-    if lines.size:
-        # Sign each direction against a fixed generic vector (no tie-prone
-        # largest entry); lines whose directions agree to the 9 digits that
-        # also key the higher-rank spaces merge, keeping the first direction.
-        u = vec[lines, :, keep[lines].argmax(axis=1)]
-        u *= np.where(u @ np.sin(np.arange(1.0, dim + 1.0)) < 0, -1.0, 1.0)[:, None]
-        first, inverse = _unique_rows(np.round(u, 9))
-        bases += list(u[first][:, :, None])
-        masses += np.bincount(inverse, w[idx[lines]], first.size).tolist()
+    # Sign each direction against a fixed generic vector (no tie-prone
+    # largest entry); lines whose directions agree to the 9 digits that
+    # also key the higher-rank spaces merge, keeping the first direction.
+    lines = np.flatnonzero((rank == 1) & (rank < dim))
+    u = vec[lines, :, keep[lines].argmax(axis=1)]
+    flip = np.ones(len(rank))
+    flip[lines] = np.where(u @ np.sin(np.arange(1.0, dim + 1.0)) < 0, -1.0, 1.0)
+    first, inverse = _unique_rows(np.round(u * flip[lines, None], 9))
+    reps, masses = lines[first], np.bincount(inverse, w[idx[lines]], first.size)
 
-    spaces = np.nonzero((rank >= 2) & (rank < dim))[0]
-    if spaces.size:
-        kept = vec[spaces] * keep[spaces][:, None, :]
-        keys = np.round(kept @ np.swapaxes(kept, 1, 2), 9).reshape(spaces.size, -1)
-        first, inverse = _unique_rows(keys)
-        mass = np.bincount(inverse, w[idx[spaces]])
-        for g in np.argsort(first):
-            i = spaces[first[g]]
-            bases.append(vec[i][:, keep[i]])
-            masses.append(float(mass[g]))
-    return bases, np.asarray(masses)
+    spaces = np.flatnonzero((rank >= 2) & (rank < dim))
+    kept = vec[spaces] * keep[spaces][:, None, :]
+    keys = np.round(kept @ np.swapaxes(kept, 1, 2), 9).reshape(spaces.size, dim * dim)
+    first, inverse = _unique_rows(keys)
+    order = np.argsort(first)
+    reps = np.concatenate([reps, spaces[first[order]]])
+    masses = np.concatenate([masses, np.bincount(inverse, w[idx[spaces]], first.size)[order]])
+
+    ranks = rank[reps]
+    cols = np.argsort(~keep[reps], axis=1, kind="stable")[:, None, :ranks.max(initial=0)]
+    bases = np.take_along_axis(vec[reps], cols, axis=2) * flip[reps, None, None]
+    return np.where(np.arange(cols.shape[2]) < ranks[:, None, None], bases, 0.0), ranks, masses
 
 
 def _unique_rows(r: np.ndarray):
@@ -611,8 +623,8 @@ def check_existence(q: MatrixDistribution, f: RhoFunction, budget: int = 10_000)
     # below a line's threshold (1 when psi(inf) is infinite) none is critical.
     exhausted = True
     if _critical(f, 1, dim, 1.0 - q.weights.min())[1]:
-        bases, masses = _atom_groups(qf)
-        exhausted = not bases or _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses)
+        bases, ranks, masses = _atom_groups(qf)
+        exhausted = not ranks.size or _enumerate(bases, ranks, masses, zero_mass, f, dim, budget, witnesses)
     if witnesses:
         return ExistenceReport("violated", tuple(_to_data(l, w) for w in witnesses), "exact_enumeration")
     if exhausted:
@@ -627,9 +639,8 @@ def span_witness(q: MatrixDistribution, f: RhoFunction, vectors: np.ndarray):
     are recounted with the search's containment test, which needs some atom
     of Q below full rank."""
     dim, zero_mass = q.dim, _zero_mass(q)
-    bases, masses = _atom_groups(q)
-    ranks = np.array([b.shape[1] for b in bases])
-    inside = _containment(_padded(bases, ranks), ranks)
+    bases, ranks, masses = _atom_groups(q)
+    inside = _containment(bases, ranks)
     for d in range(1, dim):
         basis = vectors[:, dim - d:]
         mass = zero_mass + float(masses[inside(basis[None])[0]].sum())
@@ -639,22 +650,15 @@ def span_witness(q: MatrixDistribution, f: RhoFunction, vectors: np.ndarray):
     return None
 
 
-def _padded(bases, ranks) -> np.ndarray:
-    """The (groups, q, max rank) stack of the group bases, each padded with zero columns."""
-    padded = np.zeros((len(bases), bases[0].shape[0], ranks.max()))
-    for g, b in enumerate(bases):
-        padded[g, :, : b.shape[1]] = b
-    return padded
-
-
-def _containment(padded, ranks):
+def _containment(bases, ranks):
     """``inside(U)``: for a (c, q, w) stack of bases, orthonormal columns
-    padded with zero columns, the (c, groups) mask of the groups whose column
-    space lies inside each span(U).  One product against the padded columns
-    of all groups (a zero column lies in every span) per chunk of at most
-    ``_BLOCK_ENTRIES`` residual entries, summed per group."""
-    n, dim, width = padded.shape
-    cols, cut = padded.transpose(1, 0, 2).reshape(dim, -1), _CONTAIN_TOL**2 * ranks
+    padded with zero columns, the (c, groups) mask of the groups of
+    :func:`_atom_groups` whose column space lies inside each span(U).  One
+    product against the padded columns of all groups (a zero column lies in
+    every span) per chunk of at most ``_BLOCK_ENTRIES`` residual entries,
+    summed per group."""
+    n, dim, width = bases.shape
+    cols, cut = bases.transpose(1, 0, 2).reshape(dim, -1), _CONTAIN_TOL**2 * ranks
     step = max(_BLOCK_ENTRIES // cols.size, 1)
 
     def inside(u):
@@ -670,7 +674,7 @@ def _containment(padded, ranks):
     return inside
 
 
-def _unions(nodes, padded, ranks):
+def _unions(nodes, bases, ranks):
     """(group, rank, basis) of each proper span span(U) + span(B_g) of a
     queued node (U, held, first) of ``nodes``, all of one dimension, with
     the padded basis B_g of a group g >= first that U does not hold: node by
@@ -686,11 +690,11 @@ def _unions(nodes, padded, ranks):
     at, groups = np.nonzero(join)
     full = du + ranks[groups] >= dim
     if full.any():
-        b = padded[groups[full]]
+        b = bases[groups[full]]
         gram = (u @ np.swapaxes(u, 1, 2))[at[full]] + b @ np.swapaxes(b, 1, 2)
         full[full] = cholesky_passes(gram, _UNION_SCREEN_RTOL)
         at, groups = at[~full], groups[~full]
-    w, sv, _ = np.linalg.svd(np.concatenate([u[at], padded[groups]], axis=2), full_matrices=False)
+    w, sv, _ = np.linalg.svd(np.concatenate([u[at], bases[groups]], axis=2), full_matrices=False)
     rank = np.sum(sv > 1e-10 * sv[:, :1], axis=1)
     proper = rank < dim
     rank = rank[proper]
@@ -698,8 +702,9 @@ def _unions(nodes, padded, ranks):
     return groups[proper], rank, w[proper, :, :width] * (np.arange(width) < rank[:, None])[:, None, :]
 
 
-def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
-    """Breadth-first search over the spans of unions of groups.
+def _enumerate(bases, ranks, masses, zero_mass, f, dim, budget, witnesses) -> bool:
+    """Breadth-first search over the spans of unions of the groups of
+    :func:`_atom_groups`.
 
     Appends every critical candidate to ``witnesses``; returns False when the
     budget runs out.  A candidate is the span of the groups it contains, so
@@ -718,18 +723,16 @@ def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
     unions of several queued nodes at once.
     """
     n = len(bases)
-    ranks = np.array([b.shape[1] for b in bases])
     if ranks.max() == 1 and (dim == 2 or n + math.comb(n, 2) > budget):
         # A line contains no other group, so depth one needs no containment
         # test; in the plane it is the whole search.
         mass = zero_mass + masses
         thr, critical = _critical(f, 1, dim, mass)
         for g in np.flatnonzero(critical):
-            witnesses.append(ExistenceWitness(bases[g], float(mass[g]), thr))
+            witnesses.append(ExistenceWitness(bases[g, :, :1], float(mass[g]), thr))
         return dim == 2 and n <= budget
 
-    padded = _padded(bases, ranks)
-    inside = _containment(padded, ranks)
+    inside = _containment(bases, ranks)
     # A run of nodes takes unions whose Gram matrices fill at most one block
     # of symmat's screens, small enough to stay in cache.
     run_nodes = max(symmat._BLOCK_ENTRIES // (n * dim * dim), 1)
@@ -749,7 +752,7 @@ def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
             run.append(queue.popleft())
         if du == dim - 1:  # every union with them is the whole space
             continue
-        groups, rank, w = _unions(run, padded, ranks)
+        groups, rank, w = _unions(run, bases, ranks)
         for g, r, v, mask in zip(groups, rank, w, inside(w)):
             key = np.packbits(mask).tobytes()
             if key in visited:

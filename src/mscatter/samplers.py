@@ -44,16 +44,20 @@ def _as_stream(stream) -> np.random.Generator:
     return SeededStream(int(stream)).rng
 
 
-def mvn(mu, sigma, n: int, stream) -> np.ndarray:
-    """n i.i.d. draws from N(mu, Sigma) via Cholesky-transformed standard
-    normals; rows are observations."""
+def _normals(mu, sigma, n: int, rng):
+    """(mu, n standard normal rows drawn from ``rng``, the lower Cholesky factor
+    of Sigma), once mu is checked to be a vector of Sigma's dimension."""
     sigma = sigma if isinstance(sigma, SpdMatrix) else SpdMatrix(as_array(sigma))
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (sigma.dim,):
         raise InvalidInputError(f"mu has shape {mu.shape}, expected ({sigma.dim},)")
-    rng = _as_stream(stream)
-    z = rng.standard_normal((n, sigma.dim))
-    left = np.linalg.cholesky(sigma.mat)
+    return mu, rng.standard_normal((n, sigma.dim)), np.linalg.cholesky(sigma.mat)
+
+
+def mvn(mu, sigma, n: int, stream) -> np.ndarray:
+    """n i.i.d. draws from N(mu, Sigma) via Cholesky-transformed standard
+    normals; rows are observations."""
+    mu, z, left = _normals(mu, sigma, n, _as_stream(stream))
     return mu + z @ left.T
 
 
@@ -66,12 +70,9 @@ def mvt(mu, sigma, nu: float, n: int, stream) -> np.ndarray:
     """
     if not nu > 0:
         raise InvalidInputError(f"degrees of freedom must be positive, got {nu}")
-    sigma = sigma if isinstance(sigma, SpdMatrix) else SpdMatrix(as_array(sigma))
-    mu = np.asarray(mu, dtype=float)
     rng = _as_stream(stream)
-    z = rng.standard_normal((n, sigma.dim))
+    mu, z, left = _normals(mu, sigma, n, rng)
     w = rng.chisquare(nu, size=n) / nu
-    left = np.linalg.cholesky(sigma.mat)
     return mu + (z / np.sqrt(w)[:, None]) @ left.T
 
 

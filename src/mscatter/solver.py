@@ -32,7 +32,7 @@ from .distribution import (
     _check_compat,
     _congruence,
     _frame,
-    _nonzero,
+    _off_zero,
     _to_data,
     check_existence,
     from_wishart_groups,
@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .rho import CASE0, RhoFunction, tyler, validate
-from .symmat import SpdMatrix, SymMatrix, _smat, _svec, as_array
+from .symmat import SpdMatrix, SymMatrix, _smat, _svec, _sym, as_array
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -117,27 +117,13 @@ def _spd(s, q: MatrixDistribution):
     return chol, np.linalg.inv(chol)
 
 
-def _off_zero(traces: np.ndarray, f: RhoFunction):
-    """Index of the atoms off the zero matrix by their traces: a mask, or the
-    full slice when every atom is off zero; Case 0 refuses mass at zero."""
-    return _refuse_zero(_nonzero(traces), f)
-
-
-def _refuse_zero(nz, f: RhoFunction):
-    """``nz`` of :func:`_off_zero` (``q._nz`` for Q's own traces), unless Case 0 meets mass at zero."""
-    if f.case_tag == CASE0 and not isinstance(nz, slice):
-        raise DomainError("Case 0 requires every atom to have positive trace "
-                          "(no mass at the zero matrix)")
-    return nz
-
-
 def _evaluate(chol: np.ndarray, l_inv: np.ndarray, q: MatrixDistribution, f: RhoFunction):
     """(L(S, Q) - C, Psi(S, Q)) for S = L L^T by its lower Cholesky factor L and
-    L^-1, in one pass over the atoms off zero (see :func:`_off_zero`).  C = sum_i w_i
+    L^-1, in one pass over the atoms off zero (:func:`distribution._off_zero`).  C = sum_i w_i
     rho(tr M_i) is constant for Q, so only :func:`criterion` and :func:`_measure`
     take it off (:func:`_offset`).  The coefficients w rho' are scattered into
     one per atom only when some atom is at zero."""
-    nz = _refuse_zero(q._nz, f)
+    nz = _off_zero(q, f)
     t = q.traces_under(l_inv.T @ l_inv)[nz]
     w = q.weights[nz]
     rho, rho_prime = f._rho_and_prime(t)
@@ -147,13 +133,13 @@ def _evaluate(chol: np.ndarray, l_inv: np.ndarray, q: MatrixDistribution, f: Rho
         coeff, off = np.zeros(q.n_atoms), coeff
         coeff[nz] = off
     psi = q.weighted_sum(coeff)
-    return crit, (psi + psi.T) / 2.0
+    return crit, _sym(psi)
 
 
 def _offset(q: MatrixDistribution, f: RhoFunction) -> float:
     """sum_i w_i rho(tr M_i) over the atoms off zero: what separates the value of
     :func:`_evaluate` from the criterion."""
-    nz = _refuse_zero(q._nz, f)
+    nz = _off_zero(q, f)
     return float(q.weights[nz] @ np.asarray(f.rho(q.traces[nz])))
 
 
@@ -402,8 +388,7 @@ class HessianOperator:
     matrix: np.ndarray = field(repr=False)
 
     def project(self, a) -> np.ndarray:
-        a = as_array(a)
-        a = (a + np.swapaxes(a, -1, -2)) / 2.0
+        a = _sym(as_array(a))
         if self.case_tag == CASE0:
             trace = np.trace(a, axis1=-2, axis2=-1)[..., None, None]
             a = a - (trace / self.dim) * np.eye(self.dim)
@@ -465,7 +450,7 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
             f"{f.kind} loss has no second derivative; Hessian is unavailable"
         )
     dim = q.dim
-    nz = _refuse_zero(q._nz, f)
+    nz = _off_zero(q, f)
     second = np.zeros(q.n_atoms)
     second[nz] = q.weights[nz] * np.asarray(f.rho_second(q.traces[nz]))
 
@@ -500,8 +485,7 @@ def hessian(q: MatrixDistribution, f: RhoFunction) -> HessianOperator:
 def directional_scan(b, a, q: MatrixDistribution, f: RhoFunction, t_grid) -> np.ndarray:
     """Criterion values along t -> L(B exp(tA) B^T, Q); convex in t."""
     b = np.asarray(as_array(b), dtype=float)
-    a = as_array(a)
-    a = (a + a.T) / 2.0
+    a = _sym(as_array(a))
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) < 0):
         raise InvalidInputError("t_grid must be sorted ascending")

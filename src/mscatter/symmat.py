@@ -55,6 +55,14 @@ def _check_square(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+def _sym(a: np.ndarray) -> np.ndarray:
+    """The symmetric part (A + A^T)/2 of a matrix, or of each matrix of a
+    stack, formed as A/2 + (A/2)^T: the same bits unless a halved entry is
+    subnormal, and no overflow for finite A."""
+    h = a * 0.5
+    return h + h.swapaxes(-1, -2)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -62,13 +70,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 class SymMatrix:
-    """A real symmetric matrix; construction symmetrizes via (A + A^T)/2."""
+    """A real symmetric matrix; construction symmetrizes via :func:`_sym`."""
 
     __slots__ = ("mat",)
 
     def __init__(self, entries):
         a = _check_square(as_array(entries), "entries")
-        self.mat = _freeze((a + a.T) / 2.0)
+        self.mat = _freeze(_sym(a))
 
     @property
     def dim(self) -> int:
@@ -104,9 +112,7 @@ def spectral(a) -> SpectralDecomp:
     SpectralDecomp
         Eigenvalues in descending order, eigenvector columns aligned.
     """
-    m = _check_square(as_array(a), "a")
-    m = (m + m.T) / 2.0
-    lam, u = np.linalg.eigh(m)
+    lam, u = np.linalg.eigh(_sym(_check_square(as_array(a), "a")))
     order = np.argsort(lam)[::-1]
     return SpectralDecomp(_freeze(lam[order]), _freeze(u[:, order]))
 
@@ -115,18 +121,21 @@ class PsdAtom:
     """A positive semidefinite matrix atom with its trace cached.
 
     Small negative eigenvalue dust (relative size up to ``PSD_DUST_RTOL``) is
-    clipped to zero; anything more negative is rejected.
+    clipped to zero; anything more negative is rejected, and so is a trace
+    that overflows (``RangeError``).
     """
 
     __slots__ = ("mat", "trace")
 
     def __init__(self, entries, _trusted: bool = False):
-        a = _check_square(as_array(entries), "entries")
-        a = (a + a.T) / 2.0
+        a = _sym(_check_square(as_array(entries), "entries"))
         if not _trusted:
             a = clip_psd_dust(a)
-        self.mat = _freeze(a)
-        self.trace = float(np.trace(a))
+        with np.errstate(over="ignore"):
+            trace = float(np.trace(a))
+        if not math.isfinite(trace):
+            raise RangeError("atom trace overflows at this scale; rescale the data")
+        self.mat, self.trace = _freeze(a), trace
 
     @property
     def dim(self) -> int:
@@ -170,6 +179,14 @@ def stack_blocks(m: int, per_item: int):
     return [(lo, min(lo + size, m)) for lo in range(0, m, size)]
 
 
+def _shifted(a: np.ndarray, rtol: float) -> np.ndarray:
+    """M - rtol tr(M) I for each M of an (m, q, q) stack, the shift taken off
+    the diagonal alone: an overflowed trace gives -inf there, not inf * 0 = NaN."""
+    s, d = a.copy(), np.arange(a.shape[-1])
+    s[:, d, d] -= rtol * np.einsum("mii->m", a)[:, None]
+    return s
+
+
 def unscreened_blocks(a: np.ndarray, rtol: float):
     """Yield (start, block) for each block of an (m, q, q) stack of symmetric
     matrices in which some M fails the Cholesky screen: M - rtol tr(M) I has
@@ -184,9 +201,8 @@ def unscreened_blocks(a: np.ndarray, rtol: float):
     q = a.shape[-1]
     for lo, hi in stack_blocks(a.shape[0], q * q):
         block = a[lo:hi]
-        shift = rtol * np.einsum("mii->m", block)
         try:
-            np.linalg.cholesky(block - shift[:, None, None] * np.eye(q))
+            np.linalg.cholesky(_shifted(block, rtol))
         except np.linalg.LinAlgError:
             yield lo, block
 
@@ -198,8 +214,7 @@ def cholesky_passes(a: np.ndarray, rtol: float) -> np.ndarray:
     over the whole stack, and a matrix fails at its first pivot that is not
     positive (or NaN), without raising.  A passing M has lambda_min > rtol
     lambda_max up to a rounding error of order q eps lambda_max."""
-    q = a.shape[-1]
-    s = a - (rtol * np.einsum("mii->m", a))[:, None, None] * np.eye(q)
+    q, s = a.shape[-1], _shifted(a, rtol)
     ok = np.ones(a.shape[0], dtype=bool)
     for j in range(q):
         ok &= s[:, j, j] > 0.0
@@ -261,8 +276,7 @@ class SpdMatrix:
     __slots__ = ("mat", "_logdet")
 
     def __init__(self, entries):
-        a = _check_square(as_array(entries), "entries")
-        a = (a + a.T) / 2.0
+        a = _sym(_check_square(as_array(entries), "entries"))
         try:
             chol = np.linalg.cholesky(a)
         except np.linalg.LinAlgError as exc:

@@ -580,7 +580,9 @@ def copied_rows(seed, n, dim):
 
 class TestAtomGroupsAgainstNpUnique:
     def assert_same_groups(self, q):
-        bases, masses = distribution._atom_groups(q)
+        stack, ranks, masses = distribution._atom_groups(q)
+        assert stack.shape[2] == ranks.max() and all(not b[:, r:].any() for b, r in zip(stack, ranks))
+        bases = [b[:, :r] for b, r in zip(stack, ranks)]
         ref_bases, ref_masses = atom_groups_with_np_unique(q)
         assert len(bases) == len(ref_bases) > 0
         assert all(np.array_equal(b, r) for b, r in zip(bases, ref_bases))

@@ -317,6 +317,16 @@ def _enumerate(bases, masses, zero_mass, f, dim, budget, witnesses) -> bool:
     return True
 
 
+def unpadded(bases, ranks):
+    """The list of group bases of the stack of ``_atom_groups``, without its zero columns."""
+    return [b[:, :r] for b, r in zip(bases, ranks)]
+
+
+def unpadded_enumerate(bases, ranks, *args):
+    """The unscreened ``_enumerate`` above, called as the search is."""
+    return _enumerate(unpadded(bases, ranks), *args)
+
+
 def significant(x, digits):
     """``x`` rounded to ``digits`` significant decimal digits."""
     return np.array([[float(f"{v:.{digits - 1}e}") for v in row] for row in x])
@@ -364,7 +374,7 @@ def assert_same_witnesses(got, want):
 @given(problem=search_problems())
 def test_search_matches_the_unscreened_search(problem):
     q, f, budget = problem
-    with mock.patch.object(distribution, "_enumerate", _enumerate):
+    with mock.patch.object(distribution, "_enumerate", unpadded_enumerate):
         want = check_existence(q, f, budget)
     got = check_existence(q, f, budget)
     event(f"{want.verdict} by {want.method}")
@@ -374,10 +384,10 @@ def test_search_matches_the_unscreened_search(problem):
     # The search itself, also where check_existence would not start it, and
     # with one node per run and one basis per containment product.
     l, _, qf = _frame(q)
-    bases, masses = _atom_groups(qf) if l is not None else ([], None)
-    if bases:
-        args, want = (bases, masses, _zero_mass(q), f, q.dim, budget), []
-        done = _enumerate(*args, want)
+    bases, ranks, masses = _atom_groups(qf) if l is not None else ([], [], None)
+    if len(bases):
+        args, want = (bases, ranks, masses, _zero_mass(q), f, q.dim, budget), []
+        done = unpadded_enumerate(*args, want)
         for small in (False, True):
             got = []
             with mock.patch.object(distribution, "_BLOCK_ENTRIES", 1 if small else distribution._BLOCK_ENTRIES), \

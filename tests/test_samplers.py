@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,13 @@ class TestMvt:
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(InvalidInputError):
             mvt(np.zeros(2), SpdMatrix(np.eye(2)), 0.0, 5, SeededStream(0))
+
+    @pytest.mark.parametrize("mu, shape", [(np.zeros(3), "(3,)"), (0.0, "()")], ids=["length", "scalar"])
+    def test_mu_checked_as_mvn_checks_it(self, mu, shape):
+        for draw in (lambda: mvn(mu, np.eye(2), 5, SeededStream(0)),
+                     lambda: mvt(mu, np.eye(2), 3.0, 5, SeededStream(0))):
+            with pytest.raises(InvalidInputError, match=rf"^mu has shape {re.escape(shape)}, expected \(2,\)$"):
+                draw()
 
 
 class TestHaar:

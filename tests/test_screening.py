@@ -119,7 +119,8 @@ def test_screened_dust_and_groups_match_eigen_only(data):
         assert np.array_equal(clipped, expected)
         event("dust clipped" if clipped is not atoms else "no dust")
         dist = MatrixDistribution(clipped, weights, clip=False)
-        bases, masses = _atom_groups(dist)
+        bases, ranks, masses = _atom_groups(dist)
+    bases = [b[:, :r] for b, r in zip(bases, ranks)]
     lam, vec = np.linalg.eigh(dist.atoms)
     ref_bases, ref_masses = eigen_groups(lam, vec, dist.weights)
     assert len(bases) == len(ref_bases)
@@ -152,7 +153,8 @@ def test_rank_one_directions_match_the_svd(seed, q, n):
         elif pick in (1, 2):
             x[i] = x[rng.integers(i)] * rng.choice([-1.0, 0.25, 2.0, 3.0])
     dist = from_observations(x)
-    bases, masses = _atom_groups(dist)
+    bases, ranks, masses = _atom_groups(dist)
+    bases = [b[:, :r] for b, r in zip(bases, ranks)]
     _, sv, vt = np.linalg.svd(x[:, None, :], full_matrices=False)
     ref_bases, ref_masses = eigen_groups(sv**2, np.swapaxes(vt, 1, 2), dist.weights)
     assert len(bases) == len(ref_bases)

@@ -1096,7 +1096,7 @@ def gemm_hessian(q, f):
     coordinates scaled by w rho'' with the coordinates, a block at a time, as
     ``hessian`` built it before it took symmetric products."""
     dim = q.dim
-    nz = solver._refuse_zero(q._nz, f)
+    nz = solver._off_zero(q, f)
     second = np.zeros(q.n_atoms)
     second[nz] = q.weights[nz] * np.asarray(f.rho_second(q.traces[nz]))
     pmat = solver._evaluate(np.eye(dim), np.eye(dim), q, f)[1].ravel()
