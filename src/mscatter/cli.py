@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import MScatterError, NotPositiveDefiniteError
 from .location import augment, estimate_location_scatter
 from .rho import gaussian, t_dist, tyler, weibull
 from .solver import STATUS_CONVERGED, SolverConfig, _measure, fixed_point_solve, solve_procov
-from .symmat import PsdAtom, SpdMatrix, _sym, clip_psd_dust
+from .symmat import PsdAtom, SpdMatrix, _clip_sym, _sym
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -54,6 +55,8 @@ def read_csv(path):
             lines = [ln.strip() for ln in fh]  # blank lines kept as "" for the line numbers
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text") from exc
     first = next((i for i, text in enumerate(lines) if text), None)
     if first is None:
         raise InputError(f"{path} is empty")
@@ -101,25 +104,67 @@ def _scatter_array(obj):
     return obj
 
 
-def read_groups(path):
-    """Read Wishart groups from JSON: an array of {"dof": int, "scatter": [[..]]}.
+# Characters of a groups file read at a time.  The reader holds this much text
+# and the group being parsed beyond the groups it has converted.
+_READ_CHARS = 1 << 20
 
-    Scatter matrices may carry eigenvalue dust down to ``PSD_DUST_RTOL``
-    (1e-10) relative to the largest eigenvalue; it is clipped.  Anything more
-    negative, a dof below one, or mixed dimensions are errors.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_hook=_scatter_array)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, list) or not doc:
-        raise InputError(f"{path} must hold a non-empty JSON array of groups")
+_JSON_WS = re.compile(r"[ \t\n\r]*")
 
+
+def _array_items(fh):
+    """Yield the items of the one JSON array that the text file ``fh`` holds, each
+    parsed by ``raw_decode`` as soon as its text and the separator after it are
+    in the buffer.  An item that does not parse, or ends with the buffer (a
+    number there may be cut short), is parsed again after a read that at least
+    doubles the unread text, so a long item costs O(log) parses.  Raises
+    ``ValueError`` where the text is anything but one array."""
+    decode = json.JSONDecoder(object_hook=_scatter_array).raw_decode
+    buf, pos, eof = "", 0, False
+
+    def refill():
+        nonlocal buf, pos, eof
+        more = fh.read(max(_READ_CHARS, len(buf) - pos))
+        buf, pos, eof = buf[pos:] + more, 0, not more
+
+    def skip():
+        """Move past JSON whitespace; the next character, "" at the end of the file."""
+        nonlocal pos
+        while True:
+            pos = _JSON_WS.match(buf, pos).end()
+            if pos < len(buf) or eof:
+                return buf[pos:pos + 1]
+            refill()
+
+    if skip() != "[":
+        raise ValueError("not a JSON array")
+    pos += 1
+    while True:
+        skip()
+        try:
+            item, end = decode(buf, pos)
+            end = _JSON_WS.match(buf, end).end()
+        except json.JSONDecodeError:
+            end = len(buf)
+        if end == len(buf):
+            if eof:
+                raise ValueError("not a JSON array")
+            refill()
+            continue
+        if buf[end] not in ",]":
+            raise ValueError("not a JSON array")
+        yield item
+        pos = end + 1
+        if buf[end] == "]":
+            if skip():
+                raise ValueError("extra data after the JSON array")
+            return
+
+
+def _checked_groups(path, items):
+    """(stack, dofs) of the groups ``items``, each checked, converted and
+    symmetrized on its own as it comes, then stacked and clipped of dust."""
     mats, dofs, dim = [], [], None
-    for i, entry in enumerate(doc):
+    for i, entry in enumerate(items):
         if not isinstance(entry, dict) or "dof" not in entry or "scatter" not in entry:
             raise InputError(f"{path}: group {i} needs 'dof' and 'scatter' fields")
         dof = entry["dof"]
@@ -137,13 +182,53 @@ def read_groups(path):
             raise InputError(f"{path}: group {i} has dimension {s.shape[0]}, expected {dim}")
         if not np.all(np.isfinite(s)):
             raise InputError(f"{path}: group {i} scatter has non-finite entries")
-        mats.append(s)
+        mats.append(_sym(s))
         dofs.append(dof)
+    if not mats:
+        raise InputError(f"{path} must hold a non-empty JSON array of groups")
     stack = np.stack(mats)
+    del mats
     try:
-        stack = clip_psd_dust(_sym(stack))
+        return _clip_sym(stack), dofs
     except NotPositiveDefiniteError as exc:
         raise InputError(f"{path}: group scatters: {exc}") from exc
+
+
+def _whole_groups(path):
+    """:func:`_checked_groups` of the file read whole by ``json.load``, which
+    words every fault of the text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, object_hook=_scatter_array)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, list):
+        raise InputError(f"{path} must hold a non-empty JSON array of groups")
+    return _checked_groups(path, doc)
+
+
+def read_groups(path):
+    """Read Wishart groups from JSON: an array of {"dof": int, "scatter": [[..]]}.
+
+    Scatter matrices may carry eigenvalue dust down to ``PSD_DUST_RTOL``
+    (1e-10) relative to the largest eigenvalue; it is clipped.  Anything more
+    negative, a dof below one, or mixed dimensions are errors.
+
+    The file is parsed a group at a time from chunks of ``_READ_CHARS``
+    characters, so it is never held whole: memory is about the groups' own
+    (m, q, q) stack, of which the scatters are read-only views.  A file that
+    is not one array of valid groups is read again whole to word the fault.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            stack, dofs = _checked_groups(path, _array_items(fh))
+    except (OSError, ValueError, InputError):
+        stack, dofs = _whole_groups(path)
+    stack.flags.writeable = False
     return [WishartGroup(scatter=PsdAtom(s, _trusted=True), dof=d) for s, d in zip(stack, dofs)]
 
 
@@ -329,7 +414,7 @@ def _cmd_check(args):
         try:
             with open(args.sigma, "r", encoding="utf-8") as fh:
                 prev = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read sigma document {args.sigma}: {exc}") from exc
         try:
             sig_rows = np.asarray(prev[key] if isinstance(prev, dict) else prev, dtype=float)

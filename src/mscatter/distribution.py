@@ -105,6 +105,15 @@ class MatrixDistribution:
         self._finish(weights)
 
     @classmethod
+    def _from_atoms(cls, atoms: np.ndarray, weights=None):
+        """Distribution of an (m, q, q) stack of atoms that are already
+        symmetric, finite and clipped of dust, taken as the distribution's own."""
+        self = cls.__new__(cls)
+        self._rows, self._r, self._atoms = None, None, atoms
+        self._finish(weights)
+        return self
+
+    @classmethod
     def _from_rows(cls, rows: np.ndarray, r: int, weights=None):
         """Distribution of the atoms whose factor rows are the columns of a
         (q, m r) array, r columns per atom.  A C-contiguous ``rows`` is taken
@@ -121,8 +130,7 @@ class MatrixDistribution:
         with np.errstate(over="ignore"):
             traces = self.traces_under(np.eye(self.dim))
         m = traces.shape[0]
-        normal = (traces == 0.0) | (np.abs(traces) >= np.finfo(float).tiny)
-        if not np.all(np.isfinite(traces) & normal):
+        if not _in_range(traces):
             raise RangeError("atom traces overflow or underflow at this scale; rescale the data")
         if weights is None:
             w = np.full(m, 1.0 / m)
@@ -214,6 +222,11 @@ def _expand(y: np.ndarray) -> np.ndarray:
     a = np.einsum("...ri,...rj->...ij", y, y)
     a.flags.writeable = False
     return a
+
+
+def _in_range(t: np.ndarray) -> bool:
+    """Whether every value is finite and zero or normal: nothing overflowed or underflowed."""
+    return bool(np.all(np.isfinite(t) & ((t == 0.0) | (np.abs(t) >= np.finfo(float).tiny))))
 
 
 def _nonzero(traces: np.ndarray):
@@ -382,8 +395,8 @@ def from_wishart_groups(groups) -> MatrixDistribution:
     if len(dims) != 1:
         raise DimensionMismatchError(f"groups have mixed dimensions {sorted(dims)}")
     weights = np.array([g.dof for g in groups], dtype=float)
-    atoms = np.stack([g.scatter.mat for g in groups])
-    return MatrixDistribution(atoms, weights, clip=False)
+    # A group's scatter is a PsdAtom: symmetric, finite and clipped already.
+    return MatrixDistribution._from_atoms(np.stack([g.scatter.mat for g in groups]), weights)
 
 
 def transform(q: MatrixDistribution, b, direction: str = "forward") -> MatrixDistribution:
@@ -408,10 +421,16 @@ def transform(q: MatrixDistribution, b, direction: str = "forward") -> MatrixDis
 
 
 def _congruence(q: MatrixDistribution, t: np.ndarray) -> MatrixDistribution:
-    """Every atom M replaced by T M T^T, with T taken as given."""
+    """Every atom M replaced by T M T^T, with T taken as given.  Dense atoms are
+    formed a block of ``symmat.stack_blocks`` at a time into one new stack."""
     if q._rows is not None:
         return MatrixDistribution._from_rows(t @ q._rows, q._r, q.weights)
-    return MatrixDistribution(t @ q.atoms @ t.T, q.weights, clip=False)
+    out = np.empty_like(q._atoms)
+    for lo, hi in symmat.stack_blocks(q.n_atoms, q.dim * q.dim):
+        out[lo:hi] = _sym(t @ q._atoms[lo:hi] @ t.T)
+    if not np.all(np.isfinite(out)):
+        raise InvalidInputError("atoms contain non-finite entries")
+    return MatrixDistribution._from_atoms(out, q.weights)
 
 
 def _frame(q: MatrixDistribution):

@@ -32,6 +32,7 @@ from .distribution import (
     _check_compat,
     _congruence,
     _frame,
+    _in_range,
     _off_zero,
     _to_data,
     check_existence,
@@ -42,10 +43,15 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     InvalidInputError,
+    RangeError,
     UnsupportedOperationError,
 )
 from .rho import CASE0, RhoFunction, tyler, validate
 from .symmat import SpdMatrix, SymMatrix, _smat, _svec, _sym, as_array
+
+# Binary exponents 2^+-400 inside which _frobenius and _measure take a matrix at
+# its own scale; outside it they rescale it by an exact power of two.
+_SCALE_FREE_EXP = 400
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -164,9 +170,22 @@ def _measure(s: SpdMatrix, q: MatrixDistribution, f: RhoFunction):
     S = L L^T in the coordinates of Q, from one :func:`_evaluate`; Psi may be
     singular.  A fit measures the matrix it returns and ``check --sigma`` a
     given one.  Where :func:`_evaluate` refuses Q (Case 0 with mass at the
-    zero matrix) there is no criterion: all three are NaN."""
+    zero matrix) there is no criterion: all three are NaN.
+
+    Under Case 0 all three are scale invariant, so S is measured at S 4^-k,
+    the exact power of four that brings tr(S)/q near one, whenever tr(S)/q
+    lies outside 2^+-400 (the band of :func:`_frobenius`).  For every loss the
+    traces tr(S^-1 M_i) must then neither overflow nor underflow (``RangeError``)."""
     _check_compat(q, f)
+    if f.case_tag == CASE0:
+        e = math.frexp(float(np.sum(np.diag(s.mat) / s.dim)))[1]
+        if not -_SCALE_FREE_EXP < e < _SCALE_FREE_EXP:
+            s = SpdMatrix(np.ldexp(s.mat, -2 * (e // 2)))
     chol, w = _spd(s, q)
+    with np.errstate(over="ignore"):
+        t = q.traces_under(w.T @ w)
+    if not _in_range(t):
+        raise RangeError("traces under sigma overflow or underflow at this scale; rescale sigma")
     try:
         crit, psi = _evaluate(chol, w, q, f)
     except DomainError:
@@ -359,7 +378,7 @@ def _frobenius(a: np.ndarray) -> float:
     wherever that does neither."""
     v = a.ravel(order="K")  # the order np.linalg.norm sums in
     e = math.frexp(np.abs(v).max())[1]
-    if -400 < e < 400:
+    if -_SCALE_FREE_EXP < e < _SCALE_FREE_EXP:
         return math.sqrt(v @ v)
     w = np.ldexp(v, -e)
     return float(np.ldexp(math.sqrt(w @ w), e))

@@ -122,15 +122,15 @@ class PsdAtom:
 
     Small negative eigenvalue dust (relative size up to ``PSD_DUST_RTOL``) is
     clipped to zero; anything more negative is rejected, and so is a trace
-    that overflows (``RangeError``).
+    that overflows (``RangeError``).  A ``_trusted`` matrix is already
+    symmetric, finite and clipped: it is kept as given, read-only, with no
+    copy where it is C-contiguous (a view of a stack stays a view).
     """
 
     __slots__ = ("mat", "trace")
 
     def __init__(self, entries, _trusted: bool = False):
-        a = _sym(_check_square(as_array(entries), "entries"))
-        if not _trusted:
-            a = clip_psd_dust(a)
+        a = entries if _trusted else _clip_sym(_sym(_check_square(as_array(entries), "entries")))
         with np.errstate(over="ignore"):
             trace = float(np.trace(a))
         if not math.isfinite(trace):
@@ -256,6 +256,13 @@ def clip_psd_dust(a: np.ndarray) -> np.ndarray:
     if out is stack:
         return a
     return out if a.ndim == 3 else out[0]
+
+
+def _clip_sym(a: np.ndarray) -> np.ndarray:
+    """:func:`clip_psd_dust` of a symmetric matrix or stack, symmetric again
+    where it rebuilt a matrix: U max(L, 0) U^T is symmetric only up to rounding."""
+    clipped = clip_psd_dust(a)
+    return a if clipped is a else _sym(clipped)
 
 
 def _unit_free_cholesky(a: np.ndarray):

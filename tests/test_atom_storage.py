@@ -267,6 +267,17 @@ DENSE = {
 }
 
 
+@pytest.mark.parametrize("entries", [16, 70, 1 << 16])
+def test_dense_congruence_is_the_whole_stack_product(monkeypatch, entries):
+    # Formed a block at a time (one atom, four, or all 30 of them), T M T^T has
+    # the bits of the product of the whole stack.
+    q, t = dense_stack(), np.tril(np.ones((4, 4))) + np.eye(4)
+    monkeypatch.setattr(symmat, "_BLOCK_ENTRIES", entries)
+    got = transform(q, t)
+    assert np.array_equal(got.atoms, symmat._sym(t @ q.atoms @ t.T))
+    assert np.array_equal(got.weights, q.weights) and not got.atoms.flags.writeable
+
+
 class TestTraces:
     @pytest.mark.parametrize("build", list(FACTORED.values()) + list(DENSE.values()),
                              ids=list(FACTORED) + list(DENSE))

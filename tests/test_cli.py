@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import mscatter
 from mscatter import SeededStream, SpdMatrix, mvt
 from mscatter import cli
 from mscatter.cli import InputError, read_csv, read_groups, run
+from mscatter.symmat import _clip_sym, _sym
 
 
 @pytest.fixture
@@ -167,6 +169,173 @@ class TestReadGroups:
         ]))
         with pytest.raises(InputError, match="dimension"):
             read_groups(str(p))
+
+
+# One valid group, and (id, file text, message of read_groups with {path} for the file).
+GROUP = '{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}'
+GROUP_FAULTS = [
+    ('empty-file', '',
+     '{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)'),
+    ('blank-file', ' \r\n\t',
+     '{path} is not valid JSON: Expecting value: line 2 column 2 (char 3)'),
+    ('not-json', '[{',
+     '{path} is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 3 (char 2)'),
+    ('bom', '\ufeff[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}]',
+     '{path} is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)'),
+    ('object', '{"dof": 3}',
+     '{path} must hold a non-empty JSON array of groups'),
+    ('number', '3',
+     '{path} must hold a non-empty JSON array of groups'),
+    ('empty-array', '[]',
+     '{path} must hold a non-empty JSON array of groups'),
+    ('spaced-empty-array', ' [ \r\n ] ',
+     '{path} must hold a non-empty JSON array of groups'),
+    ('extra-data', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}] x',
+     '{path} is not valid JSON: Extra data: line 1 column 51 (char 50)'),
+    ('second-array', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}][{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}]',
+     '{path} is not valid JSON: Extra data: line 1 column 50 (char 49)'),
+    ('trailing-comma', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]},]',
+     '{path} is not valid JSON: Expecting value: line 1 column 50 (char 49)'),
+    ('missing-comma', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]} {"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}]',
+     "{path} is not valid JSON: Expecting ',' delimiter: line 1 column 50 (char 49)"),
+    ('unterminated', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}, {"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}',
+     "{path} is not valid JSON: Expecting ',' delimiter: line 1 column 98 (char 97)"),
+    ('form-feed', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]},\x0c{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}]',
+     '{path} is not valid JSON: Expecting value: line 1 column 50 (char 49)'),
+    ('nbsp', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}]\xa0',
+     '{path} is not valid JSON: Extra data: line 1 column 50 (char 49)'),
+    ('cut-number', '[{"dof": 2, "scatter": [[1.]]}]',
+     "{path} is not valid JSON: Expecting ',' delimiter: line 1 column 27 (char 26)"),
+    ('bare-item', '[1]',
+     "{path}: group 0 needs 'dof' and 'scatter' fields"),
+    ('missing-field', '[{"dof": 3}]',
+     "{path}: group 0 needs 'dof' and 'scatter' fields"),
+    ('dof-zero', '[{"dof": 0, "scatter": [[1.0]]}]',
+     '{path}: group 0 has invalid dof 0'),
+    ('dof-text', '[{"dof": "2", "scatter": [[1.0]]}]',
+     "{path}: group 0 has invalid dof '2'"),
+    ('dof-float', '[{"dof": 2.0, "scatter": [[1.0]]}]',
+     '{path}: group 0 has invalid dof 2.0'),
+    ('text-entry', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}, {"dof": 2, "scatter": [["a", 1.0], [1.0, 2.0]]}]',
+     '{path}: group 1 scatter is not a numeric matrix'),
+    ('ragged', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}, {"dof": 2, "scatter": [[1.0], [1.0, 2.0]]}]',
+     '{path}: group 1 scatter is not a numeric matrix'),
+    ('not-square', '[{"dof": 3, "scatter": [[1, 0]]}]',
+     '{path}: group 0 scatter is not square'),
+    ('mixed-dims', '[{"dof": 2, "scatter": [[1.0]]}, {"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}]',
+     '{path}: group 1 has dimension 2, expected 1'),
+    ('nan', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}, {"dof": 2, "scatter": [[1.0, 0.0], [0.0, NaN]]}]',
+     '{path}: group 1 scatter has non-finite entries'),
+    ('infinity', '[{"dof": 2, "scatter": [[Infinity]]}]',
+     '{path}: group 0 scatter has non-finite entries'),
+    ('not-psd', '[{"dof": 2, "scatter": [[1.0, 0.0], [0.0, 1.0]]}, {"dof": 2, "scatter": [[1.0, 0.0], [0.0, -0.5]]}]',
+     '{path}: group scatters: matrix 1 is not positive semidefinite: min eigenvalue -5.000e-01 vs max 1.000e+00'),
+    ('group-fault-then-bad-json', '[{"dof": 0, "scatter": [[1.0]]}, {',
+     '{path} is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 35 (char 34)'),
+    ('group-fault-then-extra-data', '[{"dof": 0, "scatter": [[1.0]]}] x',
+     '{path} is not valid JSON: Extra data: line 1 column 34 (char 33)'),
+]
+
+
+def reference_groups(text):
+    """The stack and dofs that ``read_groups`` returns, from ``json.loads`` of
+    the whole text: each scatter symmetrized, then stacked and clipped."""
+    doc = json.loads(text)
+    stack = np.stack([_sym(np.asarray(g["scatter"], dtype=float)) for g in doc])
+    return _clip_sym(stack), [g["dof"] for g in doc]
+
+
+@st.composite
+def groups_documents(draw):
+    """A valid groups file: 1 to 6 positive definite groups of one dimension
+    with integer or full-precision entries, an extra key whose string holds
+    the separators, and varied whitespace, indentation and line ends."""
+    q = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integral = draw(st.booleans())
+    doc = []
+    for i in range(draw(st.integers(1, 6))):
+        if integral:
+            y = rng.integers(-9, 10, (q + 2, q))
+        else:  # entries from 1e-16 to 1e16: repr writes some with exponents
+            y = rng.standard_normal((q + 2, q)) * 10.0 ** rng.uniform(-8, 8)
+        group = {"dof": int(rng.integers(1, 50)), "scatter": (y.T @ y + np.eye(q, dtype=y.dtype)).tolist()}
+        if draw(st.booleans()):
+            group = {"name": f'g{i}], {{"\\"', **group}
+        doc.append(group)
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 0, 1, 4, "\t"])),
+                      separators=(draw(st.sampled_from([",", ", ", " ,\t", ",\r\n "])),
+                                  draw(st.sampled_from([":", ": ", " :\n"]))))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    pad = st.text(alphabet=" \t\r\n", max_size=3)
+    return draw(pad) + text + draw(pad)
+
+
+class TestChunkedReader:
+    """``read_groups`` parses its file a group at a time from chunks of
+    ``cli._READ_CHARS`` characters; what it returns and every fault message
+    are those of reading the file whole."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(text=groups_documents(), chunk=st.one_of(st.integers(1, 80), st.sampled_from([127, 1024, 1 << 20])))
+    def test_matches_a_whole_file_reference(self, text, chunk):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(tmp, "g.json")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            mp.setattr(cli, "_READ_CHARS", chunk)
+            mp.setattr(cli, "_whole_groups", lambda p: pytest.fail("a valid file was read whole"))
+            groups = read_groups(path)
+        stack, dofs = reference_groups(text)
+        assert [g.dof for g in groups] == dofs
+        assert np.array_equal(np.stack([g.scatter.mat for g in groups]), stack)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1 << 20])
+    @pytest.mark.parametrize("text, message", [f[1:] for f in GROUP_FAULTS], ids=[f[0] for f in GROUP_FAULTS])
+    def test_fault_messages_are_those_of_the_whole_file(self, tmp_path, monkeypatch, text, message, chunk):
+        path = tmp_path / "g.json"
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(cli, "_READ_CHARS", chunk)
+        with pytest.raises(InputError) as exc:
+            read_groups(str(path))
+        assert str(exc.value) == message.format(path=path)
+
+    def test_a_bad_byte_mid_file_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "g.json"
+        path.write_bytes(("[" + ", ".join([GROUP] * 20) + ", ").encode() + b"\xff" + (GROUP + "]").encode())
+        monkeypatch.setattr(cli, "_READ_CHARS", 64)
+        assert run(["procov", "--groups", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {path} is not UTF-8 text\n"
+
+    def test_scatters_are_read_only_views_of_one_stack(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text("[" + ", ".join([GROUP, GROUP.replace("2", "3")] * 3) + "]")
+        mats = [g.scatter.mat for g in read_groups(str(path))]
+        stack = mats[0].base
+        assert stack.shape == (6, 2, 2) and not stack.flags.writeable
+        for i, m in enumerate(mats):
+            assert m.base is stack and np.shares_memory(m, stack[i]) and not m.flags.writeable
+        with pytest.raises(ValueError):
+            mats[1][0, 0] = 5.0
+
+    def test_peak_memory_stays_below_the_file_size(self, tmp_path):
+        # Reading the file whole holds its text twice over (about 2x its size);
+        # the chunked reader holds the groups' stack and a few chunks.
+        rng = np.random.default_rng(0)
+        path = tmp_path / "g.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            y = rng.standard_normal((3000, 20, 16))
+            json.dump([{"dof": 20, "scatter": s.tolist()} for s in np.einsum("mri,mrj->mij", y, y)], fh)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            groups = read_groups(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(groups) == 3000
+        assert peak < size, (peak, size)
 
 
 class TestScatterCommand:

@@ -43,6 +43,12 @@ def write(tmp, name, text):
     return str(path)
 
 
+def write_bytes(tmp, name, data):
+    path = tmp / name
+    path.write_bytes(data)
+    return str(path)
+
+
 def command(argv):
     """The subcommand of ``argv`` run as ``cli.run`` runs it, its errors raised."""
     args = cli.build_parser().parse_args(argv)
@@ -125,6 +131,14 @@ REFUSALS = [
     ("check-sigma-unreadable", lambda tmp: command(["check", "--input", write(tmp, "x.csv", "1,0\n0,1\n1,1\n"),
                                                     "--sigma", str(tmp / "missing.json")]),
      InputError, "cannot read sigma document"),
+    # input that is not UTF-8 text
+    ("csv-not-utf8", lambda tmp: read_csv(write_bytes(tmp, "x.csv", b"1,0\n0,\xff\n1,1\n")),
+     InputError, "x.csv is not UTF-8 text"),
+    ("groups-not-utf8", lambda tmp: read_groups(write_bytes(tmp, "g.json", b'[{"dof": 3, "scatter": [[1\xff]]}]')),
+     InputError, "g.json is not UTF-8 text"),
+    ("check-sigma-not-utf8", lambda tmp: command(["check", "--input", write(tmp, "x.csv", "1,0\n0,1\n1,1\n"),
+                                                  "--sigma", write_bytes(tmp, "s.json", b'{"sigma": \xff}')]),
+     InputError, "cannot read sigma document"),
 ]
 
 
@@ -168,3 +182,26 @@ def test_procov_refuses_an_overflowing_trace(tmp_path, capsys):
     path.write_text(json.dumps([{"dof": 3, "scatter": BIG.tolist()}]))
     assert cli.run(["procov", "--groups", str(path)]) == cli.EXIT_INPUT
     assert "error: atom trace overflows at this scale" in capsys.readouterr().err
+
+
+FOUR_ROWS = "1,0\n0,1\n1,1\n2,-1\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_sigma_at_the_float_limit(tmp_path, capsys):
+    # Tyler's residual of c I does not depend on c, down to the float limit;
+    # other losses refuse a sigma under which the traces overflow or underflow.
+    x = write(tmp_path, "x.csv", FOUR_ROWS)
+    residuals = []
+    for c in (1.0, 1e308, 1e-308):
+        sigma = write(tmp_path, "s.json", json.dumps({"sigma": (c * np.eye(2)).tolist()}))
+        assert cli.run(["check", "--input", x, "--sigma", sigma]) == cli.EXIT_NOT_CONVERGED
+        doc = json.loads(capsys.readouterr().out)
+        residuals.append(doc["fixed_point_residual"])
+        assert abs(doc["criterion"]) <= 1e-15
+    assert residuals[0] == pytest.approx(np.sqrt(0.025), rel=1e-15)
+    assert residuals[1:] == pytest.approx([residuals[0]] * 2, rel=1e-14)
+    for c in (1e308, 1e-308):
+        sigma = write(tmp_path, "s.json", json.dumps({"sigma": (c * np.eye(2)).tolist()}))
+        assert cli.run(["check", "--estimator", "t", "--nu", "3", "--input", x, "--sigma", sigma]) == cli.EXIT_INPUT
+        assert "error: traces under sigma overflow or underflow" in capsys.readouterr().err
